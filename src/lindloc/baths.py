@@ -41,11 +41,13 @@ class SpectralModel:
     def __post_init__(self):
         if self.kind not in ("flat", "ohmic"):
             raise ValueError(f"unknown spectral model kind {self.kind!r}")
-        if self.coupling_scale < 0.0:
-            raise ValueError(f"coupling_scale must be >= 0, got {self.coupling_scale!r}")
+        if not 0.0 <= self.coupling_scale < math.inf:
+            raise ValueError(
+                f"coupling_scale must be finite and >= 0, got {self.coupling_scale!r}"
+            )
         if self.kind == "ohmic":
-            if self.cutoff is None or self.cutoff <= 0.0:
-                raise ValueError("ohmic spectral model needs a positive cutoff")
+            if self.cutoff is None or not 0.0 < self.cutoff < math.inf:
+                raise ValueError("ohmic spectral model needs a finite positive cutoff")
         elif self.cutoff is not None:
             raise ValueError("flat spectral model takes no cutoff")
 
@@ -71,16 +73,20 @@ class BathSpec:
     coupling_op: np.ndarray
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"bath {self.label!r}: beta must be positive, got {self.beta!r}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(
+                f"bath {self.label!r}: beta must be finite and positive, got {self.beta!r}"
+            )
         require_hermitian(self.coupling_op, tol=1e-10, name=f"bath {self.label!r} coupling op")
 
     @classmethod
     def from_temperature(
         cls, label: str, temperature: float, spectral: SpectralModel, coupling_op: np.ndarray
     ) -> "BathSpec":
-        if temperature <= 0.0:
-            raise ValueError(f"bath {label!r}: temperature must be positive, got {temperature!r}")
+        if not 0.0 < temperature < math.inf:
+            raise ValueError(
+                f"bath {label!r}: temperature must be finite and positive, got {temperature!r}"
+            )
         return cls(label=label, beta=1.0 / temperature, spectral=spectral, coupling_op=coupling_op)
 
     @property

@@ -11,6 +11,7 @@ import argparse
 import copy
 import csv
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ import yaml
 from .baths import BathSpec, SpectralModel
 from .dynamics import SolverConfig, SteadyStateResult, Trajectory, evolve, steady_state
 from .errors import ConfigError, LindlocError
-from .linalg import hermitian_eig, hermiticity_defect, von_neumann_entropy
+from .linalg import hermiticity_defect, von_neumann_entropy
 from .liouvillian import (
     Generator,
     Subsystem,
@@ -136,7 +137,13 @@ def _need(node: dict, key: str, path: str):
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -461,7 +468,7 @@ def initial_state(config: RunConfig, gen: Generator) -> np.ndarray:
     if kind == "maximally_mixed":
         return np.eye(d, dtype=complex) / d
     if kind == "ground":
-        ground = hermitian_eig(gen.h_free).eigenvectors[:, 0]
+        ground = gen.eig.eigenvectors[:, 0]
         return np.outer(ground, ground.conj())
     return product_gibbs(gen.spec)
 
@@ -488,7 +495,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _trajectory_rows(gen: Generator, traj: Trajectory) -> tuple[list[str], list[list]]:
     d = gen.dimension
-    basis = hermitian_eig(gen.h_free).eigenvectors
+    basis = gen.eig.eigenvectors
     labels = [b.label for b in gen.spec.baths]
     header = (
         ["t"]

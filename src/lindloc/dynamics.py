@@ -7,13 +7,20 @@ generator is linear, one RK4 step is exactly the matrix
 
 applied to the column-stacked state, so strides between recorded points are
 taken as matrix powers of S. Steady states come from the SVD null space of
-the dense superoperator.
+the generator.
+
+Both work on Generator.blocks. For the modified generator those are its Bohr
+blocks in the H_s eigenbasis, so no d^2 x d^2 matrix is built: the RK4
+polynomial of a block-diagonal L is block-diagonal, and the dense matrix is a
+unitary change of basis of the block-diagonal one, so it has the same
+singular values. The naive generator is one dense block.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -26,12 +33,14 @@ from .errors import (
     PositivityError,
 )
 from .linalg import hermiticity_defect, max_abs
-from .liouvillian import Generator, unvectorize, vectorize
+from .liouvillian import Generator
 
 log = logging.getLogger("lindloc")
 
 # dt * ||L||_inf above this risks RK4 instability.
 STABILITY_LIMIT = 0.1
+# Times beyond WEAK_COUPLING_WINDOW / alpha^2 leave the weak-coupling regime.
+WEAK_COUPLING_WINDOW = 0.1
 # Singular values below this fraction of the largest count as null directions.
 NULL_SCALE = 1e-10
 # Smallest acceptable ratio between the two smallest singular values.
@@ -46,14 +55,16 @@ class SolverConfig:
     positivity_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if self.t_max <= 0.0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max!r}")
+        if not 0.0 < self.dt < inf:
+            raise ConfigError(f"dt must be finite and positive, got {self.dt!r}")
+        if not 0.0 < self.t_max < inf:
+            raise ConfigError(f"t_max must be finite and positive, got {self.t_max!r}")
         if self.record_stride < 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride!r}")
-        if self.positivity_tol < 0.0:
-            raise ConfigError(f"positivity_tol must be >= 0, got {self.positivity_tol!r}")
+        if not 0.0 <= self.positivity_tol < inf:
+            raise ConfigError(
+                f"positivity_tol must be finite and >= 0, got {self.positivity_tol!r}"
+            )
 
 
 @dataclass
@@ -112,54 +123,67 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     d = gen.dimension
     _check_density_matrix(rho0, d, config.positivity_tol, "initial state")
 
-    norm = gen.superop_inf_norm()
+    norm = gen.stability_norm()
     if config.dt * norm > STABILITY_LIMIT:
         raise ConfigError(
             f"dt = {config.dt!r} too large for stability: dt * ||L||_inf = "
             f"{config.dt * norm:.3e} exceeds {STABILITY_LIMIT}"
         )
     alpha = gen.spec.alpha
-    if alpha > 0.0 and config.t_max >= STABILITY_LIMIT / alpha**2:
+    if alpha > 0.0 and config.t_max >= WEAK_COUPLING_WINDOW / alpha**2:
         log.warning(
-            "t_max = %.3g reaches the weak-coupling validity window ~%.3g = 0.1/alpha^2; "
+            "t_max = %.3g reaches the weak-coupling validity window ~%.3g = %g/alpha^2; "
             "long-time results should be read as the generator's own dynamics",
             config.t_max,
-            STABILITY_LIMIT / alpha**2,
+            WEAK_COUPLING_WINDOW / alpha**2,
+            WEAK_COUPLING_WINDOW,
         )
 
+    view = gen.blocks
     n_steps = max(1, int(round(config.t_max / config.dt)))
-    step_matrix = rk4_step_matrix(gen.superop, config.dt)
+    step_matrices = [rk4_step_matrix(m, config.dt) for m in view.matrices]
     stride = min(config.record_stride, n_steps)
-    stride_matrix = np.linalg.matrix_power(step_matrix, stride)
+    stride_matrices = [np.linalg.matrix_power(s, stride) for s in step_matrices]
 
-    v = vectorize(np.asarray(rho0, dtype=complex))
+    v = view.to_vector(np.asarray(rho0, dtype=complex))
     times = [0.0]
-    states = [unvectorize(v.copy())]
+    states = [np.array(rho0, dtype=complex)]
     step = 0
     while step < n_steps:
         jump = min(stride, n_steps - step)
         if jump == stride:
-            v = stride_matrix @ v
+            matrices = stride_matrices
         else:
-            v = np.linalg.matrix_power(step_matrix, jump) @ v
+            matrices = [np.linalg.matrix_power(s, jump) for s in step_matrices]
+        for block, m in zip(view.slices, matrices):
+            v[block] = m @ v[block]
         step += jump
         t = step * config.dt
-        rho = unvectorize(v)
+        rho = view.to_state(v)
         _check_density_matrix(rho, d, config.positivity_tol, f"t = {t:.6g}")
         times.append(t)
-        states.append(rho.copy())
+        states.append(rho)
     return Trajectory(times=np.array(times), states=states)
 
 
 def steady_state(gen: Generator) -> SteadyStateResult:
     """Null-space steady state of the generator via SVD.
 
-    Raises NonUniqueSteadyStateError when more than one singular value is
-    numerically zero; logs a warning when the smallest two singular values
-    are separated by less than SEPARATION_FACTOR.
+    Only the block holding the trace needs singular vectors; every other
+    block contributes its singular values to the pooled set, which is the
+    dense matrix's. Raises NonUniqueSteadyStateError when more than one
+    singular value is numerically zero; logs a warning when the smallest two
+    singular values are separated by less than SEPARATION_FACTOR.
     """
-    m = gen.superop
-    _, s, vh = np.linalg.svd(m)
+    view = gen.blocks
+    parts = []
+    for k, m in enumerate(view.matrices):
+        if k == view.zero:
+            _, s_k, vh = np.linalg.svd(m)
+        else:
+            s_k = np.linalg.svd(m, compute_uv=False)
+        parts.append(s_k)
+    s = np.sort(np.concatenate(parts))[::-1]
     s_max = float(s[0])
     if s_max == 0.0:
         raise NonUniqueSteadyStateError(len(s))
@@ -176,14 +200,17 @@ def steady_state(gen: Generator) -> SteadyStateResult:
             SEPARATION_FACTOR,
         )
 
-    raw = unvectorize(vh[-1].conj())
-    rho = 0.5 * (raw + raw.conj().T)
-    tr = float(np.trace(rho).real)
+    v = np.zeros(gen.dimension**2, dtype=complex)
+    v[view.slices[view.zero]] = vh[-1].conj()
+    raw = view.to_state(v)
+    tr = complex(np.trace(raw))
     if abs(tr) < 1e-10:
         raise LindlocError(
             "null vector is traceless; no normalizable steady state in this direction"
         )
-    rho = rho / tr
+    # the singular vector's phase is arbitrary: fix it by the trace
+    raw = raw / tr
+    rho = 0.5 * (raw + raw.conj().T)
 
     lo = float(np.linalg.eigvalsh(rho).min())
     if lo < -1e-9:

@@ -58,6 +58,8 @@ def require_square(m: np.ndarray, name: str = "matrix") -> int:
 
 def require_hermitian(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> None:
     require_square(m, name)
+    if not np.isfinite(m).all():
+        raise NonHermitianError(f"{name} has non-finite entries")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise NonHermitianError(

@@ -10,21 +10,38 @@ each D_i is a GKLS dissipator whose jump operators are the Bohr components of
 bath i's coupling operator in its own subsystem eigenbasis, embedded into the
 product space. The naive variant keeps the full interaction in the
 commutator; its dissipators are identical.
+
+Every term of the modified generator is covariant under the free evolution:
+the filtered interaction commutes with H_s and each jump operator is an
+eigenoperator of [H_s, .]. Written in the H_s eigenbasis, the generator
+therefore maps a matrix entry rho_ij only onto entries rho_kl with the same
+Bohr frequency E_k - E_l = E_i - E_j, and splits into one block per
+frequency. Generator.blocks exposes that split; the naive generator breaks
+the symmetry and is kept as one dense block.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from math import isqrt, prod
+from functools import cached_property
+from math import inf, isqrt, prod
 
 import numpy as np
 
 from .baths import BathSpec, rate
 from .errors import DenseSpectrumError, DimensionMismatchError
-from .linalg import embed, hermitian_eig, kron, require_hermitian, require_square
+from .linalg import (
+    HermitianEigenSystem,
+    embed,
+    hermitian_eig,
+    kron,
+    require_hermitian,
+    require_square,
+)
 from .spectral import (
     EnergyLevels,
+    bohr_blocks,
     decompose_operator,
     default_grouping_tol,
     group_levels,
@@ -65,10 +82,12 @@ class SystemSpec:
     def __post_init__(self):
         if not self.subsystems:
             raise DimensionMismatchError("a system needs at least one subsystem")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
-        if self.beta_coupling < 0.0:
-            raise ValueError(f"beta_coupling must be >= 0, got {self.beta_coupling!r}")
+        if not 0.0 <= self.alpha < inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        if not 0.0 <= self.beta_coupling < inf:
+            raise ValueError(
+                f"beta_coupling must be finite and >= 0, got {self.beta_coupling!r}"
+            )
         if len(self.baths) != len(self.subsystems):
             raise DimensionMismatchError(
                 f"{len(self.baths)} baths for {len(self.subsystems)} subsystems; "
@@ -89,8 +108,10 @@ class SystemSpec:
                     f"bath {bath.label!r} coupling op has dimension {d}, "
                     f"subsystem {sub.label!r} has {sub.dim}"
                 )
-        if self.grouping_tol is not None and self.grouping_tol <= 0.0:
-            raise ValueError(f"grouping_tol must be positive, got {self.grouping_tol!r}")
+        if self.grouping_tol is not None and not 0.0 < self.grouping_tol < inf:
+            raise ValueError(
+                f"grouping_tol must be finite and positive, got {self.grouping_tol!r}"
+            )
 
     @property
     def dims(self) -> list[int]:
@@ -143,19 +164,56 @@ def unvectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of -i [h, .] under column stacking."""
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+def _is_phase_permutation(u: np.ndarray) -> bool:
+    """True when every column of u has exactly one nonzero entry."""
+    return bool((np.count_nonzero(u, axis=0) == 1).all())
 
 
-def _dissipator_superop(ch: Channel) -> np.ndarray:
-    eye = np.eye(ch.op.shape[0], dtype=complex)
-    return ch.rate * (
-        np.kron(ch.op.conj(), ch.op)
-        - 0.5 * np.kron(eye, ch.op_dag_op)
-        - 0.5 * np.kron(ch.op_dag_op.T, eye)
-    )
+@dataclass(frozen=True, eq=False)
+class BlockView:
+    """A generator written as a direct sum of blocks.
+
+    Block k acts on the column-stacked entries indices[k] of a matrix written
+    in `basis` (the product basis when basis is None). States travel as one
+    vector holding the blocks' entries one block after another.
+    """
+
+    basis: np.ndarray | None
+    indices: tuple[np.ndarray, ...]
+    matrices: tuple[np.ndarray, ...]
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        return np.concatenate(self.indices)
+
+    @cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """Where each block sits in a block vector."""
+        ends = np.cumsum([idx.size for idx in self.indices])
+        return tuple(slice(int(e - idx.size), int(e)) for e, idx in zip(ends, self.indices))
+
+    @cached_property
+    def zero(self) -> int:
+        """The block holding entry (0, 0): the zero-frequency block, which
+        holds every population and so the trace."""
+        return next(k for k, idx in enumerate(self.indices) if idx[0] == 0)
+
+    def to_vector(self, rho: np.ndarray) -> np.ndarray:
+        u = self.basis
+        if u is not None:
+            rho = u.conj().T @ rho @ u
+        return vectorize(rho)[self._order]
+
+    def to_state(self, v: np.ndarray) -> np.ndarray:
+        full = np.empty_like(v)
+        full[self._order] = v
+        rho = unvectorize(full)
+        u = self.basis
+        return rho if u is None else u @ rho @ u.conj().T
+
+    def inf_norm(self) -> float:
+        """Largest absolute row sum over all blocks."""
+        return max(float(np.abs(m).sum(axis=1).max()) for m in self.matrices)
 
 
 class Generator:
@@ -163,8 +221,13 @@ class Generator:
 
     apply() evaluates the full generator on a matrix; apply_partial() leaves
     out the interaction commutator (the partial generator whose fixed point
-    is the product of local Gibbs states). Dense superoperator matrices are
-    built on first use and cached.
+    is the product of local Gibbs states). Both are written with the
+    effective Hamiltonian H_eff = H - (i/2) sum gamma A†A, so that
+
+        L[rho] = -i (H_eff rho - rho H_eff†) + sum gamma A rho A†,
+
+    and the dense superoperators and the Bohr blocks are built from the same
+    form, on first use, and cached.
     """
 
     def __init__(
@@ -176,6 +239,7 @@ class Generator:
         channels: list[list[Channel]],
         levels: EnergyLevels,
         diagnostics: SpectrumDiagnostics | None,
+        eig: HermitianEigenSystem | None = None,
     ):
         self.spec = spec
         self.kind = kind
@@ -184,9 +248,15 @@ class Generator:
         self.channels = channels
         self.levels = levels
         self.diagnostics = diagnostics
+        self.eig = eig if eig is not None else hermitian_eig(h_free)
         self._superop: np.ndarray | None = None
         self._partial_superop: np.ndarray | None = None
         self._h_total = h_free + h_interaction
+        # sum over a bath's channels of gamma A†A: the anticommutator part of D_i
+        self._decay = [
+            sum((ch.rate * ch.op_dag_op for ch in bath), np.zeros_like(h_free))
+            for bath in channels
+        ]
 
     @property
     def dimension(self) -> int:
@@ -197,13 +267,16 @@ class Generator:
         """H_s plus the (filtered or full) interaction term."""
         return self._h_total
 
+    def _no_jump(self, h: np.ndarray) -> np.ndarray:
+        """-i H_eff for Hamiltonian h: the part of L acting as rho -> G rho + rho G†."""
+        return -1j * h - 0.5 * sum(self._decay)
+
     def dissipator(self, bath_index: int, rho: np.ndarray) -> np.ndarray:
         """beta^2-scaled dissipator of one bath applied to a matrix."""
-        out = np.zeros_like(rho, dtype=complex)
+        k = self._decay[bath_index]
+        out = -0.5 * (k @ rho + rho @ k)
         for ch in self.channels[bath_index]:
-            sandwich = ch.op @ rho @ ch.op_dag
-            anti = ch.op_dag_op @ rho + rho @ ch.op_dag_op
-            out = out + ch.rate * (sandwich - 0.5 * anti)
+            out = out + ch.rate * (ch.op @ rho @ ch.op_dag)
         return out
 
     def _check_dim(self, rho: np.ndarray) -> None:
@@ -212,48 +285,108 @@ class Generator:
                 f"state shape {rho.shape} does not match generator dimension {self.dimension}"
             )
 
+    def terms(self, rho: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Each bath's D_i[rho], the partial L_p[rho] and the full L[rho].
+
+        Every dissipator is applied once; L_p adds the free commutator to
+        their sum and L adds the interaction commutator to L_p.
+        """
+        self._check_dim(rho)
+        diss = [self.dissipator(i, rho) for i in range(len(self.channels))]
+        h, v = self.h_free, self.h_interaction
+        partial = -1j * (h @ rho - rho @ h) + sum(diss)
+        full = partial - 1j * (v @ rho - rho @ v)
+        return diss, partial, full
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Full generator action on a matrix (need not be a state)."""
-        self._check_dim(rho)
-        h = self._h_total
-        out = -1j * (h @ rho - rho @ h)
-        for i in range(len(self.channels)):
-            out = out + self.dissipator(i, rho)
-        return out
+        return self.terms(rho)[2]
 
     def apply_partial(self, rho: np.ndarray) -> np.ndarray:
         """Generator action without the interaction commutator."""
-        self._check_dim(rho)
-        h = self.h_free
-        out = -1j * (h @ rho - rho @ h)
-        for i in range(len(self.channels)):
-            out = out + self.dissipator(i, rho)
-        return out
+        return self.terms(rho)[1]
 
-    def _dissipator_matrix(self) -> np.ndarray:
-        d2 = self.dimension**2
-        m = np.zeros((d2, d2), dtype=complex)
-        for channels in self.channels:
-            for ch in channels:
-                m = m + _dissipator_superop(ch)
+    def _dense(self, h: np.ndarray) -> np.ndarray:
+        """Column-stacked matrix of L with Hamiltonian h, in the product basis."""
+        g = self._no_jump(h)
+        eye = np.eye(self.dimension, dtype=complex)
+        m = np.kron(eye, g) + np.kron(g.conj(), eye)
+        for bath in self.channels:
+            for ch in bath:
+                m += ch.rate * np.kron(ch.op.conj(), ch.op)
         return m
 
     @property
     def superop(self) -> np.ndarray:
         if self._superop is None:
-            diss = self._dissipator_matrix()
-            self._superop = _hamiltonian_superop(self._h_total) + diss
-            self._partial_superop = _hamiltonian_superop(self.h_free) + diss
+            self._superop = self._dense(self._h_total)
         return self._superop
 
     @property
     def partial_superop(self) -> np.ndarray:
         if self._partial_superop is None:
-            self.superop
+            self._partial_superop = self._dense(self.h_free)
         return self._partial_superop
 
     def superop_inf_norm(self) -> float:
         return float(np.abs(self.superop).sum(axis=1).max())
+
+    def block(self, index: np.ndarray) -> np.ndarray:
+        """Matrix of L restricted to the column-stacked H_s-eigenbasis entries `index`.
+
+        Entry (ij, kl) is G_ik d_jl + d_ik conj(G_jl) + sum gamma a_ik conj(a_jl),
+        with G = -i H_eff and a the jump operators in the eigenbasis.
+        """
+        g, jumps = self._eigenbasis_terms
+        i, j = index % self.dimension, index // self.dimension
+        ri, ci, rj, cj = i[:, None], i[None, :], j[:, None], j[None, :]
+        m = g[ri, ci] * (rj == cj) + (ri == ci) * g[rj, cj].conj()
+        for rate, a in jumps:
+            m += rate * a[ri, ci] * a[rj, cj].conj()
+        return m
+
+    @cached_property
+    def _eigenbasis_terms(self) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+        u = self.eig.eigenvectors
+        ud = u.conj().T
+        jumps = [(ch.rate, ud @ ch.op @ u) for bath in self.channels for ch in bath]
+        return ud @ self._no_jump(self._h_total) @ u, jumps
+
+    @cached_property
+    def blocks(self) -> BlockView:
+        """L as a direct sum: one block per Bohr frequency of H_s for the
+        modified generator, one dense block in the product basis otherwise."""
+        if self.kind != "modified":
+            return BlockView(None, (np.arange(self.dimension**2),), (self.superop,))
+        index = bohr_blocks(self.eig.eigenvalues, self.levels.grouping_tol)
+        return BlockView(
+            self.eig.eigenvectors, tuple(index), tuple(self.block(idx) for idx in index)
+        )
+
+    def stability_norm(self) -> float:
+        """||L||_inf in the product basis, without the dense matrix where possible.
+
+        A phase-permutation change of basis only moves and rephases the
+        entries of L, so the block row sums are the dense ones. Any other
+        eigenbasis mixes entries, and the dense matrix is needed.
+        """
+        view = self.blocks
+        if view.basis is None or _is_phase_permutation(view.basis):
+            return view.inf_norm()
+        return self.superop_inf_norm()
+
+    @cached_property
+    def log_product_gibbs(self) -> np.ndarray:
+        """ln of the product of local Gibbs states, from the exponent directly."""
+        spec = self.spec
+        x = np.zeros_like(self.h_free)
+        for k, (sub, bath) in enumerate(zip(spec.subsystems, spec.baths)):
+            x = x - bath.beta * embed(sub.hamiltonian, k, spec.dims)
+        # subtract ln(partition function) so that exp(result) has unit trace
+        w = np.linalg.eigvalsh(x)
+        shift = w.max()
+        ln_z = shift + np.log(np.exp(w - shift).sum())
+        return x - ln_z * np.eye(spec.dimension, dtype=complex)
 
     def min_rate(self) -> float:
         """Smallest scaled channel rate; +inf when there are no channels."""
@@ -331,6 +464,7 @@ def _build(spec: SystemSpec, filtered: bool) -> Generator:
         channels=_bath_channels(spec),
         levels=levels,
         diagnostics=diagnostics,
+        eig=eig,
     )
 
 

@@ -68,6 +68,17 @@ class EnergyLevels:
         return np.array(reps)
 
 
+def bohr_blocks(eigenvalues: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Column-stacked index pairs (i, j) -> i + d j grouped by E_i - E_j.
+
+    Differences are merged at tol with the rule bohr_frequencies uses. Blocks
+    come in ascending frequency, each with its indices in ascending order.
+    """
+    diffs = (eigenvalues[:, None] - eigenvalues[None, :]).ravel(order="F")
+    order = np.argsort(diffs, kind="stable")
+    return [np.sort(order[idx]) for idx in _cluster_sorted(diffs[order], tol)]
+
+
 def group_levels(eig: HermitianEigenSystem, tol: float) -> EnergyLevels:
     """Merge eigenvalues within tol of each other into degenerate levels.
 

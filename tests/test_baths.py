@@ -94,6 +94,11 @@ def test_spectral_model_validation():
         SpectralModel(kind="flat", coupling_scale=1.0, cutoff=5.0)
     with pytest.raises(ValueError):
         SpectralModel(kind="flat", coupling_scale=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralModel(kind="flat", coupling_scale=bad)
+        with pytest.raises(ValueError, match="cutoff"):
+            SpectralModel(kind="ohmic", coupling_scale=1.0, cutoff=bad)
     with pytest.raises(ValueError):
         FLAT.coupling_sq(0.0)
 
@@ -106,6 +111,14 @@ def test_bath_spec_validation():
                  coupling_op=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError, match="temperature"):
         BathSpec.from_temperature("b", -1.0, FLAT, SIGMA_X)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            make_bath(beta=bad)
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            BathSpec.from_temperature("b", bad, FLAT, SIGMA_X)
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        BathSpec(label="b", beta=1.0, spectral=FLAT,
+                 coupling_op=np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex))
 
 
 def test_temperature_round_trip():

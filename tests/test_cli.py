@@ -127,6 +127,11 @@ def test_type_errors_name_the_path():
     data["model"]["initial_state"] = "vacuum"
     with pytest.raises(ConfigError, match="initial_state"):
         RunConfig.from_dict(data)
+    for bad in (float("inf"), 10**400):
+        data = base_dict()
+        data["solver"]["dt"] = bad
+        with pytest.raises(ConfigError, match=r"solver\.dt: expected a finite number"):
+            RunConfig.from_dict(data)
 
 
 def explicit_dict(b2_scale=INV_2PI, alpha=0.01):
@@ -437,6 +442,19 @@ def test_error_exits_are_one(tmp_path):
     proc = run_cli("simulate", write_yaml(tmp_path, base_dict()), "--jobs", 0)
     assert proc.returncode == 1
     assert "--jobs" in proc.stderr
+
+
+def test_non_finite_number_exits_one(tmp_path):
+    # a NaN slips past "alpha < 0" and used to reach LAPACK as an SVD failure
+    data = base_dict()
+    data["model"]["params"]["alpha"] = float("nan")
+    path = write_yaml(tmp_path, data, "nan.yaml")
+    assert "alpha: .nan" in path.read_text(encoding="utf-8")
+    for command in ("steady", "simulate"):
+        proc = run_cli(command, path, "--out", tmp_path / "out")
+        assert proc.returncode == 1
+        assert "model.params.alpha: expected a finite number" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_degenerate_steady_state_exits_one(tmp_path):

@@ -28,9 +28,14 @@ from lindloc.liouvillian import (
     build_modified_local,
     product_gibbs,
 )
-from lindloc.models import TwoQubitParams, single_qubit_model, two_qubit_model
+from lindloc.models import (
+    TwoQubitParams,
+    qubit_chain_model,
+    single_qubit_model,
+    two_qubit_model,
+)
 
-from conftest import rand_complex
+from conftest import rand_complex, rand_density
 
 
 # -- step matrix ------------------------------------------------------------------
@@ -62,6 +67,13 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, t_max=1.0, record_stride=0)
     with pytest.raises(ConfigError):
         SolverConfig(dt=0.1, t_max=1.0, positivity_tol=-1e-9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="dt must be finite"):
+            SolverConfig(dt=bad, t_max=1.0)
+        with pytest.raises(ConfigError, match="t_max must be finite"):
+            SolverConfig(dt=0.1, t_max=bad)
+        with pytest.raises(ConfigError, match="positivity_tol must be finite"):
+            SolverConfig(dt=0.1, t_max=1.0, positivity_tol=bad)
 
 
 # -- evolve -----------------------------------------------------------------------
@@ -215,6 +227,7 @@ def test_decoupled_second_qubit_has_no_unique_steady_state():
     with pytest.raises(NonUniqueSteadyStateError, match="dimension 2") as exc:
         steady_state(gen)
     assert exc.value.null_dim == 2
+    assert gen._superop is None  # decided from the pooled Bohr-block singular values
 
 
 def test_relaxation_time():
@@ -229,3 +242,81 @@ def test_relaxation_time():
         beta_coupling=0.01,
     )
     assert relaxation_time(build_modified_local(lone)) == float("inf")
+
+
+# -- Bohr blocks against the dense path ------------------------------------------------
+
+
+def seeded_chains():
+    """Qubit chains n = 2..4 with resonant and detuned bonds."""
+    rng = np.random.default_rng(20260825)
+    for n in (2, 3, 4):
+        for _ in range(2):
+            energies = rng.choice([1.0, 1.5], n).tolist()
+            yield qubit_chain_model(n, energies, rng.uniform(0.5, 2.5, n).tolist())
+
+
+def dense_twin(gen):
+    """The same generator under the naive label, which keeps it one dense block."""
+    return Generator(
+        spec=gen.spec,
+        kind="naive",
+        h_free=gen.h_free,
+        h_interaction=gen.h_interaction,
+        channels=gen.channels,
+        levels=gen.levels,
+        diagnostics=gen.diagnostics,
+    )
+
+
+def test_block_path_matches_dense_path(rng):
+    cfg = SolverConfig(dt=0.01, t_max=5.0, record_stride=100)
+    for spec in seeded_chains():
+        gen = build_modified_local(spec)
+        dense = dense_twin(gen)
+        assert len(gen.blocks.matrices) > 1
+        assert len(dense.blocks.matrices) == 1
+
+        a, b = steady_state(gen), steady_state(dense)
+        assert np.abs(a.rho_ss - b.rho_ss).max() <= 1e-12
+        s_dense = b.singular_values
+        assert a.singular_values.shape == s_dense.shape
+        assert np.abs(a.singular_values - s_dense).max() <= 1e-12 * s_dense[0]
+
+        # a full-rank state has coherences in every block
+        rho0 = rand_density(rng, spec.dimension)
+        ta, tb = evolve(gen, rho0, cfg), evolve(dense, rho0, cfg)
+        assert np.array_equal(ta.times, tb.times)
+        for x, y in zip(ta.states, tb.states):
+            assert np.abs(x - y).max() <= 1e-12
+
+        assert gen._superop is None
+        assert gen._partial_superop is None
+
+
+def test_block_path_in_a_dense_eigenbasis(rng):
+    """Qubits with H = sigma_x / 2 and sigma_z couplings: the H_s eigenbasis mixes
+    product states, so states are rotated and the guard uses the dense norm."""
+    flat = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
+    zz = np.kron(SIGMA_Z, SIGMA_Z)
+    spec = SystemSpec(
+        subsystems=[Subsystem("q1", 0.5 * SIGMA_X, 2), Subsystem("q2", 0.5 * SIGMA_X, 2)],
+        interactions=[zz],
+        alpha=0.01,
+        baths=[
+            BathSpec.from_temperature("b1", 2.0, flat, SIGMA_Z),
+            BathSpec.from_temperature("b2", 1.0, flat, SIGMA_Z),
+        ],
+        beta_coupling=0.01,
+    )
+    gen = build_modified_local(spec)
+    assert np.count_nonzero(gen.eig.eigenvectors) > spec.dimension
+    assert np.abs(gen.h_interaction).max() > 1e-3  # the exchange part survives the filter
+    dense = dense_twin(gen)
+    a, b = steady_state(gen), steady_state(dense)
+    assert np.abs(a.rho_ss - b.rho_ss).max() <= 1e-12
+    rho0 = rand_density(rng, 4)
+    cfg = SolverConfig(dt=0.02, t_max=10.0, record_stride=50)
+    for x, y in zip(evolve(gen, rho0, cfg).states, evolve(dense, rho0, cfg).states):
+        assert np.abs(x - y).max() <= 1e-12
+    assert gen.stability_norm() == dense.superop_inf_norm()

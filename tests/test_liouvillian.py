@@ -10,7 +10,8 @@ from lindloc.errors import (
     DimensionMismatchError,
     NonHermitianError,
 )
-from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, embed, kron
+from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, embed, kron
+from lindloc.spectral import bohr_blocks
 from lindloc.liouvillian import (
     Subsystem,
     SystemSpec,
@@ -202,6 +203,59 @@ def test_beta_coupling_scales_rates_quadratically():
             assert b.rate == pytest.approx(4.0 * a.rate, rel=1e-14)
 
 
+# -- Bohr blocks ----------------------------------------------------------------------
+
+def y_coupled_pair():
+    """A resonant pair whose first bath couples through sigma_y: complex jump operators."""
+    spec = qubit_chain_model(2, [1.0, 1.0], [2.0, 1.0])
+    baths = [BathSpec.from_temperature("b1", 2.0, FLAT_UNIT, SIGMA_Y), spec.baths[1]]
+    return SystemSpec(spec.subsystems, spec.interactions, spec.alpha, baths, spec.beta_coupling)
+
+
+CHAINS = [
+    y_coupled_pair(),
+    qubit_chain_model(2, [1.0, 1.5], [2.0, 1.0]),
+    qubit_chain_model(3, [1.0, 1.0, 1.0], [2.0, 1.0, 0.5]),
+    qubit_chain_model(3, [1.0, 1.5, 1.0], [0.5, 2.0, 1.0]),
+    qubit_chain_model(4, [1.5, 1.0, 1.0, 1.5], [1.0, 2.0, 0.7, 1.3]),
+]
+
+
+def eigenbasis_superop(gen):
+    """The dense superoperator conjugated into the H_s eigenbasis."""
+    u = gen.eig.eigenvectors
+    w = np.kron(u.T, u.conj().T)  # vec(U† X U) = (U^T kron U†) vec(X)
+    return w @ gen.superop @ w.conj().T
+
+
+def test_modified_generator_is_block_diagonal_in_the_eigenbasis():
+    for spec in CHAINS:
+        mod, naive = build_modified_local(spec), build_naive_local(spec)
+        index = bohr_blocks(mod.eig.eigenvalues, mod.levels.grouping_tol)
+        label = np.empty(spec.dimension**2, dtype=int)
+        for k, idx in enumerate(index):
+            label[idx] = k
+        between = label[:, None] != label[None, :]
+
+        l_mod = eigenbasis_superop(mod)
+        assert np.abs(l_mod[between]).max() == 0.0
+        assert np.abs(eigenbasis_superop(naive)[between]).max() >= 0.5 * spec.alpha
+
+        # each assembled block is the matching piece of the dense matrix
+        view = mod.blocks
+        assert [idx.tolist() for idx in view.indices] == [idx.tolist() for idx in index]
+        for idx, m in zip(view.indices, view.matrices):
+            assert np.abs(m - l_mod[np.ix_(idx, idx)]).max() <= 1e-18
+        populations = np.arange(spec.dimension) * (spec.dimension + 1)
+        assert set(populations) <= set(view.indices[view.zero].tolist())
+
+
+def test_stability_norm_is_dense_inf_norm():
+    for spec in CHAINS:
+        for gen in (build_modified_local(spec), build_naive_local(spec)):
+            assert gen.stability_norm() == pytest.approx(gen.superop_inf_norm(), rel=1e-15)
+
+
 def test_min_rate_and_norm():
     gen = default_two_qubit()
     n2 = 1.0 / math.expm1(1.0)
@@ -262,6 +316,13 @@ def test_spec_validation_errors():
         SystemSpec([q()], [], 0.0, [b(op=np.eye(3, dtype=complex))], 0.01)
     with pytest.raises(ValueError, match="grouping_tol"):
         SystemSpec([q()], [], 0.0, [b()], 0.01, grouping_tol=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            SystemSpec([q()], [], bad, [b()], 0.01)
+        with pytest.raises(ValueError, match="beta_coupling must be finite"):
+            SystemSpec([q()], [], 0.0, [b()], bad)
+        with pytest.raises(ValueError, match="grouping_tol must be finite"):
+            SystemSpec([q()], [], 0.0, [b()], 0.01, grouping_tol=bad)
 
 
 def test_subsystem_validation():
