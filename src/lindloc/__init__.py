@@ -43,7 +43,6 @@ from .liouvillian import (
     Generator,
     Subsystem,
     SystemSpec,
-    apply,
     build_modified_local,
     build_naive_local,
     product_gibbs,

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +53,6 @@ STATE_KINDS = ("maximally_mixed", "ground", "gibbs_product")
 
 
 @dataclass(frozen=True)
-class SolverSection:
-    dt: float
-    t_max: float
-    record_stride: int = 1
-    positivity_tol: float = 1e-9
-
-
-@dataclass(frozen=True)
 class OutputSection:
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "report")
@@ -75,7 +67,7 @@ class SweepSection:
 @dataclass(frozen=True)
 class RunConfig:
     model: dict
-    solver: SolverSection
+    solver: SolverConfig
     output: OutputSection
     generator: str = "modified"
     sweep: SweepSection | None = None
@@ -84,12 +76,7 @@ class RunConfig:
         data = {
             "model": copy.deepcopy(self.model),
             "generator": self.generator,
-            "solver": {
-                "dt": self.solver.dt,
-                "t_max": self.solver.t_max,
-                "record_stride": self.solver.record_stride,
-                "positivity_tol": self.solver.positivity_tol,
-            },
+            "solver": asdict(self.solver),
             "output": {
                 "directory": self.output.directory,
                 "formats": list(self.output.formats),
@@ -335,7 +322,7 @@ def _validate_model(node, path: str = "model") -> dict:
     return out
 
 
-def _validate_solver(node, path: str = "solver") -> SolverSection:
+def _validate_solver(node, path: str = "solver") -> SolverConfig:
     node = _expect_mapping(node, path)
     _reject_unknown(node, {"dt", "t_max", "record_stride", "positivity_tol"}, path)
     kwargs = {
@@ -346,7 +333,7 @@ def _validate_solver(node, path: str = "solver") -> SolverSection:
         kwargs["record_stride"] = _as_int(node["record_stride"], f"{path}.record_stride")
     if "positivity_tol" in node:
         kwargs["positivity_tol"] = _as_float(node["positivity_tol"], f"{path}.positivity_tol")
-    return SolverSection(**kwargs)
+    return SolverConfig(**kwargs)
 
 
 def _validate_output(node, path: str = "output") -> OutputSection:
@@ -541,13 +528,7 @@ def _write_report(path: Path, lines: list[str]) -> None:
 def cmd_simulate(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     gen = make_generator(config)
     rho0 = initial_state(config, gen)
-    solver = SolverConfig(
-        dt=config.solver.dt,
-        t_max=config.solver.t_max,
-        record_stride=config.solver.record_stride,
-        positivity_tol=config.solver.positivity_tol,
-    )
-    traj = evolve(gen, rho0, solver)
+    traj = evolve(gen, rho0, config.solver)
     reports = audit_trajectory(gen, traj)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -705,15 +686,9 @@ def cmd_compare(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     spec = build_system(config)
     gen_mod = build_modified_local(spec)
     gen_naive = build_naive_local(spec)
-    solver = SolverConfig(
-        dt=config.solver.dt,
-        t_max=config.solver.t_max,
-        record_stride=config.solver.record_stride,
-        positivity_tol=config.solver.positivity_tol,
-    )
     rho0 = initial_state(config, gen_mod)
-    traj_mod = evolve(gen_mod, rho0, solver)
-    traj_naive = evolve(gen_naive, rho0, solver)
+    traj_mod = evolve(gen_mod, rho0, config.solver)
+    traj_naive = evolve(gen_naive, rho0, config.solver)
     reports_mod = audit_trajectory(gen_mod, traj_mod)
     reports_naive = audit_trajectory(gen_naive, traj_naive)
 

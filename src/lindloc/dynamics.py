@@ -9,11 +9,10 @@ applied to the column-stacked state, so strides between recorded points are
 taken as matrix powers of S. Steady states come from the SVD null space of
 the generator.
 
-Both work on Generator.blocks. For the modified generator those are its Bohr
-blocks in the H_s eigenbasis, so no d^2 x d^2 matrix is built: the RK4
-polynomial of a block-diagonal L is block-diagonal, and the dense matrix is a
-unitary change of basis of the block-diagonal one, so it has the same
-singular values. The naive generator is one dense block.
+Both work on Generator.blocks, the connected components of the nonzero
+pattern of L, so no d^2 x d^2 matrix is built: the RK4 polynomial of a
+block-diagonal L is block-diagonal, and the dense matrix is a unitary change
+of basis of the block-diagonal one, so it has the same singular values.
 """
 
 from __future__ import annotations
@@ -118,7 +117,8 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     """Integrate d rho / dt = L[rho] from rho0, recording every record_stride steps.
 
     Recorded states are checked for trace, Hermiticity, and positivity;
-    violations raise IntegrationError with the offending time.
+    violations raise IntegrationError with the offending time. Blocks where
+    rho0 is exactly zero are never stepped (a diagonal rho0 steps one block).
     """
     d = gen.dimension
     _check_density_matrix(rho0, d, config.positivity_tol, "initial state")
@@ -140,12 +140,14 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
         )
 
     view = gen.blocks
+    v = view.to_vector(np.asarray(rho0, dtype=complex))
+    # a block that starts at exactly zero stays exactly zero
+    live = [(block, m) for block, m in zip(view.slices, view.matrices) if v[block].any()]
     n_steps = max(1, int(round(config.t_max / config.dt)))
-    step_matrices = [rk4_step_matrix(m, config.dt) for m in view.matrices]
+    step_matrices = [rk4_step_matrix(m, config.dt) for _, m in live]
     stride = min(config.record_stride, n_steps)
     stride_matrices = [np.linalg.matrix_power(s, stride) for s in step_matrices]
 
-    v = view.to_vector(np.asarray(rho0, dtype=complex))
     times = [0.0]
     states = [np.array(rho0, dtype=complex)]
     step = 0
@@ -155,7 +157,7 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
             matrices = stride_matrices
         else:
             matrices = [np.linalg.matrix_power(s, jump) for s in step_matrices]
-        for block, m in zip(view.slices, matrices):
+        for (block, _), m in zip(live, matrices):
             v[block] = m @ v[block]
         step += jump
         t = step * config.dt

@@ -23,20 +23,6 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
-
-
-def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m†)/2."""
-    return 0.5 * (m + m.conj().T)
-
-
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude; zero for empty input."""
     return float(np.abs(m).max()) if m.size else 0.0
@@ -131,10 +117,6 @@ class HermitianEigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         v, w = self.eigenvectors, self.eigenvalues
         return (v * w) @ v.conj().T
@@ -145,13 +127,6 @@ def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> HermitianEigenSystem:
     require_hermitian(h, tol=tol, name="eigensolver input")
     w, v = np.linalg.eigh(h)
     return HermitianEigenSystem(eigenvalues=w, eigenvectors=v)
-
-
-def herm_exp(h: np.ndarray) -> np.ndarray:
-    """exp(h) for Hermitian h via its eigendecomposition."""
-    es = hermitian_eig(h)
-    v = es.eigenvectors
-    return (v * np.exp(es.eigenvalues)) @ v.conj().T
 
 
 def von_neumann_entropy(rho: np.ndarray, positivity_tol: float = 1e-9) -> float:

@@ -11,18 +11,17 @@ bath i's coupling operator in its own subsystem eigenbasis, embedded into the
 product space. The naive variant keeps the full interaction in the
 commutator; its dissipators are identical.
 
-Every term of the modified generator is covariant under the free evolution:
-the filtered interaction commutes with H_s and each jump operator is an
-eigenoperator of [H_s, .]. Written in the H_s eigenbasis, the generator
-therefore maps a matrix entry rho_ij only onto entries rho_kl with the same
-Bohr frequency E_k - E_l = E_i - E_j, and splits into one block per
-frequency. Generator.blocks exposes that split; the naive generator breaks
-the symmetry and is kept as one dense block.
+L is assembled from its nonzero entries, and Generator.blocks are the
+connected components of that pattern. The modified generator is covariant
+under the free evolution, so in the H_s eigenbasis each component lies inside
+one Bohr block (E_k - E_l = E_i - E_j); the naive generator of a qubit chain
+conserves parity and splits into two halves in the product basis.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, isqrt, prod
@@ -30,7 +29,7 @@ from math import inf, isqrt, prod
 import numpy as np
 
 from .baths import BathSpec, rate
-from .errors import DenseSpectrumError, DimensionMismatchError
+from .errors import DenseSpectrumError, DimensionMismatchError, LindlocError
 from .linalg import (
     HermitianEigenSystem,
     embed,
@@ -41,7 +40,7 @@ from .linalg import (
 )
 from .spectral import (
     EnergyLevels,
-    bohr_blocks,
+    bohr_labels,
     decompose_operator,
     default_grouping_tol,
     group_levels,
@@ -143,7 +142,6 @@ class Channel:
     omega: float
     op: np.ndarray
     rate: float
-    op_dag: np.ndarray = field(repr=False)
     op_dag_op: np.ndarray = field(repr=False)
 
 
@@ -164,18 +162,49 @@ def unvectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def _is_phase_permutation(u: np.ndarray) -> bool:
-    """True when every column of u has exactly one nonzero entry."""
-    return bool((np.count_nonzero(u, axis=0) == 1).all())
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Refuse, before allocating, work that cannot fit in physical memory."""
+    if nbytes > PHYSICAL_MEMORY:
+        raise LindlocError(
+            f"{what} would need {nbytes / 1e9:.3g} GB, more than the "
+            f"{PHYSICAL_MEMORY / 1e9:.3g} GB of physical memory"
+        )
+
+
+def _scatter(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Flat complex array of length size holding the sum of values at each key."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(keys, values.real, size)
+    out.imag = np.bincount(keys, values.imag, size)
+    return out
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Component label of each of n nodes joined by edges (rows, cols), numbered
+    by smallest node: roots hook onto the smaller root across each edge, and
+    paths are compressed, until every edge joins nodes with one root."""
+    root = np.arange(n)
+    while True:
+        a, b = root[rows], root[cols]
+        if np.array_equal(a, b):
+            return np.unique(root, return_inverse=True)[1]
+        low = np.minimum(a, b)
+        np.minimum.at(root, a, low)
+        np.minimum.at(root, b, low)
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 @dataclass(frozen=True, eq=False)
 class BlockView:
     """A generator written as a direct sum of blocks.
 
-    Block k acts on the column-stacked entries indices[k] of a matrix written
-    in `basis` (the product basis when basis is None). States travel as one
-    vector holding the blocks' entries one block after another.
+    Block k acts on the column-stacked entries indices[k] (ascending) of a
+    matrix written in `basis` (the product basis when basis is None). States
+    travel as one vector holding the blocks' entries one block after another.
     """
 
     basis: np.ndarray | None
@@ -194,8 +223,8 @@ class BlockView:
 
     @cached_property
     def zero(self) -> int:
-        """The block holding entry (0, 0): the zero-frequency block, which
-        holds every population and so the trace."""
+        """The block holding entry (0, 0), and with a unique steady state every
+        population: a second block with populations would have its own trace."""
         return next(k for k, idx in enumerate(self.indices) if idx[0] == 0)
 
     def to_vector(self, rho: np.ndarray) -> np.ndarray:
@@ -211,10 +240,6 @@ class BlockView:
         u = self.basis
         return rho if u is None else u @ rho @ u.conj().T
 
-    def inf_norm(self) -> float:
-        """Largest absolute row sum over all blocks."""
-        return max(float(np.abs(m).sum(axis=1).max()) for m in self.matrices)
-
 
 class Generator:
     """A built local generator: Hamiltonian pieces plus per-bath jump channels.
@@ -226,8 +251,8 @@ class Generator:
 
         L[rho] = -i (H_eff rho - rho H_eff†) + sum gamma A rho A†,
 
-    and the dense superoperators and the Bohr blocks are built from the same
-    form, on first use, and cached.
+    and the dense superoperators and the blocks are built from the nonzero
+    entries of the same form (Generator._entries), on first use, and cached.
     """
 
     def __init__(
@@ -267,16 +292,12 @@ class Generator:
         """H_s plus the (filtered or full) interaction term."""
         return self._h_total
 
-    def _no_jump(self, h: np.ndarray) -> np.ndarray:
-        """-i H_eff for Hamiltonian h: the part of L acting as rho -> G rho + rho G†."""
-        return -1j * h - 0.5 * sum(self._decay)
-
     def dissipator(self, bath_index: int, rho: np.ndarray) -> np.ndarray:
         """beta^2-scaled dissipator of one bath applied to a matrix."""
         k = self._decay[bath_index]
         out = -0.5 * (k @ rho + rho @ k)
         for ch in self.channels[bath_index]:
-            out = out + ch.rate * (ch.op @ rho @ ch.op_dag)
+            out = out + ch.rate * (ch.op @ rho @ ch.op.conj().T)
         return out
 
     def _check_dim(self, rho: np.ndarray) -> None:
@@ -306,15 +327,53 @@ class Generator:
         """Generator action without the interaction commutator."""
         return self.terms(rho)[1]
 
+    def _entries(
+        self, h: np.ndarray, basis: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, col, value) triplets of the column-stacked L with Hamiltonian h,
+        in `basis` (product basis if None), entry (i, j) at i + d j; repeats add.
+
+        From the nonzeros of G = -i H_eff and the jump operators a: G rho gives
+        ((i,j), (k,j), G_ik), rho G† gives ((i,j), (i,l), conj G_jl) and gamma
+        a rho a† gives ((i,j), (k,l), gamma a_ik conj a_jl). In the H_s
+        eigenbasis only entries keeping the Bohr frequency stay, which drops
+        the rounding noise of the rotation; jump entries are paired only within
+        one transition frequency, so a dense eigenbasis pairs no more."""
+        d = self.dimension
+        g = -1j * h - 0.5 * sum(self._decay)  # G = -i H_eff
+        jumps = [(ch.rate, ch.op) for bath in self.channels for ch in bath]
+        freq = np.zeros(d * d, dtype=int)
+        if basis is not None:
+            ud = basis.conj().T
+            g = ud @ g @ basis
+            jumps = [(r, ud @ a @ basis) for r, a in jumps]
+            freq = bohr_labels(self.eig.eigenvalues, self.levels.grouping_tol)
+
+        j = np.arange(d)[:, None]
+        i, k = np.nonzero(g)
+        v = np.broadcast_to(g[i, k], (d, i.size)).ravel()
+        rows = [(i + d * j).ravel(), (j + d * i).ravel()]
+        cols = [(k + d * j).ravel(), (j + d * k).ravel()]
+        vals = [v, v.conj()]
+        for r, a in jumps:
+            i, k = np.nonzero(a)
+            pair = freq[i + d * k]
+            for p in (np.flatnonzero(pair == f) for f in np.unique(pair)):
+                ip, kp, ap = i[p], k[p], a[i[p], k[p]]
+                rows.append((ip[:, None] + d * ip).ravel())
+                cols.append((kp[:, None] + d * kp).ravel())
+                vals.append(((r * ap)[:, None] * ap.conj()).ravel())
+        rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+        keep = freq[rows] == freq[cols]
+        return rows[keep], cols[keep], vals[keep]
+
     def _dense(self, h: np.ndarray) -> np.ndarray:
         """Column-stacked matrix of L with Hamiltonian h, in the product basis."""
-        g = self._no_jump(h)
-        eye = np.eye(self.dimension, dtype=complex)
-        m = np.kron(eye, g) + np.kron(g.conj(), eye)
-        for bath in self.channels:
-            for ch in bath:
-                m += ch.rate * np.kron(ch.op.conj(), ch.op)
-        return m
+        n = self.dimension**2
+        # the matrix and one real bincount buffer
+        _require_memory(24 * n * n, f"the dense {n} x {n} superoperator")
+        rows, cols, vals = self._entries(h, None)
+        return _scatter(rows * n + cols, vals, n * n).reshape(n, n)
 
     @property
     def superop(self) -> np.ndarray:
@@ -331,48 +390,43 @@ class Generator:
     def superop_inf_norm(self) -> float:
         return float(np.abs(self.superop).sum(axis=1).max())
 
-    def block(self, index: np.ndarray) -> np.ndarray:
-        """Matrix of L restricted to the column-stacked H_s-eigenbasis entries `index`.
-
-        Entry (ij, kl) is G_ik d_jl + d_ik conj(G_jl) + sum gamma a_ik conj(a_jl),
-        with G = -i H_eff and a the jump operators in the eigenbasis.
-        """
-        g, jumps = self._eigenbasis_terms
-        i, j = index % self.dimension, index // self.dimension
-        ri, ci, rj, cj = i[:, None], i[None, :], j[:, None], j[None, :]
-        m = g[ri, ci] * (rj == cj) + (ri == ci) * g[rj, cj].conj()
-        for rate, a in jumps:
-            m += rate * a[ri, ci] * a[rj, cj].conj()
-        return m
-
-    @cached_property
-    def _eigenbasis_terms(self) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
-        u = self.eig.eigenvectors
-        ud = u.conj().T
-        jumps = [(ch.rate, ud @ ch.op @ u) for bath in self.channels for ch in bath]
-        return ud @ self._no_jump(self._h_total) @ u, jumps
-
     @cached_property
     def blocks(self) -> BlockView:
-        """L as a direct sum: one block per Bohr frequency of H_s for the
-        modified generator, one dense block in the product basis otherwise."""
-        if self.kind != "modified":
-            return BlockView(None, (np.arange(self.dimension**2),), (self.superop,))
-        index = bohr_blocks(self.eig.eigenvalues, self.levels.grouping_tol)
+        """L as a direct sum over the connected components of its nonzero pattern,
+        in the H_s eigenbasis for the modified generator, else the product basis."""
+        basis = self.eig.eigenvectors if self.kind == "modified" else None
+        rows, cols, vals = self._entries(self._h_total, basis)
+        label = _components(self.dimension**2, rows, cols)
+        sizes = np.bincount(label)
+        area = sizes**2
+        # the blocks, and evolve's RK4 step and stride matrix for each
+        _require_memory(
+            48 * int(area.sum()), f"{sizes.size} generator blocks of up to {sizes.max()} rows"
+        )
+        order = np.argsort(label, kind="stable")
+        start = np.cumsum(sizes) - sizes
+        pos = np.empty_like(label)
+        pos[order] = np.arange(label.size) - np.repeat(start, sizes)
+        offset = np.cumsum(area) - area
+        at = label[rows]
+        flat = _scatter(offset[at] + pos[rows] * sizes[at] + pos[cols], vals, int(area.sum()))
         return BlockView(
-            self.eig.eigenvectors, tuple(index), tuple(self.block(idx) for idx in index)
+            basis,
+            tuple(np.split(order, start[1:])),
+            tuple(flat[o : o + a].reshape(m, m) for o, a, m in zip(offset, area, sizes)),
         )
 
     def stability_norm(self) -> float:
         """||L||_inf in the product basis, without the dense matrix where possible.
 
-        A phase-permutation change of basis only moves and rephases the
-        entries of L, so the block row sums are the dense ones. Any other
-        eigenbasis mixes entries, and the dense matrix is needed.
+        A phase-permutation change of basis (one nonzero per column) only
+        moves and rephases the entries of L, so the block row sums are the
+        dense ones. Any other eigenbasis mixes entries, and the dense matrix
+        is needed.
         """
         view = self.blocks
-        if view.basis is None or _is_phase_permutation(view.basis):
-            return view.inf_norm()
+        if view.basis is None or (np.count_nonzero(view.basis, axis=0) == 1).all():
+            return max(float(np.abs(m).sum(axis=1).max()) for m in view.matrices)
         return self.superop_inf_norm()
 
     @cached_property
@@ -394,10 +448,6 @@ class Generator:
         return min(rates) if rates else float("inf")
 
 
-def apply(gen: Generator, rho: np.ndarray) -> np.ndarray:
-    return gen.apply(rho)
-
-
 def _bath_channels(spec: SystemSpec) -> list[list[Channel]]:
     dims = spec.dims
     per_bath: list[list[Channel]] = []
@@ -412,14 +462,12 @@ def _bath_channels(spec: SystemSpec) -> list[list[Channel]]:
             if g == 0.0:
                 continue
             op = embed(comp, index, dims)
-            op_dag = op.conj().T
             channels.append(
                 Channel(
                     omega=omega,
                     op=op,
                     rate=spec.beta_coupling**2 * g,
-                    op_dag=op_dag,
-                    op_dag_op=op_dag @ op,
+                    op_dag_op=op.conj().T @ op,
                 )
             )
         per_bath.append(channels)

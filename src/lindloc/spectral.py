@@ -68,15 +68,14 @@ class EnergyLevels:
         return np.array(reps)
 
 
-def bohr_blocks(eigenvalues: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Column-stacked index pairs (i, j) -> i + d j grouped by E_i - E_j.
-
-    Differences are merged at tol with the rule bohr_frequencies uses. Blocks
-    come in ascending frequency, each with its indices in ascending order.
-    """
+def bohr_labels(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
+    """Label of E_i - E_j for each column-stacked index pair (i, j) -> i + d j,
+    clustered at tol with the rule bohr_frequencies uses; ascending in frequency."""
     diffs = (eigenvalues[:, None] - eigenvalues[None, :]).ravel(order="F")
     order = np.argsort(diffs, kind="stable")
-    return [np.sort(order[idx]) for idx in _cluster_sorted(diffs[order], tol)]
+    labels = np.empty(diffs.size, dtype=int)
+    labels[order] = np.concatenate(([0], np.cumsum(np.diff(diffs[order]) > tol)))
+    return labels
 
 
 def group_levels(eig: HermitianEigenSystem, tol: float) -> EnergyLevels:

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from lindloc import dynamics
 from lindloc.dynamics import (
     SolverConfig,
     SteadyStateResult,
@@ -26,7 +29,10 @@ from lindloc.liouvillian import (
     Subsystem,
     SystemSpec,
     build_modified_local,
+    build_naive_local,
     product_gibbs,
+    unvectorize,
+    vectorize,
 )
 from lindloc.models import (
     TwoQubitParams,
@@ -81,6 +87,15 @@ def test_solver_config_validation():
 
 def mixed_state(d):
     return np.eye(d, dtype=complex) / d
+
+
+def test_record_stride_beyond_the_step_count():
+    gen = build_modified_local(single_qubit_model(energy=0.1))
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    traj = evolve(gen, rho0, SolverConfig(dt=0.3, t_max=1.5, record_stride=100))
+    assert np.allclose(traj.times, [0.0, 1.5], atol=1e-15)
+    every = evolve(gen, rho0, SolverConfig(dt=0.3, t_max=1.5))
+    assert np.abs(traj.states[-1] - every.states[-1]).max() <= 1e-15
 
 
 def test_recorded_times_with_stride_and_partial_tail():
@@ -161,7 +176,7 @@ def test_unphysical_generator_detected_mid_run():
     spec = single_qubit_model()
     base = build_modified_local(spec)
     sp, sm = SIGMA_PLUS, SIGMA_MINUS
-    bad = Channel(omega=1.0, op=sm, rate=-0.05, op_dag=sp, op_dag_op=sp @ sm)
+    bad = Channel(omega=1.0, op=sm, rate=-0.05, op_dag_op=sp @ sm)
     gen = Generator(
         spec=spec,
         kind="modified",
@@ -230,6 +245,31 @@ def test_decoupled_second_qubit_has_no_unique_steady_state():
     assert gen._superop is None  # decided from the pooled Bohr-block singular values
 
 
+def one_dimensional(h):
+    """A single one-level subsystem: L is the 1 x 1 zero matrix."""
+    flat = SpectralModel(kind="flat", coupling_scale=1.0)
+    one = np.ones((1, 1), dtype=complex)
+    return SystemSpec(
+        subsystems=[Subsystem("q", h * one, 1)],
+        interactions=[],
+        alpha=0.0,
+        baths=[BathSpec.from_temperature("b", 1.0, flat, one)],
+        beta_coupling=0.01,
+    )
+
+
+def test_one_dimensional_system_has_no_unique_steady_state():
+    for h in (0.0, 0.5):
+        for build in (build_modified_local, build_naive_local):
+            gen = build(one_dimensional(h))
+            rows, _, _ = gen._entries(gen.hamiltonian, gen.blocks.basis)
+            assert rows.size == (0 if h == 0.0 else 2)  # -i h and its conjugate
+            assert gen.blocks.matrices == (np.zeros((1, 1)),)
+            with pytest.raises(NonUniqueSteadyStateError) as exc:
+                steady_state(gen)
+            assert exc.value.null_dim == 1
+
+
 def test_relaxation_time():
     gen = build_modified_local(single_qubit_model())
     assert relaxation_time(gen) == pytest.approx(1.0 / gen.min_rate(), rel=1e-15)
@@ -244,54 +284,123 @@ def test_relaxation_time():
     assert relaxation_time(build_modified_local(lone)) == float("inf")
 
 
-# -- Bohr blocks against the dense path ------------------------------------------------
+# -- blocks against the dense path ---------------------------------------------------
 
 
-def seeded_chains():
-    """Qubit chains n = 2..4 with resonant and detuned bonds."""
-    rng = np.random.default_rng(20260825)
-    for n in (2, 3, 4):
-        for _ in range(2):
-            energies = rng.choice([1.0, 1.5], n).tolist()
-            yield qubit_chain_model(n, energies, rng.uniform(0.5, 2.5, n).tolist())
+def dense_in_basis(gen):
+    """The dense superoperator in the basis of gen.blocks."""
+    u = gen.blocks.basis
+    if u is None:
+        return gen.superop
+    w = np.kron(u.T, u.conj().T)  # vec(U† X U) = (U^T kron U†) vec(X)
+    return w @ gen.superop @ w.conj().T
 
 
-def dense_twin(gen):
-    """The same generator under the naive label, which keeps it one dense block."""
-    return Generator(
-        spec=gen.spec,
-        kind="naive",
-        h_free=gen.h_free,
-        h_interaction=gen.h_interaction,
-        channels=gen.channels,
-        levels=gen.levels,
-        diagnostics=gen.diagnostics,
+def dense_steady_state(gen):
+    """rho_ss from the dense superoperator with its (0, 0) row replaced by the
+    trace: a redundant row, since the trace is a left null vector. The solve
+    is better conditioned than the dense SVD null vector, whose error scales
+    with the smallest nonzero singular value of all blocks together."""
+    a = gen.superop.copy()
+    a[0] = vectorize(np.eye(gen.dimension, dtype=complex))
+    rhs = np.zeros(a.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    rho = unvectorize(np.linalg.solve(a, rhs))
+    return 0.5 * (rho + rho.conj().T)
+
+
+def dense_states(gen, rho0, config):
+    """Recorded states from powers of the dense RK4 step matrix."""
+    n_steps = max(1, int(round(config.t_max / config.dt)))
+    step = rk4_step_matrix(gen.superop, config.dt)
+    v, states, done = vectorize(rho0), [rho0], 0
+    while done < n_steps:
+        jump = min(config.record_stride, n_steps - done)
+        v = np.linalg.matrix_power(step, jump) @ v
+        done += jump
+        states.append(unvectorize(v))
+    return states
+
+
+def assert_blocks_are_the_dense_matrix(gen):
+    """Blocks are the matching pieces of the dense matrix, which is zero between them."""
+    view, dense = gen.blocks, dense_in_basis(gen)
+    label = np.full(gen.dimension**2, -1)
+    for k, idx in enumerate(view.indices):
+        label[idx] = k
+    assert (label >= 0).all()
+    assert np.abs(dense[label[:, None] != label[None, :]]).max() == 0.0
+    for idx, m in zip(view.indices, view.matrices):
+        assert np.abs(m - dense[np.ix_(idx, idx)]).max() <= 1e-18
+
+
+chains = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n),
+        st.lists(st.floats(0.5, 2.5), min_size=n, max_size=n),
     )
+)
 
 
-def test_block_path_matches_dense_path(rng):
+@seed(20260825)
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    chain=chains,
+    build=st.sampled_from([build_modified_local, build_naive_local]),
+    state_seed=st.integers(0, 2**32 - 1),
+)
+def test_block_path_matches_dense_path(chain, build, state_seed):
+    energies, temperatures = chain
+    spec = qubit_chain_model(len(energies), energies, temperatures)
+    gen = build(spec)
     cfg = SolverConfig(dt=0.01, t_max=5.0, record_stride=100)
-    for spec in seeded_chains():
-        gen = build_modified_local(spec)
-        dense = dense_twin(gen)
-        assert len(gen.blocks.matrices) > 1
-        assert len(dense.blocks.matrices) == 1
+    # a full-rank state has entries in every block
+    rho0 = rand_density(np.random.default_rng(state_seed), spec.dimension)
+    a = steady_state(gen)
+    traj = evolve(gen, rho0, cfg)
+    assert len(gen.blocks.matrices) > 1
+    assert gen._superop is None
+    assert gen._partial_superop is None
 
-        a, b = steady_state(gen), steady_state(dense)
-        assert np.abs(a.rho_ss - b.rho_ss).max() <= 1e-12
-        s_dense = b.singular_values
-        assert a.singular_values.shape == s_dense.shape
-        assert np.abs(a.singular_values - s_dense).max() <= 1e-12 * s_dense[0]
+    assert_blocks_are_the_dense_matrix(gen)
+    assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
+    s_dense = np.linalg.svd(gen.superop, compute_uv=False)
+    assert a.singular_values.shape == s_dense.shape
+    assert np.abs(a.singular_values - s_dense).max() <= 1e-12 * s_dense[0]
+    for x, y in zip(traj.states, dense_states(gen, rho0, cfg), strict=True):
+        assert np.abs(x - y).max() <= 1e-12
 
-        # a full-rank state has coherences in every block
-        rho0 = rand_density(rng, spec.dimension)
-        ta, tb = evolve(gen, rho0, cfg), evolve(dense, rho0, cfg)
-        assert np.array_equal(ta.times, tb.times)
-        for x, y in zip(ta.states, tb.states):
-            assert np.abs(x - y).max() <= 1e-12
 
-        assert gen._superop is None
-        assert gen._partial_superop is None
+def test_untouched_blocks_are_not_stepped(monkeypatch):
+    stepped = []
+
+    def counting_step_matrix(m, dt):
+        stepped.append(m.shape[0])
+        return rk4_step_matrix(m, dt)
+
+    monkeypatch.setattr(dynamics, "rk4_step_matrix", counting_step_matrix)
+    spec = qubit_chain_model(4, [1.0, 1.5, 1.0, 1.0], [2.0, 1.0, 0.7, 1.3])
+    cfg = SolverConfig(dt=0.01, t_max=2.0, record_stride=50)
+    for build in (build_modified_local, build_naive_local):
+        gen = build(spec)
+        view = gen.blocks
+        rho0 = product_gibbs(spec)  # diagonal: only the population block is nonzero
+        stepped.clear()
+        traj = evolve(gen, rho0, cfg)
+        assert stepped == [view.matrices[view.zero].shape[0]]
+        assert len(view.matrices) > 1
+
+        # every block stepped, untouched ones included
+        strides = [np.linalg.matrix_power(rk4_step_matrix(m, cfg.dt), 50) for m in view.matrices]
+        v = view.to_vector(rho0)
+        states = [rho0]
+        for _ in range(4):
+            for block, m in zip(view.slices, strides):
+                v[block] = m @ v[block]
+            states.append(view.to_state(v))
+        assert len(traj.states) == len(states)
+        for x, y in zip(traj.states, states):
+            assert np.array_equal(x, y)
 
 
 def test_block_path_in_a_dense_eigenbasis(rng):
@@ -312,11 +421,10 @@ def test_block_path_in_a_dense_eigenbasis(rng):
     gen = build_modified_local(spec)
     assert np.count_nonzero(gen.eig.eigenvectors) > spec.dimension
     assert np.abs(gen.h_interaction).max() > 1e-3  # the exchange part survives the filter
-    dense = dense_twin(gen)
-    a, b = steady_state(gen), steady_state(dense)
-    assert np.abs(a.rho_ss - b.rho_ss).max() <= 1e-12
+    a = steady_state(gen)
+    assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
     rho0 = rand_density(rng, 4)
     cfg = SolverConfig(dt=0.02, t_max=10.0, record_stride=50)
-    for x, y in zip(evolve(gen, rho0, cfg).states, evolve(dense, rho0, cfg).states):
+    for x, y in zip(evolve(gen, rho0, cfg).states, dense_states(gen, rho0, cfg), strict=True):
         assert np.abs(x - y).max() <= 1e-12
-    assert gen.stability_norm() == dense.superop_inf_norm()
+    assert gen.stability_norm() == gen.superop_inf_norm()

@@ -1,17 +1,20 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lindloc.baths import BathSpec, SpectralModel
+from lindloc import liouvillian
 from lindloc.errors import (
     DenseSpectrumError,
     DimensionMismatchError,
+    LindlocError,
     NonHermitianError,
 )
 from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, embed, kron
-from lindloc.spectral import bohr_blocks
+from lindloc.spectral import bohr_labels
 from lindloc.liouvillian import (
     Subsystem,
     SystemSpec,
@@ -116,7 +119,8 @@ def test_naive_keeps_full_interaction():
 
 
 def test_superop_matches_direct_application(rng):
-    for gen in (default_two_qubit(), build_naive_local(two_qubit_model(TwoQubitParams()))):
+    complex_jumps = build_modified_local(y_coupled_pair())
+    for gen in (default_two_qubit(), build_naive_local(two_qubit_model(TwoQubitParams())), complex_jumps):
         for _ in range(5):
             x = rand_complex(rng, 4)
             via_matrix = unvectorize(gen.superop @ vectorize(x))
@@ -231,20 +235,18 @@ def eigenbasis_superop(gen):
 def test_modified_generator_is_block_diagonal_in_the_eigenbasis():
     for spec in CHAINS:
         mod, naive = build_modified_local(spec), build_naive_local(spec)
-        index = bohr_blocks(mod.eig.eigenvalues, mod.levels.grouping_tol)
-        label = np.empty(spec.dimension**2, dtype=int)
-        for k, idx in enumerate(index):
-            label[idx] = k
-        between = label[:, None] != label[None, :]
+        freq = bohr_labels(mod.eig.eigenvalues, mod.levels.grouping_tol)
+        between = freq[:, None] != freq[None, :]
 
         l_mod = eigenbasis_superop(mod)
         assert np.abs(l_mod[between]).max() == 0.0
         assert np.abs(eigenbasis_superop(naive)[between]).max() >= 0.5 * spec.alpha
 
-        # each assembled block is the matching piece of the dense matrix
+        # each assembled block lies inside one Bohr block and is the matching
+        # piece of the dense matrix
         view = mod.blocks
-        assert [idx.tolist() for idx in view.indices] == [idx.tolist() for idx in index]
         for idx, m in zip(view.indices, view.matrices):
+            assert np.unique(freq[idx]).size == 1
             assert np.abs(m - l_mod[np.ix_(idx, idx)]).max() <= 1e-18
         populations = np.arange(spec.dimension) * (spec.dimension + 1)
         assert set(populations) <= set(view.indices[view.zero].tolist())
@@ -261,6 +263,25 @@ def test_min_rate_and_norm():
     n2 = 1.0 / math.expm1(1.0)
     assert gen.min_rate() == pytest.approx(1e-4 * n2, rel=1e-14)
     assert gen.superop_inf_norm() > 0.0
+
+
+def test_memory_guard_refuses_an_eight_site_naive_chain(monkeypatch):
+    """The estimate from the component sizes stops the allocation; the
+    physical memory is fixed so the outcome does not depend on the machine."""
+    assert liouvillian.PHYSICAL_MEMORY > 0
+    monkeypatch.setattr(liouvillian, "PHYSICAL_MEMORY", 8 * 2**30)
+    gen = build_naive_local(qubit_chain_model(8, [1.0] * 8, [1.0] * 8))
+    tracemalloc.start()
+    try:
+        # two parity halves of 32768 rows, with their RK4 step and stride copies
+        with pytest.raises(LindlocError, match=r"2 generator blocks .* would need 103 GB"):
+            gen.blocks
+        with pytest.raises(LindlocError, match=r"65536 x 65536 superoperator would need 103 GB"):
+            gen.superop
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**28
 
 
 # -- spectrum guardrails --------------------------------------------------------------
