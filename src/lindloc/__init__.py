@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     IntegrationError,
     LindlocError,
+    NonFiniteError,
     NonHermitianError,
     NonUniqueSteadyStateError,
     PositivityError,

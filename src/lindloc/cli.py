@@ -24,7 +24,7 @@ import yaml
 from .baths import BathSpec, SpectralModel
 from .dynamics import SolverConfig, SteadyStateResult, Trajectory, evolve, steady_state
 from .errors import ConfigError, LindlocError
-from .linalg import hermiticity_defect, von_neumann_entropy
+from .linalg import hermiticity_defect
 from .liouvillian import (
     Generator,
     Subsystem,
@@ -491,13 +491,14 @@ def _trajectory_rows(gen: Generator, traj: Trajectory) -> tuple[list[str], list[
         + [f"q_dot_{lab}" for lab in labels]
         + ["first_law_residual", "entropy_production", "second_law_ok"]
     )
+    # the diagonal of U† rho U for every record
+    pops = np.einsum("ik,tij,jk->tk", basis.conj(), traj.states, basis).real
     rows = []
-    for t, rho, rep in zip(traj.times, traj.states, traj.reports):
-        pops = np.diag(basis.conj().T @ rho @ basis).real
+    for t, p, rep in zip(traj.times.tolist(), pops.tolist(), traj.reports):
         rows.append(
-            [float(t)]
-            + [float(p) for p in pops]
-            + [von_neumann_entropy(rho), rep.e_dot]
+            [t]
+            + p
+            + [rep.entropy, rep.e_dot]
             + list(rep.q_dot)
             + [rep.first_law_residual, rep.entropy_production, rep.second_law_ok]
         )

@@ -31,7 +31,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     PositivityError,
 )
-from .linalg import hermiticity_defect, max_abs
+from .linalg import hermiticity_defect, max_abs, runs
 from .liouvillian import Generator
 
 log = logging.getLogger("lindloc")
@@ -68,10 +68,11 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded times and states; thermodynamic reports are attached separately."""
+    """Recorded times and states, one (T, d, d) array whose rows are the
+    (d, d) states; thermodynamic reports are attached separately."""
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     reports: list | None = None
 
     def __len__(self) -> int:
@@ -96,32 +97,50 @@ def rk4_step_matrix(superop: np.ndarray, dt: float) -> np.ndarray:
     return eye + a @ s
 
 
-def _check_density_matrix(rho: np.ndarray, dim: int, positivity_tol: float, where: str) -> None:
-    if rho.shape != (dim, dim):
-        raise DimensionMismatchError(
-            f"{where}: state shape {rho.shape} does not match generator dimension {dim}"
-        )
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-8:
-        raise IntegrationError(f"{where}: trace {tr!r} deviates from 1 beyond 1e-8")
-    if max_abs(rho - rho.conj().T) > 1e-9:
+def _check_density_matrices(
+    states: np.ndarray, positivity_tol: float, times: np.ndarray | None = None
+) -> None:
+    """Finiteness, trace, Hermiticity and positivity of a (T, d, d) stack, in
+    one pass. Raises IntegrationError for the first failing state, naming its
+    time (or "initial state" without times) and its first failed check.
+    """
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        states = np.where(finite[:, None, None], states, 0.0)
+    tr = np.trace(states, axis1=1, axis2=2)
+    asym = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    lo = np.linalg.eigvalsh(0.5 * (states + states.conj().swapaxes(1, 2)))[:, 0]
+    failed = ~finite | (np.abs(tr - 1.0) > 1e-8) | (asym > 1e-9) | (lo < -positivity_tol)
+    if not failed.any():
+        return
+    k = int(np.argmax(failed))
+    where = "initial state" if times is None else f"t = {times[k]:.6g}"
+    if not finite[k]:
+        raise IntegrationError(f"{where}: state has non-finite entries")
+    if abs(tr[k] - 1.0) > 1e-8:
+        raise IntegrationError(f"{where}: trace {complex(tr[k])!r} deviates from 1 beyond 1e-8")
+    if asym[k] > 1e-9:
         raise IntegrationError(f"{where}: state is not Hermitian within 1e-9")
-    lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if lo < -positivity_tol:
-        raise IntegrationError(
-            f"{where}: positivity violated, min eigenvalue {lo:.3e} < -{positivity_tol:.1e}"
-        )
+    raise IntegrationError(
+        f"{where}: positivity violated, min eigenvalue {lo[k]:.3e} < -{positivity_tol:.1e}"
+    )
 
 
 def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory:
     """Integrate d rho / dt = L[rho] from rho0, recording every record_stride steps.
 
-    Recorded states are checked for trace, Hermiticity, and positivity;
-    violations raise IntegrationError with the offending time. Blocks where
-    rho0 is exactly zero are never stepped (a diagonal rho0 steps one block).
+    Recorded states are checked for trace, Hermiticity, and positivity in
+    one pass after stepping; violations raise IntegrationError with the first
+    offending time. Blocks where rho0 is exactly zero are never stepped (a
+    diagonal rho0 steps one block).
     """
     d = gen.dimension
-    _check_density_matrix(rho0, d, config.positivity_tol, "initial state")
+    rho0 = np.array(rho0, dtype=complex)
+    if rho0.shape != (d, d):
+        raise DimensionMismatchError(
+            f"initial state: state shape {rho0.shape} does not match generator dimension {d}"
+        )
+    _check_density_matrices(rho0[None], config.positivity_tol)
 
     norm = gen.stability_norm()
     if config.dt * norm > STABILITY_LIMIT:
@@ -140,7 +159,7 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
         )
 
     view = gen.blocks
-    v = view.to_vector(np.asarray(rho0, dtype=complex))
+    v = view.to_vector(rho0)
     # a block that starts at exactly zero stays exactly zero
     live = [(block, m) for block, m in zip(view.slices, view.matrices) if v[block].any()]
     n_steps = max(1, int(round(config.t_max / config.dt)))
@@ -148,24 +167,26 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     stride = min(config.record_stride, n_steps)
     stride_matrices = [np.linalg.matrix_power(s, stride) for s in step_matrices]
 
-    times = [0.0]
-    states = [np.array(rho0, dtype=complex)]
-    step = 0
-    while step < n_steps:
-        jump = min(stride, n_steps - step)
+    # every stride-th step is recorded, and the last step
+    steps = np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
+    vectors = np.empty((steps.size - 1, v.size), dtype=complex)
+    for k, jump in enumerate(np.diff(steps)):
         if jump == stride:
             matrices = stride_matrices
         else:
             matrices = [np.linalg.matrix_power(s, jump) for s in step_matrices]
         for (block, _), m in zip(live, matrices):
             v[block] = m @ v[block]
-        step += jump
-        t = step * config.dt
-        rho = view.to_state(v)
-        _check_density_matrix(rho, d, config.positivity_tol, f"t = {t:.6g}")
-        times.append(t)
-        states.append(rho)
-    return Trajectory(times=np.array(times), states=states)
+        vectors[k] = v
+    times = steps * config.dt
+    states = np.empty((len(steps), d, d), dtype=complex)
+    states[0] = rho0
+    recorded, at = states[1:], times[1:]
+    for run in runs(len(vectors), d):
+        rho = view.to_state(vectors[run])
+        _check_density_matrices(rho, config.positivity_tol, at[run])
+        recorded[run] = rho
+    return Trajectory(times=times, states=states)
 
 
 def steady_state(gen: Generator) -> SteadyStateResult:

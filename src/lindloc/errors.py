@@ -13,6 +13,10 @@ class NonHermitianError(LindlocError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
+class NonFiniteError(LindlocError):
+    """A state holds NaN or infinite entries."""
+
+
 class PositivityError(LindlocError):
     """A density matrix has a negative eigenvalue beyond tolerance."""
 

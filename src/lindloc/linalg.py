@@ -22,6 +22,18 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
+# Bytes of one stacked temporary when a stack of matrices is worked through
+# in runs: a run holds a few such temporaries, so however long the stack, the
+# work needs the memory of a few matrices on top of the stack itself.
+STACK_BYTES = 1 << 16
+
+
+def runs(count: int, d: int) -> list[slice]:
+    """Consecutive slices over a stack of `count` complex d x d matrices, each
+    slice covering at most STACK_BYTES of matrices, and at least one."""
+    size = max(1, STACK_BYTES // (16 * d * d))
+    return [slice(k, k + size) for k in range(0, count, size)]
+
 
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude; zero for empty input."""
@@ -76,9 +88,13 @@ def embed(op: np.ndarray, index: int, dims: list[int]) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator for factor {index} has dimension {d}, expected {dims[index]}"
         )
-    before = prod(dims[:index])
-    after = prod(dims[index + 1 :])
-    return kron(np.eye(before, dtype=complex), op, np.eye(after, dtype=complex))
+    b = prod(dims[:index])
+    a = prod(dims[index + 1 :])
+    # kron(I_b, op, I_a)[(p, x, q), (r, y, s)] = delta_pr op_xy delta_qs
+    out = np.zeros((b, d, a, b, d, a), dtype=complex)
+    p, q = np.arange(b)[:, None], np.arange(a)
+    out[p, :, q, p, :, q] = op
+    return out.reshape(b * d * a, b * d * a)
 
 
 def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:

@@ -234,9 +234,12 @@ class BlockView:
         return vectorize(rho)[self._order]
 
     def to_state(self, v: np.ndarray) -> np.ndarray:
+        """The matrix of a block vector, or a stack of matrices for a stack of vectors."""
         full = np.empty_like(v)
-        full[self._order] = v
-        rho = unvectorize(full)
+        full[..., self._order] = v
+        d = isqrt(v.shape[-1])
+        # column stacking: entry (i, j) sits at i + d j
+        rho = full.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
         u = self.basis
         return rho if u is None else u @ rho @ u.conj().T
 
@@ -282,6 +285,7 @@ class Generator:
             sum((ch.rate * ch.op_dag_op for ch in bath), np.zeros_like(h_free))
             for bath in channels
         ]
+        self._g_free = -1j * h_free - 0.5 * sum(self._decay)  # G = -i H_eff, without H_int
 
     @property
     def dimension(self) -> int:
@@ -292,40 +296,68 @@ class Generator:
         """H_s plus the (filtered or full) interaction term."""
         return self._h_total
 
+    @staticmethod
+    def _add_jumps(out: np.ndarray, bath: list[Channel], rho: np.ndarray) -> np.ndarray:
+        """Add sum gamma A rho A† over one bath's channels into out."""
+        for ch in bath:
+            out += ch.rate * (ch.op @ rho @ ch.op.conj().T)
+        return out
+
     def dissipator(self, bath_index: int, rho: np.ndarray) -> np.ndarray:
         """beta^2-scaled dissipator of one bath applied to a matrix."""
         k = self._decay[bath_index]
-        out = -0.5 * (k @ rho + rho @ k)
-        for ch in self.channels[bath_index]:
-            out = out + ch.rate * (ch.op @ rho @ ch.op.conj().T)
-        return out
+        return self._add_jumps(-0.5 * (k @ rho + rho @ k), self.channels[bath_index], rho)
 
     def _check_dim(self, rho: np.ndarray) -> None:
-        if rho.shape != (self.dimension, self.dimension):
+        if rho.shape[-2:] != (self.dimension, self.dimension):
             raise DimensionMismatchError(
                 f"state shape {rho.shape} does not match generator dimension {self.dimension}"
             )
 
-    def terms(self, rho: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Each bath's D_i[rho], the partial L_p[rho] and the full L[rho].
+    def terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The partial L_p[rho] and the full L[rho], of one matrix or a stack.
 
-        Every dissipator is applied once; L_p adds the free commutator to
-        their sum and L adds the interaction commutator to L_p.
+        L_p[rho] = G rho + rho G† + sum gamma A rho A† with G = -i H_s - K/2,
+        K the sum of every bath's K_i, and the jump terms added into it bath
+        by bath; L adds the interaction commutator to L_p.
         """
         self._check_dim(rho)
-        diss = [self.dissipator(i, rho) for i in range(len(self.channels))]
-        h, v = self.h_free, self.h_interaction
-        partial = -1j * (h @ rho - rho @ h) + sum(diss)
+        g, v = self._g_free, self.h_interaction
+        partial = g @ rho + rho @ g.conj().T
+        for bath in self.channels:
+            self._add_jumps(partial, bath, rho)
         full = partial - 1j * (v @ rho - rho @ v)
-        return diss, partial, full
+        return partial, full
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Full generator action on a matrix (need not be a state)."""
-        return self.terms(rho)[2]
+        return self.terms(rho)[1]
 
     def apply_partial(self, rho: np.ndarray) -> np.ndarray:
         """Generator action without the interaction commutator."""
-        return self.terms(rho)[1]
+        return self.terms(rho)[0]
+
+    @cached_property
+    def rate_operators(self) -> np.ndarray:
+        """Heisenberg-picture operators of the rates linear in rho, stacked:
+        D_i†[H_s] for each bath, then L†[H_s], then L_p†[ln rho_G], so that
+        tr(op rho) is Qdot_i, Edot and tr(L_p[rho] ln rho_G) in turn.
+
+        D_i†[x] = sum gamma A† x A - {K_i, x} / 2, and the commutator's
+        adjoint is i[h, x]. Every x, h and K_i here is Hermitian, so
+        x K_i = (K_i x)† and x h = (h x)†.
+        """
+        h, g = self.h_free, self.log_product_gibbs
+        x = np.array([h, g])
+        kx = np.array(self._decay)[:, None] @ x
+        adj = -0.5 * (kx + kx.conj().swapaxes(-1, -2))  # bath, x
+        for out, bath in zip(adj, self.channels):
+            for ch in bath:
+                out += ch.rate * (ch.op.conj().T @ x @ ch.op)
+        htot_h, h_g = self._h_total @ h, h @ g
+        energy = 1j * (htot_h - htot_h.conj().T) + adj[:, 0].sum(axis=0)
+        spohn = 1j * (h_g - h_g.conj().T) + adj[:, 1].sum(axis=0)
+        return np.concatenate((adj[:, 0], energy[None], spohn[None]))
 
     def _entries(
         self, h: np.ndarray, basis: np.ndarray | None
@@ -417,17 +449,21 @@ class Generator:
         )
 
     def stability_norm(self) -> float:
-        """||L||_inf in the product basis, without the dense matrix where possible.
+        """||L||_inf in the product basis, without the dense matrix.
 
         A phase-permutation change of basis (one nonzero per column) only
         moves and rephases the entries of L, so the block row sums are the
-        dense ones. Any other eigenbasis mixes entries, and the dense matrix
-        is needed.
+        dense ones. Any other eigenbasis mixes entries: then the row sums
+        come from the product-basis triplets, with repeats added first.
         """
         view = self.blocks
         if view.basis is None or (np.count_nonzero(view.basis, axis=0) == 1).all():
             return max(float(np.abs(m).sum(axis=1).max()) for m in view.matrices)
-        return self.superop_inf_norm()
+        n = self.dimension**2
+        rows, cols, vals = self._entries(self._h_total, None)
+        keys, at = np.unique(rows * n + cols, return_inverse=True)
+        entries = _scatter(at, vals, keys.size)
+        return float(np.bincount(keys // n, np.abs(entries), n).max())
 
     @cached_property
     def log_product_gibbs(self) -> np.ndarray:

@@ -18,10 +18,14 @@ from lindloc.cli import (
     load_config,
     make_generator,
 )
+from lindloc.dynamics import evolve
 from lindloc.errors import ConfigError
+from lindloc.linalg import von_neumann_entropy
 from lindloc.liouvillian import product_gibbs
 from lindloc.models import TwoQubitParams, two_qubit_model
-from lindloc.thermo import ThermoReport
+from lindloc.thermo import ThermoReport, audit_trajectory
+
+from conftest import rand_density
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -275,6 +279,7 @@ def fake_reports(n, ok):
         spohn_rhs=0.0,
         spohn_residual=0.0,
         second_law_ok=ok,
+        entropy=0.0,
     )
     return [rep] * n
 
@@ -357,6 +362,21 @@ def test_simulate_end_to_end(tmp_path):
     assert "generator: modified" in report
     assert "spectrum diagnostics: PASS" in report
     assert "second law: ok" in report
+
+
+def test_trajectory_rows_match_per_record_formulas():
+    """Eigenbasis populations and S, taken for all records at once, equal the
+    per-record diag(U† rho U) and von Neumann entropy."""
+    cfg = RunConfig.from_dict(base_dict())
+    gen = make_generator(cfg)
+    traj = evolve(gen, rand_density(np.random.default_rng(7), 4), cfg.solver)
+    audit_trajectory(gen, traj)
+    header, rows = cli._trajectory_rows(gen, traj)
+    u = gen.eig.eigenvectors
+    pops = slice(header.index("pop_0"), header.index("pop_3") + 1)
+    for rho, row in zip(traj.states, rows, strict=True):
+        assert np.abs(np.array(row[pops]) - np.diag(u.conj().T @ rho @ u).real).max() <= 1e-15
+        assert row[header.index("S")] == pytest.approx(von_neumann_entropy(rho), abs=1e-14)
 
 
 def test_steady_end_to_end(tmp_path):

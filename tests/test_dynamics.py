@@ -170,6 +170,11 @@ def test_initial_state_validation():
         evolve(gen, mixed_state(3), cfg)
     with pytest.raises(IntegrationError, match="initial state"):
         evolve(gen, 2.0 * mixed_state(2), cfg)
+    for bad in (math.nan, math.inf):
+        rho0 = mixed_state(2)
+        rho0[0, 1] = bad
+        with pytest.raises(IntegrationError, match="initial state"):
+            evolve(gen, rho0, cfg)
 
 
 def test_unphysical_generator_detected_mid_run():
@@ -189,6 +194,16 @@ def test_unphysical_generator_detected_mid_run():
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(IntegrationError, match="t = "):
         evolve(gen, rho0, SolverConfig(dt=0.05, t_max=20.0, record_stride=10))
+    # the stacked check names the first record that fails, as a per-record loop
+    # would; from this state, over a thousand records pass before one fails
+    rho0 = np.diag([0.7, 0.3]).astype(complex)
+    with pytest.raises(IntegrationError) as caught:
+        evolve(gen, rho0, SolverConfig(dt=0.005, t_max=20.0))
+    loose = evolve(gen, rho0, SolverConfig(dt=0.005, t_max=20.0, positivity_tol=1e6))
+    assert isinstance(loose.states, np.ndarray) and loose.states.shape == (len(loose.times), 2, 2)
+    first = next(t for t, rho in zip(loose.times, loose.states) if np.linalg.eigvalsh(rho).min() < -1e-9)
+    assert first > loose.times[1000]
+    assert str(caught.value).startswith(f"t = {first:.6g}: positivity violated")
 
 
 # -- steady state -------------------------------------------------------------------
@@ -405,7 +420,7 @@ def test_untouched_blocks_are_not_stepped(monkeypatch):
 
 def test_block_path_in_a_dense_eigenbasis(rng):
     """Qubits with H = sigma_x / 2 and sigma_z couplings: the H_s eigenbasis mixes
-    product states, so states are rotated and the guard uses the dense norm."""
+    product states, so states are rotated and the guard sums product-basis rows."""
     flat = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
     zz = np.kron(SIGMA_Z, SIGMA_Z)
     spec = SystemSpec(
@@ -422,9 +437,12 @@ def test_block_path_in_a_dense_eigenbasis(rng):
     assert np.count_nonzero(gen.eig.eigenvectors) > spec.dimension
     assert np.abs(gen.h_interaction).max() > 1e-3  # the exchange part survives the filter
     a = steady_state(gen)
-    assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
     rho0 = rand_density(rng, 4)
     cfg = SolverConfig(dt=0.02, t_max=10.0, record_stride=50)
-    for x, y in zip(evolve(gen, rho0, cfg).states, dense_states(gen, rho0, cfg), strict=True):
+    traj = evolve(gen, rho0, cfg)
+    assert gen._superop is None  # the guard's norm comes from the triplets
+    assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
+    for x, y in zip(traj.states, dense_states(gen, rho0, cfg), strict=True):
         assert np.abs(x - y).max() <= 1e-12
-    assert gen.stability_norm() == gen.superop_inf_norm()
+    # row sums add in another order than the dense matrix's
+    assert gen.stability_norm() == pytest.approx(gen.superop_inf_norm(), rel=1e-15)

@@ -51,6 +51,14 @@ def test_embed_matches_explicit_kron():
         embed(h, 1, dims)  # wrong factor dimension
 
 
+def test_embed_is_identity_kron_at_every_index(rng):
+    dims = [1, 2, 3, 2]
+    for index, d in enumerate(dims):
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        b, a = math.prod(dims[:index]), math.prod(dims[index + 1 :])
+        assert np.array_equal(embed(op, index, dims), np.kron(np.eye(b), np.kron(op, np.eye(a))))
+
+
 # -- partial trace ------------------------------------------------------------
 
 

@@ -1,10 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from lindloc.dynamics import SolverConfig, evolve, rk4_step_matrix, steady_state
-from lindloc.errors import PositivityError
+from lindloc.baths import BathSpec, SpectralModel
+from lindloc.dynamics import SolverConfig, Trajectory, evolve, rk4_step_matrix, steady_state
+from lindloc.errors import (
+    DenseSpectrumError,
+    DimensionMismatchError,
+    LindlocError,
+    NonFiniteError,
+    PositivityError,
+)
 from lindloc.linalg import von_neumann_entropy
 from lindloc.liouvillian import (
+    Subsystem,
+    SystemSpec,
     build_modified_local,
     build_naive_local,
     product_gibbs,
@@ -18,6 +31,8 @@ from lindloc.models import (
     two_qubit_model,
 )
 from lindloc.thermo import (
+    LOG_EPSILON,
+    LOG_FLOOR,
     audit,
     audit_trajectory,
     entropy_rate,
@@ -25,7 +40,7 @@ from lindloc.thermo import (
     internal_energy_rate,
 )
 
-from conftest import rand_density
+from conftest import rand_density, rand_hermitian, rand_unitary
 
 BUNDLED = [
     two_qubit_model(TwoQubitParams()),
@@ -204,3 +219,133 @@ def test_heat_current_index_bounds():
     gen = build_modified_local(single_qubit_model())
     with pytest.raises(IndexError):
         heat_current(gen, np.eye(2, dtype=complex) / 2, 1)
+
+
+# -- input validation ---------------------------------------------------------------
+
+
+def test_audit_rejects_non_finite_states():
+    assert issubclass(NonFiniteError, LindlocError)
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    good = np.eye(4, dtype=complex) / 4
+    views = [
+        lambda r: audit(gen, r),
+        lambda r: heat_current(gen, r, 0),
+        lambda r: internal_energy_rate(gen, r),
+        lambda r: entropy_rate(gen, r),
+    ]
+    for value in (math.nan, math.inf, -math.inf):
+        bad = good.copy()
+        bad[1, 2] = value
+        for view in views:
+            with pytest.raises(NonFiniteError):
+                view(bad)
+        traj = Trajectory(times=np.arange(3.0), states=np.array([good, bad, good]))
+        with pytest.raises(NonFiniteError):
+            audit_trajectory(gen, traj)
+        assert traj.reports is None
+
+
+def test_audit_rejects_misshaped_states():
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    for bad in (np.eye(3, dtype=complex) / 3, np.full(4, 0.25 + 0j), np.eye(4)[None] / 4):
+        with pytest.raises(DimensionMismatchError):
+            audit(gen, bad)
+        with pytest.raises(DimensionMismatchError):
+            heat_current(gen, bad, 0)
+        with pytest.raises(DimensionMismatchError):
+            internal_energy_rate(gen, bad)
+        with pytest.raises(DimensionMismatchError):
+            entropy_rate(gen, bad)
+    for states in (np.eye(4, dtype=complex) / 4, np.array([np.eye(3, dtype=complex) / 3] * 2)):
+        with pytest.raises(DimensionMismatchError):
+            audit_trajectory(gen, Trajectory(times=np.arange(len(states), dtype=float), states=states))
+
+
+# -- the laws over random networks ------------------------------------------------------
+
+
+def reference_report(gen, rho):
+    """One state through the per-state formulas: traces against each bath's
+    D_i[rho] in the Schrödinger picture, L_p = -i[H_s, .] + sum D_i, and its own
+    eigendecomposition for ln rho and S."""
+    d, h, v = gen.dimension, gen.h_free, gen.h_interaction
+    diss = [gen.dissipator(i, rho) for i in range(len(gen.channels))]
+    l_partial = -1j * (h @ rho - rho @ h) + sum(diss)
+    l_full = l_partial - 1j * (v @ rho - rho @ v)
+    q = [np.trace(h @ d_i).real for d_i in diss]
+    w, u = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    w = np.clip(w, 0.0, None)
+    entropy = -sum(p * math.log(p) for p in w if p > 0.0)
+    if w.min() < LOG_FLOOR:
+        w = (1.0 - LOG_EPSILON) * w + LOG_EPSILON / d
+    ln_rho = (u * np.log(w)) @ u.conj().T
+    s_dot = -np.trace(l_full @ ln_rho).real
+    sum_beta_q = sum(b.beta * qi for b, qi in zip(gen.spec.baths, q))
+    return {
+        "q_dot": q,
+        "e_dot": np.trace(h @ l_full).real,
+        "s_dot": s_dot,
+        "entropy_production": s_dot - sum_beta_q,
+        "spohn_lhs": -np.trace(l_partial @ ln_rho).real,
+        "spohn_rhs": -np.trace(l_partial @ gen.log_product_gibbs).real,
+        "entropy": entropy,
+    }
+
+
+# subsystem level grids: all Bohr frequencies are multiples of 0.5, far apart
+# against couplings of 0.01
+networks = st.lists(
+    st.integers(2, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), min_size=d, max_size=d, unique=True),
+            st.floats(0.5, 3.0),
+        )
+    ),
+    min_size=2,
+    max_size=3,
+)
+
+
+@seed(20261018)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(network=networks, draw_seed=st.integers(0, 2**32 - 1))
+def test_laws_hold_on_random_networks(network, draw_seed):
+    """Random local H = U diag(E) U†, Hermitian couplings and temperatures: the
+    modified generator keeps both laws on random full-rank states, and the
+    stacked audit agrees with the per-state formulas."""
+    rng = np.random.default_rng(draw_seed)
+    flat = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
+    subsystems, baths = [], []
+    for k, (levels, temperature) in enumerate(network):
+        d = len(levels)
+        u = rand_unitary(rng, d)
+        subsystems.append(Subsystem(f"s{k}", (u * np.array(levels)) @ u.conj().T, d))
+        baths.append(BathSpec.from_temperature(f"b{k}", temperature, flat, rand_hermitian(rng, d)))
+    full = math.prod(len(levels) for levels, _ in network)
+    spec = SystemSpec(
+        subsystems=subsystems,
+        interactions=[rand_hermitian(rng, full)],
+        alpha=0.01,
+        baths=baths,
+        beta_coupling=0.01,
+    )
+    try:
+        gen = build_modified_local(spec)
+    except DenseSpectrumError:
+        assume(False)
+
+    states = np.array([rand_density(rng, full) for _ in range(3)])
+    traj = Trajectory(times=np.arange(3.0), states=states)
+    energy_scale = float(np.abs(np.linalg.eigvalsh(gen.h_free)).max())
+    scale = max(1.0, energy_scale)
+    for rho, stacked in zip(states, audit_trajectory(gen, traj), strict=True):
+        ref = reference_report(gen, rho)
+        q_ref = ref.pop("q_dot")
+        for rep in (stacked, audit(gen, rho)):
+            assert abs(rep.first_law_residual) <= 1e-10 * energy_scale
+            assert rep.entropy_production >= -1e-9
+            assert rep.spohn_lhs >= rep.spohn_rhs - 1e-9
+            assert np.abs(np.subtract(rep.q_dot, q_ref)).max() <= 1e-12 * scale
+            for name, value in ref.items():
+                assert abs(getattr(rep, name) - value) <= 1e-12 * scale, name
