@@ -14,15 +14,15 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .baths import BathSpec, SpectralModel
-from .dynamics import SolverConfig, SteadyStateResult, Trajectory, evolve, steady_state
+from .dynamics import SolverConfig, Trajectory, evolve, steady_state
 from .errors import ConfigError, LindlocError
 from .linalg import hermiticity_defect
 from .liouvillian import (
@@ -34,19 +34,18 @@ from .liouvillian import (
     product_gibbs,
 )
 from .models import TwoQubitParams, qubit_chain_model, single_qubit_model, two_qubit_model
-from .thermo import SECOND_LAW_TOL, ThermoReport, audit, audit_trajectory
+from .thermo import SECOND_LAW_TOL, audit, audit_trajectory
 
 log = logging.getLogger("lindloc")
 
-LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+LOG_LEVELS = ("error", "warn", "info", "debug")
 
-BUILDERS = ("two_qubit", "single_qubit", "qubit_chain")
-STATE_KINDS = ("maximally_mixed", "ground", "gibbs_product")
+# initial_state kind -> the state it names on a generator
+STATE_KINDS = {
+    "maximally_mixed": lambda gen: np.eye(gen.dimension, dtype=complex) / gen.dimension,
+    "ground": lambda gen: np.outer(gen.eig.eigenvectors[:, 0], gen.eig.eigenvectors[:, 0].conj()),
+    "gibbs_product": lambda gen: product_gibbs(gen.spec),
+}
 
 
 # -- config data -------------------------------------------------------------
@@ -55,18 +54,22 @@ STATE_KINDS = ("maximally_mixed", "ground", "gibbs_product")
 @dataclass(frozen=True)
 class OutputSection:
     directory: str = "out"
-    formats: tuple[str, ...] = ("csv", "report")
+    formats: list[str] = field(default_factory=lambda: ["csv", "report"])
 
 
 @dataclass(frozen=True)
 class SweepSection:
     parameter: str
-    values: tuple[float, ...]
+    values: list[float]
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked run. ``model`` is the checked mapping that ``to_dict`` writes
+    back and sweep points edit; ``spec`` is the system built from it."""
+
     model: dict
+    spec: SystemSpec = field(compare=False, repr=False)
     solver: SolverConfig
     output: OutputSection
     generator: str = "modified"
@@ -77,48 +80,34 @@ class RunConfig:
             "model": copy.deepcopy(self.model),
             "generator": self.generator,
             "solver": asdict(self.solver),
-            "output": {
-                "directory": self.output.directory,
-                "formats": list(self.output.formats),
-            },
+            "output": asdict(self.output),
         }
         if self.sweep is not None:
-            data["sweep"] = {
-                "parameter": self.sweep.parameter,
-                "values": list(self.sweep.values),
-            }
+            data["sweep"] = asdict(self.sweep)
         return data
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
-        return _validate_config(data)
+        return _read_config(data)
 
 
-# -- validation helpers ------------------------------------------------------
+# -- reading a config --------------------------------------------------------
+# A reader checks the YAML shape of its part. Physical checks belong to the
+# typed constructors; _section re-raises their errors with the YAML path.
 
 
-def _expect_mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
-    return node
+@contextmanager
+def _section(path: str):
+    try:
+        yield
+    except (LindlocError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _expect_list(node, path: str) -> list:
     if not isinstance(node, list):
         raise ConfigError(f"{path}: expected a list, got {type(node).__name__}")
     return node
-
-
-def _reject_unknown(node: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(node) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
-
-
-def _need(node: dict, key: str, path: str):
-    if key not in node:
-        raise ConfigError(f"{path}.{key}: missing required key")
-    return node[key]
 
 
 def _as_float(value, path: str) -> float:
@@ -145,240 +134,200 @@ def _as_str(value, path: str) -> str:
     return value
 
 
-def _as_float_list(value, path: str) -> list[float]:
-    return [_as_float(v, f"{path}[{k}]") for k, v in enumerate(_expect_list(value, path))]
+def _one_of(*choices: str):
+    def read(value, path: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{path}: expected one of {choices}, got {value!r}")
+        return value
+
+    return read
+
+
+def _list_of(read):
+    def read_list(value, path: str) -> list:
+        return [read(v, f"{path}[{k}]") for k, v in enumerate(_expect_list(value, path))]
+
+    return read_list
+
+
+_as_float_list = _list_of(_as_float)
 
 
 def _as_float_grid(value, path: str) -> list[list[float]]:
-    rows = _expect_list(value, path)
-    grid = [_as_float_list(row, f"{path}[{k}]") for k, row in enumerate(rows)]
+    grid = _list_of(_as_float_list)(value, path)
     if not grid or any(len(row) != len(grid) for row in grid):
         raise ConfigError(f"{path}: expected a square matrix as nested lists")
     return grid
 
 
-def _validate_matrix(node, path: str, hermitian: bool = True) -> dict:
+def _fields(node, path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """The checked and the built values of a mapping's keys, in the order of
+    ``keys``; a key in neither SCALARS nor PARTS is passed on unread."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
+    unknown = sorted(set(node) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
+    checked, built = {}, {}
+    for key in keys:
+        if key not in node:
+            if key not in optional:
+                raise ConfigError(f"{path}.{key}: missing required key")
+        elif key in SCALARS:
+            checked[key] = built[key] = SCALARS[key](node[key], f"{path}.{key}")
+        elif key in PARTS:
+            checked[key], built[key] = PARTS[key](node[key], f"{path}.{key}")
+        else:
+            checked[key] = built[key] = node[key]
+    return checked, built
+
+
+def _read_list(node, path: str, read) -> tuple[list, list]:
+    pairs = _list_of(read)(node, path)
+    return [checked for checked, _ in pairs], [built for _, built in pairs]
+
+
+def _read_matrix(node, path: str) -> tuple[dict, np.ndarray]:
     """A complex matrix as paired real/imag nested arrays; imag optional."""
-    node = _expect_mapping(node, path)
-    _reject_unknown(node, {"real", "imag"}, path)
-    real = _as_float_grid(_need(node, "real", path), f"{path}.real")
-    out = {"real": real}
-    if "imag" in node:
-        imag = _as_float_grid(node["imag"], f"{path}.imag")
-        if len(imag) != len(real):
-            raise ConfigError(f"{path}: real and imag parts have different shapes")
-        out["imag"] = imag
-    if hermitian and hermiticity_defect(_matrix_array(out)) > 1e-10:
+    checked, _ = _fields(node, path, ("real", "imag"), optional=("imag",))
+    real = np.array(checked["real"], dtype=float)
+    if "imag" not in checked:
+        return checked, real.astype(complex)
+    if len(checked["imag"]) != len(real):
+        raise ConfigError(f"{path}: real and imag parts have different shapes")
+    return checked, real + 1j * np.array(checked["imag"], dtype=float)
+
+
+def _read_spectral(node, path: str) -> tuple[dict, SpectralModel]:
+    checked, _ = _fields(node, path, ("kind", "coupling_scale", "cutoff"), optional=("cutoff",))
+    with _section(path):
+        return checked, SpectralModel(**checked)
+
+
+def _read_subsystem(node, path: str) -> tuple[dict, Subsystem]:
+    checked, built = _fields(node, path, ("label", "hamiltonian"))
+    with _section(path):
+        return checked, Subsystem(dim=len(built["hamiltonian"]), **built)
+
+
+def _read_bath(node, path: str) -> tuple[dict, BathSpec]:
+    checked, built = _fields(node, path, ("label", "temperature", "coupling", "spectral"))
+    with _section(path):
+        return checked, BathSpec.from_temperature(
+            built["label"], built["temperature"], built["spectral"], built["coupling"]
+        )
+
+
+def _read_explicit(node, path: str) -> tuple[dict, SystemSpec]:
+    keys = ("subsystems", "interactions", "alpha", "beta_coupling", "grouping_tol", "baths")
+    checked, built = _fields(node, path, keys, optional=("interactions", "grouping_tol"))
+    with _section(path):
+        return checked, SystemSpec(**{"interactions": [], **built})
+
+
+def _read_initial_state(node, path: str) -> tuple[str | dict, str | np.ndarray]:
+    if isinstance(node, str):
+        kind = _one_of(*STATE_KINDS)(node, path)
+        return kind, kind
+    checked, rho = _read_matrix(node, path)
+    if hermiticity_defect(rho) > 1e-10:
         raise ConfigError(f"{path}: matrix is not Hermitian within 1e-10")
-    return out
+    return checked, rho
 
 
-def _matrix_array(matrix: dict) -> np.ndarray:
-    real = np.array(matrix["real"], dtype=float)
-    if "imag" in matrix:
-        return real + 1j * np.array(matrix["imag"], dtype=float)
-    return real.astype(complex)
-
-
-def _validate_spectral(node, path: str) -> dict:
-    node = _expect_mapping(node, path)
-    _reject_unknown(node, {"kind", "coupling_scale", "cutoff"}, path)
-    out = {
-        "kind": _as_str(_need(node, "kind", path), f"{path}.kind"),
-        "coupling_scale": _as_float(_need(node, "coupling_scale", path), f"{path}.coupling_scale"),
-    }
-    if "cutoff" in node:
-        out["cutoff"] = _as_float(node["cutoff"], f"{path}.cutoff")
-    try:
-        _spectral_from(out)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return out
-
-
-def _spectral_from(node: dict | None) -> SpectralModel:
-    if node is None:
-        from .models import DEFAULT_SPECTRAL
-
-        return DEFAULT_SPECTRAL
-    return SpectralModel(
-        kind=node["kind"], coupling_scale=node["coupling_scale"], cutoff=node.get("cutoff")
-    )
-
-
-_BUILDER_FIELDS = {
+# builder name -> (SystemSpec from the params, required params in the order
+# --dump-config writes them). The lambdas look the builders up when called, so
+# a wrapper installed on this module's names (perfbench's tracer) sees them.
+BUILDERS = {
     "two_qubit": (
-        {"e1", "e2", "alpha", "beta_coupling", "t1", "t2"},
-        {"spectral", "grouping_tol"},
+        lambda **p: two_qubit_model(TwoQubitParams(**p)),
+        ("alpha", "beta_coupling", "e1", "e2", "t1", "t2"),
     ),
     "single_qubit": (
-        {"energy", "temperature", "beta_coupling"},
-        {"spectral", "grouping_tol"},
+        lambda **p: single_qubit_model(**p),
+        ("beta_coupling", "energy", "temperature"),
     ),
     "qubit_chain": (
-        {"n", "energies", "temperatures", "alpha", "beta_coupling"},
-        {"spectral", "grouping_tol"},
+        lambda **p: qubit_chain_model(**p),
+        ("alpha", "beta_coupling", "energies", "n", "temperatures"),
     ),
 }
 
-
-def _validate_params(builder: str, node, path: str) -> dict:
-    node = _expect_mapping(node, path)
-    required, optional = _BUILDER_FIELDS[builder]
-    _reject_unknown(node, required | optional, path)
-    out = {}
-    for key in sorted(required):
-        value = _need(node, key, path)
-        if key == "n":
-            out[key] = _as_int(value, f"{path}.{key}")
-        elif key in ("energies", "temperatures"):
-            out[key] = _as_float_list(value, f"{path}.{key}")
-        else:
-            out[key] = _as_float(value, f"{path}.{key}")
-    if "spectral" in node:
-        out["spectral"] = _validate_spectral(node["spectral"], f"{path}.spectral")
-    if "grouping_tol" in node:
-        out["grouping_tol"] = _as_float(node["grouping_tol"], f"{path}.grouping_tol")
-    return out
-
-
-def _validate_explicit(node, path: str) -> dict:
-    node = _expect_mapping(node, path)
-    allowed = {"subsystems", "interactions", "alpha", "beta_coupling", "baths", "grouping_tol"}
-    _reject_unknown(node, allowed, path)
-    out: dict = {}
-
-    subs = _expect_list(_need(node, "subsystems", path), f"{path}.subsystems")
-    out["subsystems"] = []
-    for k, sub in enumerate(subs):
-        sp = f"{path}.subsystems[{k}]"
-        sub = _expect_mapping(sub, sp)
-        _reject_unknown(sub, {"label", "hamiltonian"}, sp)
-        out["subsystems"].append(
-            {
-                "label": _as_str(_need(sub, "label", sp), f"{sp}.label"),
-                "hamiltonian": _validate_matrix(_need(sub, "hamiltonian", sp), f"{sp}.hamiltonian"),
-            }
-        )
-
-    if "interactions" in node:
-        terms = _expect_list(node["interactions"], f"{path}.interactions")
-        out["interactions"] = [
-            _validate_matrix(term, f"{path}.interactions[{k}]") for k, term in enumerate(terms)
-        ]
-
-    out["alpha"] = _as_float(_need(node, "alpha", path), f"{path}.alpha")
-    out["beta_coupling"] = _as_float(_need(node, "beta_coupling", path), f"{path}.beta_coupling")
-    if "grouping_tol" in node:
-        out["grouping_tol"] = _as_float(node["grouping_tol"], f"{path}.grouping_tol")
-
-    baths = _expect_list(_need(node, "baths", path), f"{path}.baths")
-    out["baths"] = []
-    for k, bath in enumerate(baths):
-        bp = f"{path}.baths[{k}]"
-        bath = _expect_mapping(bath, bp)
-        _reject_unknown(bath, {"label", "temperature", "coupling", "spectral"}, bp)
-        out["baths"].append(
-            {
-                "label": _as_str(_need(bath, "label", bp), f"{bp}.label"),
-                "temperature": _as_float(_need(bath, "temperature", bp), f"{bp}.temperature"),
-                "coupling": _validate_matrix(_need(bath, "coupling", bp), f"{bp}.coupling"),
-                "spectral": _validate_spectral(_need(bath, "spectral", bp), f"{bp}.spectral"),
-            }
-        )
-    return out
+# The reader of each key, wherever it appears: a key means one thing in the
+# whole format. SCALARS return the checked value, PARTS the checked part and
+# the object built from it.
+SCALARS = {
+    **dict.fromkeys(("e1", "e2", "t1", "t2", "energy", "temperature", "alpha"), _as_float),
+    **dict.fromkeys(("beta_coupling", "grouping_tol", "coupling_scale", "cutoff"), _as_float),
+    **dict.fromkeys(("dt", "t_max", "positivity_tol"), _as_float),
+    **dict.fromkeys(("n", "record_stride"), _as_int),
+    **dict.fromkeys(("energies", "temperatures", "values"), _as_float_list),
+    **dict.fromkeys(("label", "kind", "directory", "parameter"), _as_str),
+    **dict.fromkeys(("real", "imag"), _as_float_grid),
+    "builder": _one_of(*BUILDERS),
+    "generator": _one_of("modified", "naive"),
+    "formats": _list_of(_one_of("csv", "report")),
+}
+PARTS = {
+    "spectral": _read_spectral,
+    "hamiltonian": _read_matrix,
+    "coupling": _read_matrix,
+    "subsystems": lambda node, path: _read_list(node, path, _read_subsystem),
+    "interactions": lambda node, path: _read_list(node, path, _read_matrix),
+    "baths": lambda node, path: _read_list(node, path, _read_bath),
+    "explicit": _read_explicit,
+    "initial_state": _read_initial_state,
+}
 
 
-def _validate_model(node, path: str = "model") -> dict:
-    node = _expect_mapping(node, path)
-    _reject_unknown(node, {"builder", "params", "explicit", "initial_state"}, path)
-    out: dict = {}
-    has_builder = "builder" in node
-    has_explicit = "explicit" in node
-    if has_builder == has_explicit:
+def _read_model(node, path: str = "model") -> tuple[dict, SystemSpec]:
+    if isinstance(node, dict) and ("builder" in node) == ("explicit" in node):
         raise ConfigError(f"{path}: give exactly one of 'builder' or 'explicit'")
-    if has_builder:
-        builder = _as_str(node["builder"], f"{path}.builder")
-        if builder not in BUILDERS:
-            raise ConfigError(
-                f"{path}.builder: unknown builder {builder!r}, expected one of {BUILDERS}"
-            )
-        out["builder"] = builder
-        out["params"] = _validate_params(builder, _need(node, "params", path), f"{path}.params")
-    else:
-        if "params" in node:
-            raise ConfigError(f"{path}.params: only valid together with 'builder'")
-        out["explicit"] = _validate_explicit(node["explicit"], f"{path}.explicit")
-    if "initial_state" in node:
-        state = node["initial_state"]
-        if isinstance(state, str):
-            if state not in STATE_KINDS:
-                raise ConfigError(
-                    f"{path}.initial_state: unknown kind {state!r}, expected one of {STATE_KINDS}"
-                )
-            out["initial_state"] = state
-        else:
-            out["initial_state"] = _validate_matrix(state, f"{path}.initial_state")
-    return out
+    if isinstance(node, dict) and "explicit" in node:
+        checked, built = _fields(node, path, ("explicit", "initial_state"), ("initial_state",))
+        return checked, built["explicit"]
+    checked, _ = _fields(node, path, ("builder", "params", "initial_state"), ("initial_state",))
+    build, required = BUILDERS[checked["builder"]]
+    optional = ("spectral", "grouping_tol")
+    checked["params"], kwargs = _fields(
+        checked["params"], f"{path}.params", required + optional, optional
+    )
+    with _section(f"{path}.params"):
+        return checked, build(**kwargs)
 
 
-def _validate_solver(node, path: str = "solver") -> SolverConfig:
-    node = _expect_mapping(node, path)
-    _reject_unknown(node, {"dt", "t_max", "record_stride", "positivity_tol"}, path)
-    kwargs = {
-        "dt": _as_float(_need(node, "dt", path), f"{path}.dt"),
-        "t_max": _as_float(_need(node, "t_max", path), f"{path}.t_max"),
-    }
-    if "record_stride" in node:
-        kwargs["record_stride"] = _as_int(node["record_stride"], f"{path}.record_stride")
-    if "positivity_tol" in node:
-        kwargs["positivity_tol"] = _as_float(node["positivity_tol"], f"{path}.positivity_tol")
-    return SolverConfig(**kwargs)
+def _read_solver(node, path: str = "solver") -> SolverConfig:
+    keys = ("dt", "t_max", "record_stride", "positivity_tol")
+    _, kwargs = _fields(node, path, keys, optional=("record_stride", "positivity_tol"))
+    with _section(path):
+        return SolverConfig(**kwargs)
 
 
-def _validate_output(node, path: str = "output") -> OutputSection:
+def _read_output(node, path: str = "output") -> OutputSection:
     if node is None:
         return OutputSection()
-    node = _expect_mapping(node, path)
-    _reject_unknown(node, {"directory", "formats"}, path)
-    kwargs = {}
-    if "directory" in node:
-        kwargs["directory"] = _as_str(node["directory"], f"{path}.directory")
-    if "formats" in node:
-        formats = _expect_list(node["formats"], f"{path}.formats")
-        for k, fmt in enumerate(formats):
-            if fmt not in ("csv", "report"):
-                raise ConfigError(f"{path}.formats[{k}]: unknown format {fmt!r}")
-        kwargs["formats"] = tuple(formats)
+    _, kwargs = _fields(node, path, ("directory", "formats"), optional=("directory", "formats"))
     return OutputSection(**kwargs)
 
 
-def _validate_sweep(node, path: str = "sweep") -> SweepSection:
-    node = _expect_mapping(node, path)
-    _reject_unknown(node, {"parameter", "values"}, path)
-    values = _as_float_list(_need(node, "values", path), f"{path}.values")
-    if not values:
+def _read_sweep(node, path: str = "sweep") -> SweepSection:
+    _, kwargs = _fields(node, path, ("parameter", "values"))
+    if not kwargs["values"]:
         raise ConfigError(f"{path}.values: need at least one value")
-    return SweepSection(
-        parameter=_as_str(_need(node, "parameter", path), f"{path}.parameter"),
-        values=tuple(values),
-    )
+    return SweepSection(**kwargs)
 
 
-def _validate_config(data) -> RunConfig:
-    data = _expect_mapping(data, "config")
-    _reject_unknown(data, {"model", "generator", "solver", "output", "sweep"}, "config")
-    generator = "modified"
-    if "generator" in data:
-        generator = _as_str(data["generator"], "generator")
-        if generator not in ("modified", "naive"):
-            raise ConfigError(f"generator: expected 'modified' or 'naive', got {generator!r}")
+def _read_config(data) -> RunConfig:
+    keys = ("model", "generator", "solver", "output", "sweep")
+    _, data = _fields(data, "config", keys, optional=("generator", "output", "sweep"))
+    model, spec = _read_model(data["model"])
     return RunConfig(
-        model=_validate_model(_need(data, "model", "config")),
-        solver=_validate_solver(_need(data, "solver", "config")),
-        output=_validate_output(data.get("output")),
-        generator=generator,
-        sweep=_validate_sweep(data["sweep"]) if "sweep" in data else None,
+        model=model,
+        spec=spec,
+        solver=_read_solver(data["solver"]),
+        output=_read_output(data.get("output")),
+        generator=data.get("generator", "modified"),
+        sweep=_read_sweep(data["sweep"]) if "sweep" in data else None,
     )
 
 
@@ -388,7 +337,7 @@ def load_config(path: str | Path) -> RunConfig:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    return _validate_config(data)
+    return _read_config(data)
 
 
 def dump_config(config: RunConfig) -> str:
@@ -399,40 +348,7 @@ def dump_config(config: RunConfig) -> str:
 
 
 def build_system(config: RunConfig) -> SystemSpec:
-    model = config.model
-    if "builder" in model:
-        p = dict(model["params"])
-        spectral = _spectral_from(p.pop("spectral", None))
-        builder = model["builder"]
-        if builder == "two_qubit":
-            return two_qubit_model(TwoQubitParams(spectral=spectral, **p))
-        if builder == "single_qubit":
-            return single_qubit_model(spectral=spectral, **p)
-        return qubit_chain_model(spectral=spectral, **p)
-
-    ex = model["explicit"]
-    subsystems = []
-    for sub in ex["subsystems"]:
-        h = _matrix_array(sub["hamiltonian"])
-        subsystems.append(Subsystem(label=sub["label"], hamiltonian=h, dim=h.shape[0]))
-    interactions = [_matrix_array(term) for term in ex.get("interactions", [])]
-    baths = [
-        BathSpec.from_temperature(
-            label=b["label"],
-            temperature=b["temperature"],
-            spectral=_spectral_from(b["spectral"]),
-            coupling_op=_matrix_array(b["coupling"]),
-        )
-        for b in ex["baths"]
-    ]
-    return SystemSpec(
-        subsystems=subsystems,
-        interactions=interactions,
-        alpha=ex["alpha"],
-        baths=baths,
-        beta_coupling=ex["beta_coupling"],
-        grouping_tol=ex.get("grouping_tol"),
-    )
+    return config.spec
 
 
 def make_generator(config: RunConfig, spec: SystemSpec | None = None) -> Generator:
@@ -444,39 +360,25 @@ def make_generator(config: RunConfig, spec: SystemSpec | None = None) -> Generat
 
 def initial_state(config: RunConfig, gen: Generator) -> np.ndarray:
     kind = config.model.get("initial_state", "maximally_mixed")
+    if isinstance(kind, str):
+        return STATE_KINDS[kind](gen)
+    _, rho = _read_matrix(kind, "model.initial_state")
     d = gen.dimension
-    if isinstance(kind, dict):
-        rho = _matrix_array(kind)
-        if rho.shape != (d, d):
-            raise ConfigError(
-                f"model.initial_state: matrix shape {rho.shape} does not match dimension {d}"
-            )
-        return rho
-    if kind == "maximally_mixed":
-        return np.eye(d, dtype=complex) / d
-    if kind == "ground":
-        ground = gen.eig.eigenvectors[:, 0]
-        return np.outer(ground, ground.conj())
-    return product_gibbs(gen.spec)
+    if rho.shape != (d, d):
+        raise ConfigError(
+            f"model.initial_state: matrix shape {rho.shape} does not match dimension {d}"
+        )
+    return rho
 
 
 # -- output writers ----------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
     log.info("wrote %s", path)
 
 
@@ -500,7 +402,7 @@ def _trajectory_rows(gen: Generator, traj: Trajectory) -> tuple[list[str], list[
             + p
             + [rep.entropy, rep.e_dot]
             + list(rep.q_dot)
-            + [rep.first_law_residual, rep.entropy_production, rep.second_law_ok]
+            + [rep.first_law_residual, rep.entropy_production, int(rep.second_law_ok)]
         )
     return header, rows
 
@@ -526,7 +428,7 @@ def _write_report(path: Path, lines: list[str]) -> None:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_simulate(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
+def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     gen = make_generator(config)
     rho0 = initial_state(config, gen)
     traj = evolve(gen, rho0, config.solver)
@@ -560,34 +462,28 @@ def cmd_simulate(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
     return 0
 
 
-def _steady_rows(gen: Generator, result: SteadyStateResult, report: ThermoReport):
-    labels = [b.label for b in gen.spec.baths]
-    header = (
-        ["residual", "null_dim"]
-        + [f"q_dot_{lab}" for lab in labels]
-        + ["e_dot", "s_dot", "first_law_residual", "entropy_production"]
-    )
-    row = (
-        [result.residual, result.null_dim]
-        + list(report.q_dot)
-        + [report.e_dot, report.s_dot, report.first_law_residual, report.entropy_production]
-    )
-    return header, [row]
-
-
-def cmd_steady(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
+def cmd_steady(config: RunConfig, out_dir: Path) -> int:
     gen = make_generator(config)
     result = steady_state(gen)
     report = audit(gen, result.rho_ss)
 
+    labels = [b.label for b in gen.spec.baths]
     out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in config.output.formats:
         np.savetxt(out_dir / "rho_ss_real.csv", result.rho_ss.real, delimiter=",")
         np.savetxt(out_dir / "rho_ss_imag.csv", result.rho_ss.imag, delimiter=",")
-        header, rows = _steady_rows(gen, result, report)
-        _write_csv(out_dir / "steady_summary.csv", header, rows)
+        header = (
+            ["residual", "null_dim"]
+            + [f"q_dot_{lab}" for lab in labels]
+            + ["e_dot", "s_dot", "first_law_residual", "entropy_production"]
+        )
+        row = (
+            [result.residual, result.null_dim]
+            + list(report.q_dot)
+            + [report.e_dot, report.s_dot, report.first_law_residual, report.entropy_production]
+        )
+        _write_csv(out_dir / "steady_summary.csv", header, [row])
     if "report" in config.output.formats:
-        labels = [b.label for b in gen.spec.baths]
         lines = [
             "lindloc steady",
             f"generator: {gen.kind}",
@@ -609,84 +505,74 @@ def cmd_steady(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
 
 
 def _set_by_path(data: dict, dotted: str, value: float) -> None:
+    where = f"sweep.parameter: {dotted!r}"
     node = data
     tokens = dotted.split(".")
     for i, token in enumerate(tokens):
-        last = i == len(tokens) - 1
         key: int | str = token
         if isinstance(node, list):
             try:
                 key = int(token)
             except ValueError:
-                raise ConfigError(f"sweep.parameter: {dotted!r}: {token!r} is not a list index")
+                raise ConfigError(f"{where}: {token!r} is not a list index") from None
             if not 0 <= key < len(node):
-                raise ConfigError(f"sweep.parameter: {dotted!r}: index {key} out of range")
-        elif isinstance(node, dict):
-            if token not in node:
-                raise ConfigError(f"sweep.parameter: {dotted!r}: no key {token!r}")
-        else:
-            raise ConfigError(f"sweep.parameter: {dotted!r}: cannot descend into {token!r}")
-        if last:
+                raise ConfigError(f"{where}: index {key} out of range")
+        elif not isinstance(node, dict):
+            raise ConfigError(f"{where}: cannot descend into {token!r}")
+        elif token not in node:
+            raise ConfigError(f"{where}: no key {token!r}")
+        if i == len(tokens) - 1:
             node[key] = value
         else:
             node = node[key]
 
 
-def _sweep_one(config: RunConfig, parameter: str, value: float):
-    data = config.to_dict()
-    data.pop("sweep", None)
-    _set_by_path(data, parameter, value)
-    point = RunConfig.from_dict(data)
-    gen = make_generator(point)
-    result = steady_state(gen)
-    report = audit(gen, result.rho_ss)
-    return gen, result, report
+def _sweep_point(config: RunConfig, k: int, value: float):
+    """The steady state and its audit with sweep.values[k] set in the model."""
+    data = replace(config, sweep=None).to_dict()
+    _set_by_path(data, config.sweep.parameter, value)
+    try:
+        gen = make_generator(RunConfig.from_dict(data))
+        result = steady_state(gen)
+        return result, audit(gen, result.rho_ss)
+    except (LindlocError, ValueError) as exc:
+        raise ConfigError(f"sweep.values[{k}] = {value!r}: {exc}") from exc
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
+def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     if config.sweep is None:
         raise ConfigError("sweep: section is required by the sweep command")
     parameter, values = config.sweep.parameter, config.sweep.values
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_one, config, parameter, v) for v in values]
-            results = [f.result() for f in futures]
-    else:
-        results = [_sweep_one(config, parameter, v) for v in values]
-
-    labels = [b.label for b in results[0][0].spec.baths]
     header = (
         ["parameter", "value"]
-        + [f"q_dot_{lab}" for lab in labels]
+        + [f"q_dot_{bath.label}" for bath in config.spec.baths]
         + ["entropy_production", "residual"]
     )
     rows = []
-    for value, (gen, result, report) in zip(values, results):
+    lines = [f"lindloc sweep over {parameter}", f"points: {len(values)}"]
+    for k, value in enumerate(values):
+        result, report = _sweep_point(config, k, value)
         rows.append(
             [parameter, value]
             + list(report.q_dot)
             + [report.entropy_production, result.residual]
         )
+        lines.append(
+            f"  {parameter} = {value!r}: q_dot = "
+            + ", ".join(repr(q) for q in report.q_dot)
+            + f", entropy production = {report.entropy_production!r}"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     if "csv" in config.output.formats:
         _write_csv(out_dir / "sweep.csv", header, rows)
     if "report" in config.output.formats:
-        lines = [f"lindloc sweep over {parameter}", f"points: {len(values)}"]
-        for value, (gen, result, report) in zip(values, results):
-            lines.append(
-                f"  {parameter} = {value!r}: q_dot = "
-                + ", ".join(repr(q) for q in report.q_dot)
-                + f", entropy production = {report.entropy_production!r}"
-            )
         _write_report(out_dir / "sweep_report.txt", lines)
     return 0
 
 
-def cmd_compare(config: RunConfig, out_dir: Path, jobs: int = 1) -> int:
-    spec = build_system(config)
-    gen_mod = build_modified_local(spec)
-    gen_naive = build_naive_local(spec)
+def cmd_compare(config: RunConfig, out_dir: Path) -> int:
+    gen_mod = build_modified_local(config.spec)
+    gen_naive = build_naive_local(config.spec)
     rho0 = initial_state(config, gen_mod)
     traj_mod = evolve(gen_mod, rho0, config.solver)
     traj_naive = evolve(gen_naive, rho0, config.solver)
@@ -754,7 +640,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a YAML run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for sweep")
         p.add_argument(
             "--dump-config",
             action="store_true",
@@ -770,7 +655,7 @@ def _configure_logging() -> None:
             f"LINDLOC_LOG: unknown level {raw!r}, expected one of {sorted(LOG_LEVELS)}"
         )
     logging.basicConfig(
-        level=LOG_LEVELS[raw], format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
+        level=raw.upper(), format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
     )
 
 
@@ -779,14 +664,12 @@ def main(argv: list[str] | None = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         _configure_logging()
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         config = load_config(args.config)
         if args.dump_config:
             sys.stdout.write(dump_config(config))
             return 0
         out_dir = Path(args.out) if args.out is not None else Path(config.output.directory)
-        return COMMANDS[args.command](config, out_dir, jobs=args.jobs)
+        return COMMANDS[args.command](config, out_dir)
     except (LindlocError, ValueError, OSError) as exc:
         print(f"lindloc: error: {exc}", file=sys.stderr)
         return 1

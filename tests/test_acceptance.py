@@ -239,9 +239,9 @@ def test_criterion_11_cli_end_to_end(capsys, tmp_path):
             assert (tmp_path / name / "report.txt").exists()
 
         sweep_cfg = CONFIG_DIR / "sweep_t1.yaml"
-        proc = run("sweep", sweep_cfg, "--out", tmp_path / "s1", "--jobs", 2)
+        proc = run("sweep", sweep_cfg, "--out", tmp_path / "s1")
         assert proc.returncode == 0, proc.stderr
-        proc = run("sweep", sweep_cfg, "--out", tmp_path / "s2", "--jobs", 2)
+        proc = run("sweep", sweep_cfg, "--out", tmp_path / "s2")
         assert proc.returncode == 0, proc.stderr
         first = (tmp_path / "s1" / "sweep.csv").read_bytes()
         assert first == (tmp_path / "s2" / "sweep.csv").read_bytes()

@@ -136,6 +136,15 @@ def test_type_errors_name_the_path():
         data["solver"]["dt"] = bad
         with pytest.raises(ConfigError, match=r"solver\.dt: expected a finite number"):
             RunConfig.from_dict(data)
+    # physical checks run at load too, named by the section they were built from
+    data = base_dict()
+    data["model"]["params"]["t1"] = -2.0
+    with pytest.raises(ConfigError, match=r"^model\.params: t1 must be strictly positive"):
+        RunConfig.from_dict(data)
+    data = base_dict()
+    data["model"]["params"]["spectral"] = {"kind": "ohmic", "coupling_scale": INV_2PI}
+    with pytest.raises(ConfigError, match=r"^model\.params\.spectral: ohmic .* cutoff"):
+        RunConfig.from_dict(data)
 
 
 def explicit_dict(b2_scale=INV_2PI, alpha=0.01):
@@ -200,6 +209,10 @@ def test_explicit_model_validation_paths():
     data = explicit_dict()
     data["model"]["explicit"]["interactions"][0]["real"] = [[0.0, 1.0]]
     with pytest.raises(ConfigError, match="square"):
+        RunConfig.from_dict(data)
+    data = explicit_dict()
+    data["model"]["explicit"]["baths"][0]["temperature"] = -1.0
+    with pytest.raises(ConfigError, match=r"^model\.explicit\.baths\[0\]: .*temperature must be"):
         RunConfig.from_dict(data)
 
 
@@ -397,13 +410,13 @@ def test_steady_end_to_end(tmp_path):
     assert "spohn" in (tmp_path / "out" / "steady_report.txt").read_text()
 
 
-def test_sweep_end_to_end_deterministic_under_threads(tmp_path):
+def test_sweep_end_to_end_deterministic(tmp_path):
     data = base_dict(sweep={"parameter": "model.params.t1", "values": [0.5, 1.0, 2.0]})
     path = write_yaml(tmp_path, data)
 
-    proc = run_cli("sweep", path, "--out", tmp_path / "a", "--jobs", 4)
+    proc = run_cli("sweep", path, "--out", tmp_path / "a")
     assert proc.returncode == 0, proc.stderr
-    proc = run_cli("sweep", path, "--out", tmp_path / "b", "--jobs", 4)
+    proc = run_cli("sweep", path, "--out", tmp_path / "b")
     assert proc.returncode == 0, proc.stderr
     a = (tmp_path / "a" / "sweep.csv").read_bytes()
     assert a == (tmp_path / "b" / "sweep.csv").read_bytes()
@@ -437,6 +450,25 @@ def test_dump_config_round_trips(tmp_path):
     proc = run_cli("simulate", path, "--dump-config")
     assert proc.returncode == 0, proc.stderr
     assert yaml.safe_load(proc.stdout) == load_config(path).to_dict()
+
+
+def test_invalid_model_is_rejected_at_load(tmp_path):
+    data = base_dict()
+    data["model"]["params"]["t1"] = -2.0
+    path = write_yaml(tmp_path, data)
+    for args in (("--dump-config",), ("--out", tmp_path / "out")):
+        proc = run_cli("steady", path, *args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "model.params: t1 must be strictly positive" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_failing_sweep_point_is_named(tmp_path):
+    data = base_dict(sweep={"parameter": "model.params.t1", "values": [0.5, -1.0]})
+    proc = run_cli("sweep", write_yaml(tmp_path, data), "--out", tmp_path / "out")
+    assert proc.returncode == 1
+    assert "sweep.values[1] = -1.0: model.params: t1 must be strictly positive" in proc.stderr
 
 
 def test_error_exits_are_one(tmp_path):

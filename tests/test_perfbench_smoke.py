@@ -11,7 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["simulate_two_qubit_dense", "compare_chain5"])
+@pytest.mark.parametrize(
+    "workload", ["simulate_two_qubit_dense", "compare_chain5", "sweep_chain3", "steady_chain5"]
+)
 def test_benchmark_toy_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--toy", "--seconds", "1", "--trace", "0"],
