@@ -6,13 +6,18 @@ generator is linear, one RK4 step is exactly the matrix
     S = I + h L + (h L)^2 / 2 + (h L)^3 / 6 + (h L)^4 / 24
 
 applied to the column-stacked state, so strides between recorded points are
-taken as matrix powers of S. Steady states come from the SVD null space of
-the generator.
+taken as matrix powers of S. Steady states are the null vector of the
+generator, and its singular values decide whether that vector is unique.
 
 Both work on Generator.blocks, the connected components of the nonzero
 pattern of L, so no d^2 x d^2 matrix is built: the RK4 polynomial of a
 block-diagonal L is block-diagonal, and the dense matrix is a unitary change
 of basis of the block-diagonal one, so it has the same singular values.
+L preserves Hermiticity, so only one block of each conjugate pair is stored,
+stepped and factored, and a self-conjugate block is a real matrix in
+Hermitian coordinates (see BlockView). Only the Hermitian part of a state is
+carried: its conjugate-pair entries are stepped once and its real
+coordinates with real matrices.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     PositivityError,
 )
-from .linalg import hermiticity_defect, max_abs, runs
+from .linalg import max_abs, runs
 from .liouvillian import Generator
 
 log = logging.getLogger("lindloc")
@@ -88,9 +93,10 @@ class SteadyStateResult:
 
 
 def rk4_step_matrix(superop: np.ndarray, dt: float) -> np.ndarray:
-    """One fixed-step RK4 update as a matrix: degree-4 Taylor polynomial of exp(dt L)."""
+    """One fixed-step RK4 update as a matrix: degree-4 Taylor polynomial of
+    exp(dt L), real for a real L."""
     a = dt * superop
-    eye = np.eye(a.shape[0], dtype=complex)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     s = eye + 0.25 * a
     s = eye + (a @ s) / 3.0
     s = eye + 0.5 * (a @ s)
@@ -131,8 +137,11 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
 
     Recorded states are checked for trace, Hermiticity, and positivity in
     one pass after stepping; violations raise IntegrationError with the first
-    offending time. Blocks where rho0 is exactly zero are never stepped (a
-    diagonal rho0 steps one block).
+    offending time. rho0 may carry an anti-Hermitian part up to 1e-9; only
+    its Hermitian part is stepped and recorded, so every record is exactly
+    Hermitian. Each stored block of gen.blocks is stepped with its own RK4
+    step and stride matrices, real for a self-conjugate block; blocks where
+    rho0 is exactly zero are never stepped (a diagonal rho0 steps one block).
     """
     d = gen.dimension
     rho0 = np.array(rho0, dtype=complex)
@@ -159,53 +168,60 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
         )
 
     view = gen.blocks
-    v = view.to_vector(rho0)
+    x, z = view.to_vector(rho0)
     # a block that starts at exactly zero stays exactly zero
-    live = [(block, m) for block, m in zip(view.slices, view.matrices) if v[block].any()]
+    live = [
+        (v, block, m)
+        for v, block, m in zip((x if r else z for r in view.real), view.slices, view.matrices)
+        if v[block].any()
+    ]
     n_steps = max(1, int(round(config.t_max / config.dt)))
-    step_matrices = [rk4_step_matrix(m, config.dt) for _, m in live]
+    step_matrices = [rk4_step_matrix(m, config.dt) for _, _, m in live]
     stride = min(config.record_stride, n_steps)
     stride_matrices = [np.linalg.matrix_power(s, stride) for s in step_matrices]
 
     # every stride-th step is recorded, and the last step
     steps = np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
-    vectors = np.empty((steps.size - 1, v.size), dtype=complex)
+    xs = np.empty((steps.size - 1, x.size))
+    zs = np.empty((steps.size - 1, z.size), dtype=complex)
     for k, jump in enumerate(np.diff(steps)):
         if jump == stride:
             matrices = stride_matrices
         else:
             matrices = [np.linalg.matrix_power(s, jump) for s in step_matrices]
-        for (block, _), m in zip(live, matrices):
+        for (v, block, _), m in zip(live, matrices):
             v[block] = m @ v[block]
-        vectors[k] = v
+        xs[k], zs[k] = x, z
     times = steps * config.dt
     states = np.empty((len(steps), d, d), dtype=complex)
-    states[0] = rho0
+    states[0] = 0.5 * (rho0 + rho0.conj().T)
     recorded, at = states[1:], times[1:]
-    for run in runs(len(vectors), d):
-        rho = view.to_state(vectors[run])
+    for run in runs(len(xs), d):
+        rho = view.to_state(xs[run], zs[run])
         _check_density_matrices(rho, config.positivity_tol, at[run])
         recorded[run] = rho
     return Trajectory(times=times, states=states)
 
 
 def steady_state(gen: Generator) -> SteadyStateResult:
-    """Null-space steady state of the generator via SVD.
+    """Null-space steady state of the generator.
 
-    Only the block holding the trace needs singular vectors; every other
-    block contributes its singular values to the pooled set, which is the
-    dense matrix's. Raises NonUniqueSteadyStateError when more than one
-    singular value is numerically zero; logs a warning when the smallest two
-    singular values are separated by less than SEPARATION_FACTOR.
+    The singular values of every stored block are pooled, those of a
+    conjugate-pair block twice, so the pool is the dense matrix's. Raises
+    NonUniqueSteadyStateError when more than one singular value is
+    numerically zero; logs a warning when the smallest two singular values
+    are separated by less than SEPARATION_FACTOR. rho_ss then solves the real
+    block holding the trace with its first row, that of entry (0, 0),
+    replaced by the trace: a redundant row, since the trace is a left null
+    vector (the "direct" method of QuTiP, Johansson, Nation & Nori, CPC 184,
+    1234 (2013)).
     """
     view = gen.blocks
     parts = []
-    for k, m in enumerate(view.matrices):
-        if k == view.zero:
-            _, s_k, vh = np.linalg.svd(m)
-        else:
-            s_k = np.linalg.svd(m, compute_uv=False)
-        parts.append(s_k)
+    for real, m in zip(view.real, view.matrices):
+        s_k = np.linalg.svd(m, compute_uv=False)
+        # a pair block's partner is its conjugate, with the same singular values
+        parts += [s_k] if real else [s_k, s_k]
     s = np.sort(np.concatenate(parts))[::-1]
     s_max = float(s[0])
     if s_max == 0.0:
@@ -223,25 +239,27 @@ def steady_state(gen: Generator) -> SteadyStateResult:
             SEPARATION_FACTOR,
         )
 
-    v = np.zeros(gen.dimension**2, dtype=complex)
-    v[view.slices[view.zero]] = vh[-1].conj()
-    raw = view.to_state(v)
-    tr = complex(np.trace(raw))
-    if abs(tr) < 1e-10:
+    zero = view.zero
+    a = view.matrices[zero].copy()
+    # the trace is the sum of the populations' coordinates, at i + d i
+    a[0] = view.indices[zero] % (gen.dimension + 1) == 0
+    rhs = np.zeros(a.shape[0])
+    rhs[0] = 1.0
+    try:
+        coordinates = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
         raise LindlocError(
             "null vector is traceless; no normalizable steady state in this direction"
-        )
-    # the singular vector's phase is arbitrary: fix it by the trace
-    raw = raw / tr
-    rho = 0.5 * (raw + raw.conj().T)
+        ) from None
+    x, z = view.zeros()
+    x[view.slices[zero]] = coordinates
+    rho = view.to_state(x, z)
 
     lo = float(np.linalg.eigvalsh(rho).min())
     if lo < -1e-9:
         raise PositivityError(
             f"steady-state candidate has eigenvalue {lo:.3e} below -1e-9"
         )
-    if hermiticity_defect(rho) > 1e-9:
-        raise LindlocError("steady-state candidate failed the Hermiticity check")
 
     residual = max_abs(gen.apply(rho))
     if residual > 1e-8:

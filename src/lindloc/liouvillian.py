@@ -15,7 +15,11 @@ L is assembled from its nonzero entries, and Generator.blocks are the
 connected components of that pattern. The modified generator is covariant
 under the free evolution, so in the H_s eigenbasis each component lies inside
 one Bohr block (E_k - E_l = E_i - E_j); the naive generator of a qubit chain
-conserves parity and splits into two halves in the product basis.
+conserves parity and splits into two halves in the product basis. Both
+preserve Hermiticity, L[rho†] = L[rho]†, so the transpose of matrix entries
+carries the components onto each other in conjugate pairs (the Bohr blocks
++omega and -omega): one block per pair is stored, and a component that is its
+own partner is stored as a real matrix in Hermitian coordinates.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,6 +187,17 @@ def _scatter(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _outer_conj(a: np.ndarray) -> np.ndarray:
+    """a_x conj(a_y) for every x, y, with entries (x, y) and (y, x) exact
+    conjugates. The real part Re a_x Re a_y + Im a_x Im a_y is symmetric
+    however the product rounds; the imaginary part is set to t - t^T, with
+    t_xy = Im a_x Re a_y, which is exactly antisymmetric."""
+    out = np.multiply.outer(a, a.conj())
+    t = np.multiply.outer(a.imag, a.real)
+    out.imag = t - t.T
+    return out
+
+
 def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Component label of each of n nodes joined by edges (rows, cols), numbered
     by smallest node: roots hook onto the smaller root across each edge, and
@@ -198,28 +214,102 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             root = up
 
 
+def _transpose(d: int) -> np.ndarray:
+    """tau: the column-stacked index i + d j of each entry (i, j) mapped to j + d i."""
+    return np.arange(d * d).reshape(d, d).ravel(order="F")
+
+
+SQRT2 = np.sqrt(2.0)
+SQRT_HALF = np.sqrt(0.5)
+# Re(i^k v) for k quarter turns is an exact sign and swap of v's parts
+QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+# the product of two weights' magnitudes, by how many are off the diagonal
+WEIGHT_PRODUCTS = np.array([1.0, SQRT_HALF, 0.5])
+
+
+def _hermitian_triplets(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real (row, col, value) triplets, in Hermitian coordinates (see BlockView),
+    of the part of L on tau-closed blocks, from its complex triplets.
+
+    Entry p feeds the coordinate at p with weight 1, 1/sqrt2 or -i/sqrt2
+    (p = tau p, p < tau p, p > tau p) and, off the diagonal, the coordinate at
+    tau p with weight i/sqrt2 (p < tau p) or 1/sqrt2 (p > tau p). A triplet
+    (r, c, v) adds Re(conj(w_r) v w_c) to each of the at most four coordinate
+    pairs it feeds; the imaginary parts cancel between r, c and tau r, tau c."""
+    scale = WEIGHT_PRODUCTS[(rows != tau[rows]).astype(int) + (cols != tau[cols])]
+
+    def feeds(p):  # (slot, quarter turns of the weight, whether it is fed)
+        t = tau[p]
+        return (p, 3 * (p > t), np.ones(p.size, dtype=bool)), (t, 1 * (p < t), p != t)
+
+    out = []
+    for r, turns_r, fed_r in feeds(rows):
+        for c, turns_c, fed_c in feeds(cols):
+            k = fed_r & fed_c
+            phase = QUARTER_TURNS[(turns_c[k] - turns_r[k]) % 4]
+            out.append((r[k], c[k], scale[k] * (phase * vals[k]).real))
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
+class _Layout(NamedTuple):
+    """The column-stacked indices behind a BlockView's two vectors, and where
+    each sits in them: the real blocks' diagonal slots, their slots (a, b)
+    with a > b and the tau images (b, a) of those, and the pair entries with
+    their tau images."""
+
+    diag: np.ndarray
+    diag_at: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    low_at: np.ndarray
+    high_at: np.ndarray
+    entries: np.ndarray
+    images: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class BlockView:
-    """A generator written as a direct sum of blocks.
+    """A Hermiticity-preserving generator written as a direct sum of blocks.
 
-    Block k acts on the column-stacked entries indices[k] (ascending) of a
-    matrix written in `basis` (the product basis when basis is None). States
-    travel as one vector holding the blocks' entries one block after another.
+    Blocks act on the column-stacked entries of a matrix written in `basis`
+    (the product basis when basis is None). L[rho†] = L[rho]†, so the
+    transpose map tau: i + d j <-> j + d i carries each block onto a block,
+    with conjugated entries. One block of each pair of distinct blocks is
+    kept, the one with the lower smallest index, as a complex matrix on its
+    entries indices[k] (ascending); its partner holds the conjugates at
+    tau(indices[k]) and is not stored. A block that tau maps onto itself is
+    kept as a real matrix on the Hermitian coordinates of its entries: at
+    index p = (a, b), rho_p if a = b, sqrt2 Re rho_ab if a > b and
+    sqrt2 Im rho_ba if a < b, the coefficients of |a><a|,
+    (|a><b| + |b><a|)/sqrt2 and i(|a><b| - |b><a|)/sqrt2 (a > b). That change
+    of basis is unitary, so a real block has the singular values of the
+    complex one.
+
+    A Hermitian state travels as two vectors: the real blocks' coordinates
+    (float64) and the kept pair blocks' entries (complex), one block after
+    another in each.
     """
 
     basis: np.ndarray | None
+    dimension: int
     indices: tuple[np.ndarray, ...]
     matrices: tuple[np.ndarray, ...]
 
     @cached_property
-    def _order(self) -> np.ndarray:
-        return np.concatenate(self.indices)
+    def real(self) -> tuple[bool, ...]:
+        """Which blocks are self-conjugate, held in Hermitian coordinates."""
+        return tuple(m.dtype == np.float64 for m in self.matrices)
 
     @cached_property
     def slices(self) -> tuple[slice, ...]:
-        """Where each block sits in a block vector."""
-        ends = np.cumsum([idx.size for idx in self.indices])
-        return tuple(slice(int(e - idx.size), int(e)) for e, idx in zip(ends, self.indices))
+        """Where each block sits in its vector, the real or the complex one."""
+        out, end = [], {True: 0, False: 0}
+        for real, idx in zip(self.real, self.indices):
+            out.append(slice(end[real], end[real] + idx.size))
+            end[real] += idx.size
+        return tuple(out)
 
     @cached_property
     def zero(self) -> int:
@@ -227,21 +317,56 @@ class BlockView:
         population: a second block with populations would have its own trace."""
         return next(k for k, idx in enumerate(self.indices) if idx[0] == 0)
 
-    def to_vector(self, rho: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _layout(self) -> _Layout:
+        d = self.dimension
+        tau = _transpose(d)
+        real = [idx for r, idx in zip(self.real, self.indices) if r]
+        pair = [idx for r, idx in zip(self.real, self.indices) if not r]
+        slots = np.concatenate(real)
+        at = np.empty(d * d, dtype=np.intp)
+        at[slots] = np.arange(slots.size)
+        diag = slots[slots == tau[slots]]
+        low = slots[slots < tau[slots]]
+        entries = np.concatenate(pair) if pair else np.empty(0, dtype=np.intp)
+        return _Layout(diag, at[diag], low, tau[low], at[low], at[tau[low]], entries, tau[entries])
+
+    def zeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real coordinates and the pair entries of the zero matrix."""
+        s = self._layout
+        return np.zeros(s.diag.size + 2 * s.low.size), np.zeros(s.entries.size, dtype=complex)
+
+    def to_vector(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The real coordinates and the pair entries of rho's Hermitian part."""
         u = self.basis
         if u is not None:
             rho = u.conj().T @ rho @ u
-        return vectorize(rho)[self._order]
+        f = vectorize(0.5 * (rho + rho.conj().T))
+        s = self._layout
+        x, _ = self.zeros()
+        x[s.diag_at] = f[s.diag].real
+        x[s.low_at] = SQRT2 * f[s.low].real
+        x[s.high_at] = SQRT2 * f[s.low].imag
+        return x, f[s.entries]
 
-    def to_state(self, v: np.ndarray) -> np.ndarray:
-        """The matrix of a block vector, or a stack of matrices for a stack of vectors."""
-        full = np.empty_like(v)
-        full[..., self._order] = v
-        d = isqrt(v.shape[-1])
+    def to_state(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The Hermitian matrix of real coordinates x and pair entries z, or a
+        stack of matrices for stacks of both."""
+        d, s = self.dimension, self._layout
+        full = np.empty((*x.shape[:-1], d * d), dtype=complex)
+        full[..., s.diag] = x[..., s.diag_at]
+        w = (x[..., s.low_at] + 1j * x[..., s.high_at]) * SQRT_HALF
+        full[..., s.low] = w
+        full[..., s.high] = w.conj()
+        full[..., s.entries] = z
+        full[..., s.images] = z.conj()
         # column stacking: entry (i, j) sits at i + d j
-        rho = full.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
+        rho = full.reshape(*x.shape[:-1], d, d).swapaxes(-1, -2)
         u = self.basis
-        return rho if u is None else u @ rho @ u.conj().T
+        if u is None:
+            return rho
+        rho = u @ rho @ u.conj().T
+        return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 class Generator:
@@ -370,7 +495,10 @@ class Generator:
         a rho a† gives ((i,j), (k,l), gamma a_ik conj a_jl). In the H_s
         eigenbasis only entries keeping the Bohr frequency stay, which drops
         the rounding noise of the rotation; jump entries are paired only within
-        one transition frequency, so a dense eigenbasis pairs no more."""
+        one transition frequency, so a dense eigenbasis pairs no more. Entries
+        at (r, c) and (tau r, tau c), tau: i + d j -> j + d i, are added from
+        exact conjugates in the same order, so L[rho†] = L[rho]† holds
+        entry by entry."""
         d = self.dimension
         g = -1j * h - 0.5 * sum(self._decay)  # G = -i H_eff
         jumps = [(ch.rate, ch.op) for bath in self.channels for ch in bath]
@@ -394,7 +522,7 @@ class Generator:
                 ip, kp, ap = i[p], k[p], a[i[p], k[p]]
                 rows.append((ip[:, None] + d * ip).ravel())
                 cols.append((kp[:, None] + d * kp).ravel())
-                vals.append(((r * ap)[:, None] * ap.conj()).ravel())
+                vals.append(r * _outer_conj(ap).ravel())
         rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
         keep = freq[rows] == freq[cols]
         return rows[keep], cols[keep], vals[keep]
@@ -425,40 +553,65 @@ class Generator:
     @cached_property
     def blocks(self) -> BlockView:
         """L as a direct sum over the connected components of its nonzero pattern,
-        in the H_s eigenbasis for the modified generator, else the product basis."""
+        in the H_s eigenbasis for the modified generator, else the product basis:
+        one complex block per conjugate pair and one real block per
+        self-conjugate component (see BlockView), filled by one bincount."""
+        d = self.dimension
         basis = self.eig.eigenvectors if self.kind == "modified" else None
         rows, cols, vals = self._entries(self._h_total, basis)
-        label = _components(self.dimension**2, rows, cols)
+        label = _components(d * d, rows, cols)
         sizes = np.bincount(label)
-        area = sizes**2
-        # the blocks, and evolve's RK4 step and stride matrix for each
-        _require_memory(
-            48 * int(area.sum()), f"{sizes.size} generator blocks of up to {sizes.max()} rows"
-        )
         order = np.argsort(label, kind="stable")
         start = np.cumsum(sizes) - sizes
+        tau = _transpose(d)
+        # tau carries component k onto component partner[k]; k is kept if partner[k] >= k
+        block = np.arange(sizes.size)
+        partner = label[tau[order[start]]]
+        real = partner == block
+        # float64 words of each kept block: a pair entry is two, a partner none
+        words = np.where(real, 1, 2 * (partner > block)) * sizes**2
+        kept = np.flatnonzero(words)
+        # the blocks, and evolve's RK4 step and stride matrix for each
+        _require_memory(
+            24 * int(words.sum()),
+            f"{kept.size} generator blocks of up to {sizes[kept].max()} rows",
+        )
         pos = np.empty_like(label)
         pos[order] = np.arange(label.size) - np.repeat(start, sizes)
-        offset = np.cumsum(area) - area
+        offset = np.cumsum(words) - words
+
+        def key(r, c, width):  # where entry (r, c) of its block starts in the words
+            k = label[r]
+            return offset[k] + width * (pos[r] * sizes[k] + pos[c])
+
         at = label[rows]
-        flat = _scatter(offset[at] + pos[rows] * sizes[at] + pos[cols], vals, int(area.sum()))
+        self_conjugate = real[at]
+        hr, hc, hv = _hermitian_triplets(
+            rows[self_conjugate], cols[self_conjugate], vals[self_conjugate], tau
+        )
+        pair = partner[at] > at
+        entry, v = key(rows[pair], cols[pair], 2), vals[pair]
+        flat = np.bincount(
+            np.concatenate((key(hr, hc, 1), entry, entry + 1)),
+            np.concatenate((hv, v.real, v.imag)),
+            int(words.sum()),
+        )
+        indices = np.split(order, start[1:])
         return BlockView(
             basis,
-            tuple(np.split(order, start[1:])),
-            tuple(flat[o : o + a].reshape(m, m) for o, a, m in zip(offset, area, sizes)),
+            d,
+            tuple(indices[k] for k in kept),
+            tuple(
+                flat[offset[k] : offset[k] + words[k]]
+                .view(np.float64 if real[k] else np.complex128)
+                .reshape(sizes[k], sizes[k])
+                for k in kept
+            ),
         )
 
     def stability_norm(self) -> float:
-        """||L||_inf in the product basis, without the dense matrix.
-
-        A phase-permutation change of basis (one nonzero per column) only
-        moves and rephases the entries of L, so the block row sums are the
-        dense ones. Any other eigenbasis mixes entries: then the row sums
-        come from the product-basis triplets, with repeats added first.
-        """
-        view = self.blocks
-        if view.basis is None or (np.count_nonzero(view.basis, axis=0) == 1).all():
-            return max(float(np.abs(m).sum(axis=1).max()) for m in view.matrices)
+        """||L||_inf in the product basis, from the product-basis triplets with
+        repeats added first, without the dense matrix."""
         n = self.dimension**2
         rows, cols, vals = self._entries(self._h_total, None)
         keys, at = np.unique(rows * n + cols, return_inverse=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,67 @@ def rand_pure(rng, d):
 def rand_unitary(rng, d):
     q, r = np.linalg.qr(rand_complex(rng, d))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def transpose_map(d):
+    """tau: the column-stacked index i + d j of each entry (i, j) mapped to j + d i."""
+    return np.array([j + d * i for j in range(d) for i in range(d)])
+
+
+def hermitian_coordinates(idx, d):
+    """The unitary V with V† M V the Hermitian-coordinate form of a block M on
+    the column-stacked entries idx (closed under (a, b) -> (b, a)): column k
+    is vec |a><a| for idx[k] = (a, a), vec (|a><b| + |b><a|)/sqrt2 for
+    idx[k] = (a, b) with a > b, and vec i(|b><a| - |a><b|)/sqrt2 for
+    idx[k] = (a, b) with a < b."""
+    slot = {p: k for k, p in enumerate(idx)}
+    v = np.zeros((len(idx), len(idx)), dtype=complex)
+    for k, p in enumerate(idx):
+        a, b = p % d, p // d
+        t = slot[b + d * a]
+        if a == b:
+            v[k, k] = 1.0
+        elif a > b:
+            v[k, k] = v[t, k] = np.sqrt(0.5)
+        else:
+            v[t, k] = 1j * np.sqrt(0.5)
+            v[k, k] = -1j * np.sqrt(0.5)
+    return v
+
+
+# a real block against the test-side V† M V, relative to the largest entry of
+# the whole matrix: each coordinate entry adds at most four weighted entries
+# of M, and the triplets summed into one entry are about as large as the
+# Bohr frequencies, whose differences can cancel to far less within a block
+REAL_BLOCK_ULPS = 4 * np.finfo(float).eps
+
+
+def assert_block_matches(m, real, piece, d, idx, scale):
+    """A stored block against the matching piece of the dense matrix, whose
+    largest entry is scale: a pair block to 1e-18, a real block against the
+    piece in Hermitian coordinates, whose imaginary part must then be as small."""
+    if real:
+        assert m.dtype == np.float64
+        v = hermitian_coordinates(idx, d)
+        assert np.abs(m - v.conj().T @ piece @ v).max() <= REAL_BLOCK_ULPS * scale
+    else:
+        assert np.abs(m - piece).max() <= 1e-18
+
+
+def assert_blocks_are_the_matrix(view, dense):
+    """Blocks are the matching pieces of the dense matrix (in the blocks'
+    basis), which is zero between them; a pair block's partner, never stored,
+    holds the conjugates at the transposed entries."""
+    d = math.isqrt(dense.shape[0])
+    tau = transpose_map(d)
+    label = np.full(d * d, -1)
+    for k, (idx, real) in enumerate(zip(view.indices, view.real)):
+        label[idx] = k
+        if not real:
+            label[tau[idx]] = len(view.indices) + k
+    assert (label >= 0).all()  # every index or its tau-image is covered
+    assert np.abs(dense[label[:, None] != label[None, :]]).max() == 0.0
+    for idx, m, real in zip(view.indices, view.matrices, view.real):
+        assert_block_matches(m, real, dense[np.ix_(idx, idx)], d, idx, np.abs(dense).max())
+        if not real:
+            assert np.abs(dense[np.ix_(tau[idx], tau[idx])] - m.conj()).max() <= 1e-18

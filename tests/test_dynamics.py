@@ -41,7 +41,7 @@ from lindloc.models import (
     two_qubit_model,
 )
 
-from conftest import rand_complex, rand_density
+from conftest import assert_blocks_are_the_matrix, rand_complex, rand_density
 
 
 # -- step matrix ------------------------------------------------------------------
@@ -337,18 +337,6 @@ def dense_states(gen, rho0, config):
     return states
 
 
-def assert_blocks_are_the_dense_matrix(gen):
-    """Blocks are the matching pieces of the dense matrix, which is zero between them."""
-    view, dense = gen.blocks, dense_in_basis(gen)
-    label = np.full(gen.dimension**2, -1)
-    for k, idx in enumerate(view.indices):
-        label[idx] = k
-    assert (label >= 0).all()
-    assert np.abs(dense[label[:, None] != label[None, :]]).max() == 0.0
-    for idx, m in zip(view.indices, view.matrices):
-        assert np.abs(m - dense[np.ix_(idx, idx)]).max() <= 1e-18
-
-
 chains = st.integers(2, 4).flatmap(
     lambda n: st.tuples(
         st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n),
@@ -377,7 +365,7 @@ def test_block_path_matches_dense_path(chain, build, state_seed):
     assert gen._superop is None
     assert gen._partial_superop is None
 
-    assert_blocks_are_the_dense_matrix(gen)
+    assert_blocks_are_the_matrix(gen.blocks, dense_in_basis(gen))
     assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
     s_dense = np.linalg.svd(gen.superop, compute_uv=False)
     assert a.singular_values.shape == s_dense.shape
@@ -386,14 +374,20 @@ def test_block_path_matches_dense_path(chain, build, state_seed):
         assert np.abs(x - y).max() <= 1e-12
 
 
-def test_untouched_blocks_are_not_stepped(monkeypatch):
+def counting_step_matrices(monkeypatch):
+    """The (rows, dtype) of every RK4 step matrix evolve builds, in order."""
     stepped = []
 
     def counting_step_matrix(m, dt):
-        stepped.append(m.shape[0])
+        stepped.append((m.shape[0], m.dtype))
         return rk4_step_matrix(m, dt)
 
     monkeypatch.setattr(dynamics, "rk4_step_matrix", counting_step_matrix)
+    return stepped
+
+
+def test_untouched_blocks_are_not_stepped(monkeypatch):
+    stepped = counting_step_matrices(monkeypatch)
     spec = qubit_chain_model(4, [1.0, 1.5, 1.0, 1.0], [2.0, 1.0, 0.7, 1.3])
     cfg = SolverConfig(dt=0.01, t_max=2.0, record_stride=50)
     for build in (build_modified_local, build_naive_local):
@@ -402,20 +396,58 @@ def test_untouched_blocks_are_not_stepped(monkeypatch):
         rho0 = product_gibbs(spec)  # diagonal: only the population block is nonzero
         stepped.clear()
         traj = evolve(gen, rho0, cfg)
-        assert stepped == [view.matrices[view.zero].shape[0]]
+        assert stepped == [(view.matrices[view.zero].shape[0], np.float64)]
         assert len(view.matrices) > 1
 
-        # every block stepped, untouched ones included
+        # every stored block stepped, untouched ones included
         strides = [np.linalg.matrix_power(rk4_step_matrix(m, cfg.dt), 50) for m in view.matrices]
-        v = view.to_vector(rho0)
+        x, z = view.to_vector(rho0)
         states = [rho0]
         for _ in range(4):
-            for block, m in zip(view.slices, strides):
+            for real, block, m in zip(view.real, view.slices, strides):
+                v = x if real else z
                 v[block] = m @ v[block]
-            states.append(view.to_state(v))
+            states.append(view.to_state(x, z))
         assert len(traj.states) == len(states)
         for x, y in zip(traj.states, states):
             assert np.array_equal(x, y)
+
+
+def test_one_step_matrix_per_stored_block(monkeypatch):
+    """A full-rank state touches every block: each stored block is stepped
+    once, in real arithmetic when it is self-conjugate, and no partner is."""
+    stepped = counting_step_matrices(monkeypatch)
+    spec = qubit_chain_model(3, [1.0, 1.0, 1.0], [2.0, 1.0, 0.5])
+    rho0 = rand_density(np.random.default_rng(3), spec.dimension)
+    for build in (build_modified_local, build_naive_local):
+        gen = build(spec)
+        view = gen.blocks
+        stepped.clear()
+        evolve(gen, rho0, SolverConfig(dt=0.01, t_max=0.5, record_stride=10))
+        assert stepped == [(m.shape[0], m.dtype) for m in view.matrices]
+        assert all(dtype == np.float64 for (_, dtype), real in zip(stepped, view.real) if real)
+        # a pair block's rows stand for its partner's entries too
+        rows = sum(m.shape[0] * (1 if real else 2) for m, real in zip(view.matrices, view.real))
+        assert rows == spec.dimension**2
+    assert not all(build_modified_local(spec).blocks.real)
+
+
+def test_anti_hermitian_part_of_rho0_is_not_carried():
+    """Only the Hermitian part of rho0 is stepped and recorded, so every record
+    is exactly Hermitian and the trajectory is that of the Hermitian part."""
+    spec = qubit_chain_model(3, [1.0, 1.5, 1.0], [2.0, 1.0, 0.5])
+    rng = np.random.default_rng(11)
+    rho = rand_density(rng, spec.dimension)
+    skew = rand_complex(rng, spec.dimension)
+    skew = 1e-10 * (skew - skew.conj().T) / np.abs(skew - skew.conj().T).max()
+    cfg = SolverConfig(dt=0.01, t_max=1.0, record_stride=20)
+    for build in (build_modified_local, build_naive_local):
+        gen = build(spec)
+        traj = evolve(gen, rho + skew, cfg)
+        assert np.array_equal(traj.states, traj.states.conj().swapaxes(1, 2))
+        assert np.array_equal(traj.states, evolve(gen, rho, cfg).states)
+    with pytest.raises(IntegrationError, match="not Hermitian within 1e-9"):
+        evolve(gen, rho + 20.0 * skew, cfg)
 
 
 def test_block_path_in_a_dense_eigenbasis(rng):

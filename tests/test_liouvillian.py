@@ -31,7 +31,7 @@ from lindloc.models import (
     two_qubit_model,
 )
 
-from conftest import rand_complex, rand_density
+from conftest import assert_block_matches, rand_complex, rand_density
 
 FLAT_UNIT = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
 
@@ -245,9 +245,9 @@ def test_modified_generator_is_block_diagonal_in_the_eigenbasis():
         # each assembled block lies inside one Bohr block and is the matching
         # piece of the dense matrix
         view = mod.blocks
-        for idx, m in zip(view.indices, view.matrices):
+        for idx, m, real in zip(view.indices, view.matrices, view.real):
             assert np.unique(freq[idx]).size == 1
-            assert np.abs(m - l_mod[np.ix_(idx, idx)]).max() <= 1e-18
+            assert_block_matches(m, real, l_mod[np.ix_(idx, idx)], spec.dimension, idx, np.abs(l_mod).max())
         populations = np.arange(spec.dimension) * (spec.dimension + 1)
         assert set(populations) <= set(view.indices[view.zero].tolist())
 
@@ -273,8 +273,8 @@ def test_memory_guard_refuses_an_eight_site_naive_chain(monkeypatch):
     gen = build_naive_local(qubit_chain_model(8, [1.0] * 8, [1.0] * 8))
     tracemalloc.start()
     try:
-        # two parity halves of 32768 rows, with their RK4 step and stride copies
-        with pytest.raises(LindlocError, match=r"2 generator blocks .* would need 103 GB"):
+        # two real parity halves of 32768 rows, with their RK4 step and stride copies
+        with pytest.raises(LindlocError, match=r"2 generator blocks .* would need 51.5 GB"):
             gen.blocks
         with pytest.raises(LindlocError, match=r"65536 x 65536 superoperator would need 103 GB"):
             gen.superop

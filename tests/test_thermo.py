@@ -14,6 +14,7 @@ from lindloc.errors import (
     NonFiniteError,
     PositivityError,
 )
+from lindloc import liouvillian
 from lindloc.linalg import von_neumann_entropy
 from lindloc.liouvillian import (
     Subsystem,
@@ -40,7 +41,13 @@ from lindloc.thermo import (
     internal_energy_rate,
 )
 
-from conftest import rand_density, rand_hermitian, rand_unitary
+from conftest import (
+    assert_blocks_are_the_matrix,
+    rand_density,
+    rand_hermitian,
+    rand_unitary,
+    transpose_map,
+)
 
 BUNDLED = [
     two_qubit_model(TwoQubitParams()),
@@ -312,8 +319,10 @@ networks = st.lists(
 @given(network=networks, draw_seed=st.integers(0, 2**32 - 1))
 def test_laws_hold_on_random_networks(network, draw_seed):
     """Random local H = U diag(E) U†, Hermitian couplings and temperatures: the
-    modified generator keeps both laws on random full-rank states, and the
-    stacked audit agrees with the per-state formulas."""
+    modified generator's blocks are conjugate pairs and real self-conjugate
+    blocks with exact zeros between them, its steady state is unique and
+    positive, it keeps both laws on random full-rank states, and the stacked
+    audit agrees with the per-state formulas."""
     rng = np.random.default_rng(draw_seed)
     flat = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
     subsystems, baths = [], []
@@ -334,6 +343,19 @@ def test_laws_hold_on_random_networks(network, draw_seed):
         gen = build_modified_local(spec)
     except DenseSpectrumError:
         assume(False)
+
+    # the blocks against L assembled in their basis, whose entries at the
+    # transposed indices are exact conjugates
+    n = full * full
+    rows, cols, vals = gen._entries(gen.hamiltonian, gen.blocks.basis)
+    assembled = liouvillian._scatter(rows * n + cols, vals, n * n).reshape(n, n)
+    tau = transpose_map(full)
+    assert np.array_equal(assembled[np.ix_(tau, tau)], assembled.conj())
+    assert_blocks_are_the_matrix(gen.blocks, assembled)
+    steady = steady_state(gen)
+    assert steady.null_dim == 1
+    assert steady.residual <= 1e-8
+    assert np.linalg.eigvalsh(steady.rho_ss).min() > 0.0
 
     states = np.array([rand_density(rng, full) for _ in range(3)])
     traj = Trajectory(times=np.arange(3.0), states=states)
