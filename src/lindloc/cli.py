@@ -34,7 +34,7 @@ from .liouvillian import (
     product_gibbs,
 )
 from .models import TwoQubitParams, qubit_chain_model, single_qubit_model, two_qubit_model
-from .thermo import SECOND_LAW_TOL, audit, audit_trajectory
+from .thermo import audit, audit_trajectory
 
 log = logging.getLogger("lindloc")
 
@@ -66,7 +66,8 @@ class SweepSection:
 @dataclass(frozen=True)
 class RunConfig:
     """A checked run. ``model`` is the checked mapping that ``to_dict`` writes
-    back and sweep points edit; ``spec`` is the system built from it."""
+    back and sweep points edit; ``spec`` is the system built from it, and
+    ``rho0`` its explicit initial-state matrix, if it gives one."""
 
     model: dict
     spec: SystemSpec = field(compare=False, repr=False)
@@ -74,6 +75,7 @@ class RunConfig:
     output: OutputSection
     generator: str = "modified"
     sweep: SweepSection | None = None
+    rho0: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         data = {
@@ -102,12 +104,6 @@ def _section(path: str):
         yield
     except (LindlocError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _expect_list(node, path: str) -> list:
-    if not isinstance(node, list):
-        raise ConfigError(f"{path}: expected a list, got {type(node).__name__}")
-    return node
 
 
 def _as_float(value, path: str) -> float:
@@ -145,7 +141,9 @@ def _one_of(*choices: str):
 
 def _list_of(read):
     def read_list(value, path: str) -> list:
-        return [read(v, f"{path}[{k}]") for k, v in enumerate(_expect_list(value, path))]
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        return [read(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
     return read_list
 
@@ -225,10 +223,9 @@ def _read_explicit(node, path: str) -> tuple[dict, SystemSpec]:
         return checked, SystemSpec(**{"interactions": [], **built})
 
 
-def _read_initial_state(node, path: str) -> tuple[str | dict, str | np.ndarray]:
+def _read_initial_state(node, path: str) -> tuple[str | dict, np.ndarray | None]:
     if isinstance(node, str):
-        kind = _one_of(*STATE_KINDS)(node, path)
-        return kind, kind
+        return _one_of(*STATE_KINDS)(node, path), None
     checked, rho = _read_matrix(node, path)
     if hermiticity_defect(rho) > 1e-10:
         raise ConfigError(f"{path}: matrix is not Hermitian within 1e-10")
@@ -280,20 +277,29 @@ PARTS = {
 }
 
 
-def _read_model(node, path: str = "model") -> tuple[dict, SystemSpec]:
+def _read_model(node, path: str = "model") -> tuple[dict, SystemSpec, np.ndarray | None]:
+    """The checked model, its spec and its explicit initial-state matrix."""
     if isinstance(node, dict) and ("builder" in node) == ("explicit" in node):
         raise ConfigError(f"{path}: give exactly one of 'builder' or 'explicit'")
     if isinstance(node, dict) and "explicit" in node:
         checked, built = _fields(node, path, ("explicit", "initial_state"), ("initial_state",))
-        return checked, built["explicit"]
-    checked, _ = _fields(node, path, ("builder", "params", "initial_state"), ("initial_state",))
-    build, required = BUILDERS[checked["builder"]]
-    optional = ("spectral", "grouping_tol")
-    checked["params"], kwargs = _fields(
-        checked["params"], f"{path}.params", required + optional, optional
-    )
-    with _section(f"{path}.params"):
-        return checked, build(**kwargs)
+        spec = built["explicit"]
+    else:
+        keys = ("builder", "params", "initial_state")
+        checked, built = _fields(node, path, keys, ("initial_state",))
+        build, required = BUILDERS[checked["builder"]]
+        optional = ("spectral", "grouping_tol")
+        checked["params"], kwargs = _fields(
+            checked["params"], f"{path}.params", required + optional, optional
+        )
+        with _section(f"{path}.params"):
+            spec = build(**kwargs)
+    rho0, d = built.get("initial_state"), spec.dimension
+    if rho0 is not None and rho0.shape != (d, d):
+        raise ConfigError(
+            f"{path}.initial_state: matrix shape {rho0.shape} does not match dimension {d}"
+        )
+    return checked, spec, rho0
 
 
 def _read_solver(node, path: str = "solver") -> SolverConfig:
@@ -320,10 +326,11 @@ def _read_sweep(node, path: str = "sweep") -> SweepSection:
 def _read_config(data) -> RunConfig:
     keys = ("model", "generator", "solver", "output", "sweep")
     _, data = _fields(data, "config", keys, optional=("generator", "output", "sweep"))
-    model, spec = _read_model(data["model"])
+    model, spec, rho0 = _read_model(data["model"])
     return RunConfig(
         model=model,
         spec=spec,
+        rho0=rho0,
         solver=_read_solver(data["solver"]),
         output=_read_output(data.get("output")),
         generator=data.get("generator", "modified"),
@@ -347,39 +354,39 @@ def dump_config(config: RunConfig) -> str:
 # -- config -> physics objects ----------------------------------------------
 
 
-def build_system(config: RunConfig) -> SystemSpec:
-    return config.spec
-
-
-def make_generator(config: RunConfig, spec: SystemSpec | None = None) -> Generator:
-    spec = spec if spec is not None else build_system(config)
-    if config.generator == "naive":
-        return build_naive_local(spec)
-    return build_modified_local(spec)
+def make_generator(config: RunConfig) -> Generator:
+    build = build_naive_local if config.generator == "naive" else build_modified_local
+    return build(config.spec)
 
 
 def initial_state(config: RunConfig, gen: Generator) -> np.ndarray:
-    kind = config.model.get("initial_state", "maximally_mixed")
-    if isinstance(kind, str):
-        return STATE_KINDS[kind](gen)
-    _, rho = _read_matrix(kind, "model.initial_state")
-    d = gen.dimension
-    if rho.shape != (d, d):
-        raise ConfigError(
-            f"model.initial_state: matrix shape {rho.shape} does not match dimension {d}"
-        )
-    return rho
+    if config.rho0 is not None:
+        return config.rho0
+    return STATE_KINDS[config.model.get("initial_state", "maximally_mixed")](gen)
 
 
-# -- output writers ----------------------------------------------------------
+# -- outputs -----------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    log.info("wrote %s", path)
+def _write_outputs(config: RunConfig, out_dir: Path, **formats) -> None:
+    """Write the files of each requested format. ``formats`` maps a format to
+    {file name: function that writes the file to the handle it is given}, so
+    a file of a format not in ``output.formats`` is never built."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fmt, files in formats.items():
+        if fmt in config.output.formats:
+            for name, write in files.items():
+                with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
+                    write(fh)
+                log.info("wrote %s", out_dir / name)
+
+
+def _csv(fh, header: list[str], rows: list[list]) -> None:
+    csv.writer(fh).writerows([header, *rows])
+
+
+def _lines(fh, lines: list[str]) -> None:
+    fh.write("\n".join(lines) + "\n")
 
 
 def _trajectory_rows(gen: Generator, traj: Trajectory) -> tuple[list[str], list[list]]:
@@ -407,11 +414,14 @@ def _trajectory_rows(gen: Generator, traj: Trajectory) -> tuple[list[str], list[
     return header, rows
 
 
-def _diagnostics_lines(gen: Generator) -> list[str]:
+def _report_head(command: str, gen: Generator, *lines: str) -> list[str]:
+    """The command, the generator, its dimension, the given lines, then the
+    spectrum diagnostics."""
+    head = [f"lindloc {command}", f"generator: {gen.kind}", f"dimension: {gen.dimension}", *lines]
     diag = gen.diagnostics
     if diag is None:
-        return ["spectrum diagnostics: skipped (no couplings)"]
-    return [
+        return head + ["spectrum diagnostics: skipped (no couplings)"]
+    return head + [
         f"spectrum diagnostics: {diag.status}",
         f"  min nonzero Bohr frequency: {diag.min_nonzero_frequency!r}",
         f"  min frequency spacing:      {diag.min_frequency_spacing!r}",
@@ -419,45 +429,39 @@ def _diagnostics_lines(gen: Generator) -> list[str]:
     ]
 
 
-def _write_report(path: Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    log.info("wrote %s", path)
-
-
 # -- commands ----------------------------------------------------------------
+
+
+def _evolve_audited(gen: Generator, rho0: np.ndarray, solver: SolverConfig):
+    """The trajectory from rho0 audited at every record (``traj.reports``), its
+    min entropy production, max |first-law residual| and first second-law
+    violation time (None if there is none)."""
+    traj = evolve(gen, rho0, solver)
+    reports = audit_trajectory(gen, traj)
+    min_ep = min(r.entropy_production for r in reports)
+    max_res = max(abs(r.first_law_residual) for r in reports)
+    violations = (t for t, r in zip(traj.times, reports) if not r.second_law_ok)
+    return traj, min_ep, max_res, next(violations, None)
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     gen = make_generator(config)
     rho0 = initial_state(config, gen)
-    traj = evolve(gen, rho0, config.solver)
-    reports = audit_trajectory(gen, traj)
+    traj, min_ep, max_res, violation = _evolve_audited(gen, rho0, config.solver)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in config.output.formats:
-        header, rows = _trajectory_rows(gen, traj)
-        _write_csv(out_dir / "trajectory.csv", header, rows)
-
-    min_ep = min(r.entropy_production for r in reports)
-    max_res = max(abs(r.first_law_residual) for r in reports)
-    violations = [t for t, r in zip(traj.times, reports) if not r.second_law_ok]
-    if "report" in config.output.formats:
-        lines = [
-            "lindloc simulate",
-            f"generator: {gen.kind}",
-            f"dimension: {gen.dimension}",
-            f"records: {len(traj)} over t in [0, {float(traj.times[-1])!r}]",
-            *_diagnostics_lines(gen),
+    def write_report(fh) -> None:
+        records = f"records: {len(traj)} over t in [0, {float(traj.times[-1])!r}]"
+        _lines(fh, [
+            *_report_head("simulate", gen, records),
             f"min entropy production: {min_ep!r}",
             f"max |first law residual|: {max_res!r}",
-            "second law: "
-            + ("ok" if not violations else f"violated at t = {violations[0]!r}"),
-        ]
-        _write_report(out_dir / "report.txt", lines)
+            "second law: " + ("ok" if violation is None else f"violated at t = {violation!r}"),
+        ])
 
-    if config.generator == "modified" and violations:
-        log.error("second law violated by the modified generator at t = %r", violations[0])
+    tables = {"trajectory.csv": lambda fh: _csv(fh, *_trajectory_rows(gen, traj))}
+    _write_outputs(config, out_dir, csv=tables, report={"report.txt": write_report})
+    if config.generator == "modified" and violation is not None:
+        log.error("second law violated by the modified generator at t = %r", violation)
         return 2
     return 0
 
@@ -466,12 +470,9 @@ def cmd_steady(config: RunConfig, out_dir: Path) -> int:
     gen = make_generator(config)
     result = steady_state(gen)
     report = audit(gen, result.rho_ss)
-
     labels = [b.label for b in gen.spec.baths]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in config.output.formats:
-        np.savetxt(out_dir / "rho_ss_real.csv", result.rho_ss.real, delimiter=",")
-        np.savetxt(out_dir / "rho_ss_imag.csv", result.rho_ss.imag, delimiter=",")
+
+    def write_summary(fh) -> None:
         header = (
             ["residual", "null_dim"]
             + [f"q_dot_{lab}" for lab in labels]
@@ -482,25 +483,27 @@ def cmd_steady(config: RunConfig, out_dir: Path) -> int:
             + list(report.q_dot)
             + [report.e_dot, report.s_dot, report.first_law_residual, report.entropy_production]
         )
-        _write_csv(out_dir / "steady_summary.csv", header, [row])
-    if "report" in config.output.formats:
-        lines = [
-            "lindloc steady",
-            f"generator: {gen.kind}",
-            f"dimension: {gen.dimension}",
-            *_diagnostics_lines(gen),
+        _csv(fh, header, [row])
+
+    def write_report(fh) -> None:
+        _lines(fh, [
+            *_report_head("steady", gen),
             f"residual: {result.residual!r}",
             f"null space dimension: {result.null_dim}",
-        ]
-        lines += [f"q_dot[{lab}]: {q!r}" for lab, q in zip(labels, report.q_dot)]
-        lines += [
+            *(f"q_dot[{lab}]: {q!r}" for lab, q in zip(labels, report.q_dot)),
             f"sum of heat currents: {sum(report.q_dot)!r}",
             f"e_dot: {report.e_dot!r}",
             f"entropy production: {report.entropy_production!r}",
             f"spohn lhs: {report.spohn_lhs!r}  rhs: {report.spohn_rhs!r}"
             f"  residual: {report.spohn_residual!r}",
-        ]
-        _write_report(out_dir / "steady_report.txt", lines)
+        ])
+
+    tables = {
+        "rho_ss_real.csv": lambda fh: np.savetxt(fh, result.rho_ss.real, delimiter=","),
+        "rho_ss_imag.csv": lambda fh: np.savetxt(fh, result.rho_ss.imag, delimiter=","),
+        "steady_summary.csv": write_summary,
+    }
+    _write_outputs(config, out_dir, csv=tables, report={"steady_report.txt": write_report})
     return 0
 
 
@@ -528,13 +531,13 @@ def _set_by_path(data: dict, dotted: str, value: float) -> None:
 
 
 def _sweep_point(config: RunConfig, k: int, value: float):
-    """The steady state and its audit with sweep.values[k] set in the model."""
+    """The steady state's residual and audit with sweep.values[k] set in the model."""
     data = replace(config, sweep=None).to_dict()
     _set_by_path(data, config.sweep.parameter, value)
     try:
         gen = make_generator(RunConfig.from_dict(data))
         result = steady_state(gen)
-        return result, audit(gen, result.rho_ss)
+        return result.residual, audit(gen, result.rho_ss)
     except (LindlocError, ValueError) as exc:
         raise ConfigError(f"sweep.values[{k}] = {value!r}: {exc}") from exc
 
@@ -543,44 +546,43 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     if config.sweep is None:
         raise ConfigError("sweep: section is required by the sweep command")
     parameter, values = config.sweep.parameter, config.sweep.values
-    header = (
-        ["parameter", "value"]
-        + [f"q_dot_{bath.label}" for bath in config.spec.baths]
-        + ["entropy_production", "residual"]
-    )
-    rows = []
-    lines = [f"lindloc sweep over {parameter}", f"points: {len(values)}"]
-    for k, value in enumerate(values):
-        result, report = _sweep_point(config, k, value)
-        rows.append(
-            [parameter, value]
-            + list(report.q_dot)
-            + [report.entropy_production, result.residual]
+    points = [(value, *_sweep_point(config, k, value)) for k, value in enumerate(values)]
+
+    def write_table(fh) -> None:
+        header = (
+            ["parameter", "value"]
+            + [f"q_dot_{bath.label}" for bath in config.spec.baths]
+            + ["entropy_production", "residual"]
         )
-        lines.append(
+        rows = [
+            [parameter, value] + list(rep.q_dot) + [rep.entropy_production, residual]
+            for value, residual, rep in points
+        ]
+        _csv(fh, header, rows)
+
+    def write_report(fh) -> None:
+        lines = [f"lindloc sweep over {parameter}", f"points: {len(values)}"]
+        lines += [
             f"  {parameter} = {value!r}: q_dot = "
-            + ", ".join(repr(q) for q in report.q_dot)
-            + f", entropy production = {report.entropy_production!r}"
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in config.output.formats:
-        _write_csv(out_dir / "sweep.csv", header, rows)
-    if "report" in config.output.formats:
-        _write_report(out_dir / "sweep_report.txt", lines)
+            + ", ".join(repr(q) for q in rep.q_dot)
+            + f", entropy production = {rep.entropy_production!r}"
+            for value, _, rep in points
+        ]
+        _lines(fh, lines)
+
+    tables = {"sweep.csv": write_table}
+    _write_outputs(config, out_dir, csv=tables, report={"sweep_report.txt": write_report})
     return 0
 
 
 def cmd_compare(config: RunConfig, out_dir: Path) -> int:
     gen_mod = build_modified_local(config.spec)
-    gen_naive = build_naive_local(config.spec)
     rho0 = initial_state(config, gen_mod)
-    traj_mod = evolve(gen_mod, rho0, config.solver)
-    traj_naive = evolve(gen_naive, rho0, config.solver)
-    reports_mod = audit_trajectory(gen_mod, traj_mod)
-    reports_naive = audit_trajectory(gen_naive, traj_naive)
+    traj_mod, ep_mod, res_mod, violation = _evolve_audited(gen_mod, rho0, config.solver)
+    gen_naive = build_naive_local(config.spec)
+    traj_naive, ep_naive, res_naive, _ = _evolve_audited(gen_naive, rho0, config.solver)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in config.output.formats:
+    def write_table(fh) -> None:
         header = [
             "t",
             "entropy_production_modified",
@@ -591,27 +593,24 @@ def cmd_compare(config: RunConfig, out_dir: Path) -> int:
         rows = [
             [float(t), rm.entropy_production, rn.entropy_production,
              rm.first_law_residual, rn.first_law_residual]
-            for t, rm, rn in zip(traj_mod.times, reports_mod, reports_naive)
+            for t, rm, rn in zip(traj_mod.times, traj_mod.reports, traj_naive.reports)
         ]
-        _write_csv(out_dir / "compare.csv", header, rows)
+        _csv(fh, header, rows)
 
-    min_ep_mod = min(r.entropy_production for r in reports_mod)
-    min_ep_naive = min(r.entropy_production for r in reports_naive)
-    max_res_mod = max(abs(r.first_law_residual) for r in reports_mod)
-    max_res_naive = max(abs(r.first_law_residual) for r in reports_naive)
-    ok = min_ep_mod >= -SECOND_LAW_TOL
-    if "report" in config.output.formats:
-        lines = [
+    def write_report(fh) -> None:
+        _lines(fh, [
             "lindloc compare",
             f"records: {len(traj_mod)}",
             f"{'':28s}{'modified':>16s}{'naive':>16s}",
-            f"{'min entropy production':28s}{min_ep_mod:>16.6e}{min_ep_naive:>16.6e}",
-            f"{'max |first law residual|':28s}{max_res_mod:>16.6e}{max_res_naive:>16.6e}",
-            "modified second law: " + ("ok" if ok else "VIOLATED"),
-        ]
-        _write_report(out_dir / "compare_report.txt", lines)
-    if not ok:
-        log.error("modified generator violated the second law: min = %r", min_ep_mod)
+            f"{'min entropy production':28s}{ep_mod:>16.6e}{ep_naive:>16.6e}",
+            f"{'max |first law residual|':28s}{res_mod:>16.6e}{res_naive:>16.6e}",
+            "modified second law: " + ("ok" if violation is None else "VIOLATED"),
+        ])
+
+    tables = {"compare.csv": write_table}
+    _write_outputs(config, out_dir, csv=tables, report={"compare_report.txt": write_report})
+    if violation is not None:
+        log.error("modified generator violated the second law: min = %r", ep_mod)
         return 2
     return 0
 

@@ -18,10 +18,6 @@ from .liouvillian import Subsystem, SystemSpec
 DEFAULT_SPECTRAL = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
 
 
-def _qubit(label: str, energy: float) -> Subsystem:
-    return Subsystem(label=label, hamiltonian=0.5 * energy * SIGMA_Z, dim=2)
-
-
 @dataclass(frozen=True)
 class TwoQubitParams:
     e1: float = 1.0
@@ -43,20 +39,13 @@ class TwoQubitParams:
 
 def two_qubit_model(params: TwoQubitParams) -> SystemSpec:
     """Two bath-contacted qubits exchanging energy through sigma_x sigma_x."""
-    subs = [_qubit("q1", params.e1), _qubit("q2", params.e2)]
-    dims = [2, 2]
-    interaction = embed(SIGMA_X, 0, dims) @ embed(SIGMA_X, 1, dims)
-    baths = [
-        BathSpec.from_temperature("b1", params.t1, params.spectral, SIGMA_X),
-        BathSpec.from_temperature("b2", params.t2, params.spectral, SIGMA_X),
-    ]
-    return SystemSpec(
-        subsystems=subs,
-        interactions=[interaction],
-        alpha=params.alpha,
-        baths=baths,
-        beta_coupling=params.beta_coupling,
-        grouping_tol=params.grouping_tol,
+    return _chain(
+        [params.e1, params.e2],
+        [params.t1, params.t2],
+        params.alpha,
+        params.beta_coupling,
+        params.spectral,
+        params.grouping_tol,
     )
 
 
@@ -68,16 +57,7 @@ def single_qubit_model(
     grouping_tol: float | None = None,
 ) -> SystemSpec:
     """One qubit thermalizing against one bath; no interactions, alpha = 0."""
-    if energy <= 0.0:
-        raise ValueError("energy must be strictly positive")
-    return SystemSpec(
-        subsystems=[_qubit("q1", energy)],
-        interactions=[],
-        alpha=0.0,
-        baths=[BathSpec.from_temperature("b1", temperature, spectral, SIGMA_X)],
-        beta_coupling=beta_coupling,
-        grouping_tol=grouping_tol,
-    )
+    return _chain([energy], [temperature], 0.0, beta_coupling, spectral, grouping_tol)
 
 
 MAX_CHAIN_LENGTH = 8  # keeps the superoperator at or below 65536 rows
@@ -103,20 +83,38 @@ def qubit_chain_model(
         raise DimensionMismatchError(
             f"need {n} energies and {n} temperatures, got {len(energies)} and {len(temperatures)}"
         )
-    subs = [_qubit(f"q{k + 1}", energies[k]) for k in range(n)]
-    dims = [2] * n
+    return _chain(energies, temperatures, alpha, beta_coupling, spectral, grouping_tol)
+
+
+def _chain(
+    energies: list[float],
+    temperatures: list[float],
+    alpha: float,
+    beta_coupling: float,
+    spectral: SpectralModel,
+    grouping_tol: float | None,
+) -> SystemSpec:
+    """The open chain behind all three builders, one bath per qubit. The
+    public builders call this, not each other, so a wrapper on them (such as
+    perfbench's tracer) sees one call per spec."""
+    for k, energy in enumerate(energies):
+        if energy <= 0.0:
+            raise ValueError(f"energy of q{k + 1} must be strictly positive, got {energy!r}")
+    dims = [2] * len(energies)
     interactions = [
-        embed(SIGMA_X, k, dims) @ embed(SIGMA_X, k + 1, dims) for k in range(n - 1)
-    ]
-    baths = [
-        BathSpec.from_temperature(f"b{k + 1}", temperatures[k], spectral, SIGMA_X)
-        for k in range(n)
+        embed(SIGMA_X, k, dims) @ embed(SIGMA_X, k + 1, dims) for k in range(len(dims) - 1)
     ]
     return SystemSpec(
-        subsystems=subs,
+        subsystems=[
+            Subsystem(label=f"q{k + 1}", hamiltonian=0.5 * e * SIGMA_Z, dim=2)
+            for k, e in enumerate(energies)
+        ],
         interactions=interactions,
         alpha=alpha,
-        baths=baths,
+        baths=[
+            BathSpec.from_temperature(f"b{k + 1}", t, spectral, SIGMA_X)
+            for k, t in enumerate(temperatures)
+        ],
         beta_coupling=beta_coupling,
         grouping_tol=grouping_tol,
     )

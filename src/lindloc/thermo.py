@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec
 from .errors import DimensionMismatchError, NonFiniteError, PositivityError
 from .linalg import runs
 from .liouvillian import Generator
@@ -96,10 +95,9 @@ def _checked_stack(gen: Generator, states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _audit_stack(gen: Generator, states: np.ndarray, baths: list[BathSpec] | None) -> list[ThermoReport]:
+def _audit_stack(gen: Generator, states: np.ndarray) -> list[ThermoReport]:
     """Both laws at every state of a checked (T, d, d) stack; one eigh per state."""
-    if baths is None:
-        baths = gen.spec.baths
+    baths = gen.spec.baths
     n = len(baths)
 
     ln_rho, entropy = _log_and_entropy(states)
@@ -129,12 +127,12 @@ def _audit_stack(gen: Generator, states: np.ndarray, baths: list[BathSpec] | Non
     return [ThermoReport(tuple(c[0]), *c[1:]) for c in columns]
 
 
-def audit(gen: Generator, rho: np.ndarray, baths: list[BathSpec] | None = None) -> ThermoReport:
+def audit(gen: Generator, rho: np.ndarray) -> ThermoReport:
     """Evaluate both laws at one state; violations are reported, not raised."""
-    return _audit_stack(gen, _checked_stack(gen, np.asarray(rho)[None]), baths)[0]
+    return _audit_stack(gen, _checked_stack(gen, np.asarray(rho)[None]))[0]
 
 
-def audit_trajectory(gen: Generator, trajectory, baths: list[BathSpec] | None = None) -> list[ThermoReport]:
+def audit_trajectory(gen: Generator, trajectory) -> list[ThermoReport]:
     """Audit every recorded state and attach the reports to the trajectory.
 
     The stacked pass takes the states in runs (linalg.runs), which bounds
@@ -144,7 +142,7 @@ def audit_trajectory(gen: Generator, trajectory, baths: list[BathSpec] | None = 
     reports = [
         rep
         for run in runs(len(states), gen.dimension)
-        for rep in _audit_stack(gen, states[run], baths)
+        for rep in _audit_stack(gen, states[run])
     ]
     trajectory.reports = reports
     return reports

@@ -12,7 +12,6 @@ import lindloc.cli as cli
 from lindloc.cli import (
     RunConfig,
     _set_by_path,
-    build_system,
     dump_config,
     initial_state,
     load_config,
@@ -21,7 +20,7 @@ from lindloc.cli import (
 from lindloc.dynamics import evolve
 from lindloc.errors import ConfigError
 from lindloc.linalg import von_neumann_entropy
-from lindloc.liouvillian import product_gibbs
+from lindloc.liouvillian import build_modified_local, product_gibbs
 from lindloc.models import TwoQubitParams, two_qubit_model
 from lindloc.thermo import ThermoReport, audit_trajectory
 
@@ -187,11 +186,11 @@ def explicit_dict(b2_scale=INV_2PI, alpha=0.01):
 def test_explicit_model_matches_builder():
     explicit = RunConfig.from_dict(explicit_dict())
     builder = two_qubit_model(TwoQubitParams())
-    spec = build_system(explicit)
+    spec = explicit.spec
     assert np.array_equal(spec.free_hamiltonian(), builder.free_hamiltonian())
     assert np.array_equal(spec.interaction_sum(), builder.interaction_sum())
-    gen_a = make_generator(explicit, spec)
-    gen_b = make_generator(explicit, builder)
+    gen_a = make_generator(explicit)
+    gen_b = build_modified_local(builder)
     assert np.array_equal(gen_a.superop, gen_b.superop)
 
 
@@ -243,10 +242,8 @@ def test_initial_state_kinds():
 def test_initial_state_matrix_shape_check():
     data = base_dict()
     data["model"]["initial_state"] = {"real": [[1.0, 0.0], [0.0, 0.0]]}
-    cfg = RunConfig.from_dict(data)
-    gen = make_generator(cfg)
     with pytest.raises(ConfigError, match="does not match dimension"):
-        initial_state(cfg, gen)
+        RunConfig.from_dict(data)
 
 
 def test_set_by_path():
@@ -298,7 +295,7 @@ def fake_reports(n, ok):
 
 
 def patched_audit(ok):
-    def _fake(gen, traj, baths=None):
+    def _fake(gen, traj):
         reports = fake_reports(len(traj), ok)
         traj.reports = reports
         return reports
@@ -333,6 +330,44 @@ def test_sweep_requires_sweep_section(tmp_path):
     cfg = RunConfig.from_dict(base_dict())
     with pytest.raises(ConfigError, match="sweep"):
         cli.cmd_sweep(cfg, tmp_path / "o")
+
+
+# each command's files by output format
+FILES = {
+    "simulate": {"csv": {"trajectory.csv"}, "report": {"report.txt"}},
+    "steady": {
+        "csv": {"rho_ss_real.csv", "rho_ss_imag.csv", "steady_summary.csv"},
+        "report": {"steady_report.txt"},
+    },
+    "sweep": {"csv": {"sweep.csv"}, "report": {"sweep_report.txt"}},
+    "compare": {"csv": {"compare.csv"}, "report": {"compare_report.txt"}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILES))
+def test_only_requested_formats_are_written(tmp_path, command):
+    for formats in (["csv"], ["report"], ["csv", "report"], []):
+        cfg = RunConfig.from_dict(
+            base_dict(
+                solver={"dt": 0.02, "t_max": 2.0, "record_stride": 10},
+                output={"formats": formats},
+                sweep={"parameter": "model.params.t1", "values": [0.5, 2.0]},
+            )
+        )
+        out = tmp_path / "-".join(["out", *formats])
+        assert cli.COMMANDS[command](cfg, out) == 0
+        expected = set().union(*(FILES[command][fmt] for fmt in formats))
+        assert {p.name for p in out.iterdir()} == expected
+
+
+def test_unrequested_file_is_not_built(tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("trajectory rows built for a report-only run")
+
+    monkeypatch.setattr(cli, "_trajectory_rows", fail)
+    data = base_dict(output={"formats": ["report"]})
+    assert cli.cmd_simulate(RunConfig.from_dict(data), tmp_path / "o") == 0
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.txt"]
 
 
 # -- end-to-end through the real entry point --------------------------------------
@@ -462,6 +497,39 @@ def test_invalid_model_is_rejected_at_load(tmp_path):
         assert proc.stdout == ""
         assert "model.params: t1 must be strictly positive" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_misshapen_initial_state_is_rejected_at_load(tmp_path):
+    data = base_dict(sweep={"parameter": "model.params.t1", "values": [0.5, 1.0]})
+    data["model"]["initial_state"] = {"real": [[1.0, 0.0], [0.0, 0.0]]}
+    path = write_yaml(tmp_path, data)
+    for args in (("simulate", "--dump-config"), ("sweep", "--out", tmp_path / "out")):
+        proc = run_cli(args[0], path, *args[1:])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert (
+            "model.initial_state: matrix shape (2, 2) does not match dimension 4" in proc.stderr
+        )
+    assert not (tmp_path / "out").exists()
+
+
+def test_chain_energy_is_checked_at_load(tmp_path):
+    data = base_dict()
+    data["model"] = {
+        "builder": "qubit_chain",
+        "params": {
+            "n": 2,
+            "energies": [1.0, 0.0],
+            "temperatures": [2.0, 1.0],
+            "alpha": 0.01,
+            "beta_coupling": 0.01,
+        },
+    }
+    proc = run_cli("steady", write_yaml(tmp_path, data), "--dump-config")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "lindloc: error: model.params: energy of q2 must be strictly positive"
+    )
 
 
 def test_failing_sweep_point_is_named(tmp_path):

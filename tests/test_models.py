@@ -59,6 +59,12 @@ def test_chain_length_limits():
         qubit_chain_model(3, [1.0, 1.0], [1.0, 1.0, 1.0])
 
 
+def test_energies_must_be_positive():
+    for energies in ([1.0, 0.0, 1.0], [-1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="must be strictly positive"):
+            qubit_chain_model(3, energies, [1.0] * 3)
+
+
 def test_chain_labels_and_interaction_count():
     spec = qubit_chain_model(4, [1.0] * 4, [1.0, 1.0, 1.0, 1.0])
     assert [s.label for s in spec.subsystems] == ["q1", "q2", "q3", "q4"]

@@ -26,3 +26,21 @@ def test_benchmark_toy_run_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["simulate_two_qubit_dense", "sweep_chain3"])
+def test_traced_toy_run_sees_every_hooked_layer(workload):
+    """The tracer wraps lindloc's functions by name; a CLI path that goes
+    around them would read 0 for the layers below."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--toy", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    for name in ("cli.load_config.calls", "models.spec.calls", "liouvillian.build.calls"):
+        assert result["metrics"][name]["value"] > 0, name
