@@ -440,7 +440,7 @@ def _evolve_audited(gen: Generator, rho0: np.ndarray, solver: SolverConfig):
     reports = audit_trajectory(gen, traj)
     min_ep = min(r.entropy_production for r in reports)
     max_res = max(abs(r.first_law_residual) for r in reports)
-    violations = (t for t, r in zip(traj.times, reports) if not r.second_law_ok)
+    violations = (float(t) for t, r in zip(traj.times, reports) if not r.second_law_ok)
     return traj, min_ep, max_res, next(violations, None)
 
 

@@ -11,22 +11,23 @@ bath i's coupling operator in its own subsystem eigenbasis, embedded into the
 product space. The naive variant keeps the full interaction in the
 commutator; its dissipators are identical.
 
-L is assembled from its nonzero entries, and Generator.blocks are the
-connected components of that pattern. The modified generator is covariant
-under the free evolution, so in the H_s eigenbasis each component lies inside
-one Bohr block (E_k - E_l = E_i - E_j); the naive generator of a qubit chain
-conserves parity and splits into two halves in the product basis. Both
-preserve Hermiticity, L[rho†] = L[rho]†, so the transpose of matrix entries
-carries the components onto each other in conjugate pairs (the Bohr blocks
-+omega and -omega): one block per pair is stored, and a component that is its
-own partner is stored as a real matrix in Hermitian coordinates.
+L is written down once, as (row, col, value) triplets (Generator._entries):
+its action, adjoint, dense form and norm are read from them, and the blocks
+are the connected components of their pattern. The modified generator is
+covariant under the free evolution, so in the H_s eigenbasis each component
+lies inside one Bohr block (E_k - E_l = E_i - E_j); the naive generator of a
+qubit chain conserves parity and splits into two halves in the product basis.
+Both preserve Hermiticity, L[rho†] = L[rho]†, so the transpose of matrix
+entries carries the components onto each other in conjugate pairs (the Bohr
+blocks +omega and -omega): one block per pair is stored, and a component that
+is its own partner is stored as a real matrix in Hermitian coordinates.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import inf, isqrt, prod
 from typing import NamedTuple
@@ -147,7 +148,11 @@ class Channel:
     omega: float
     op: np.ndarray
     rate: float
-    op_dag_op: np.ndarray = field(repr=False)
+
+
+def _dissipator_g(bath: list[Channel], like: np.ndarray) -> np.ndarray:
+    """G = -K_i/2 of one bath's D_i, K_i = sum gamma A†A over its channels."""
+    return sum((-0.5 * ch.rate * (ch.op.conj().T @ ch.op) for ch in bath), np.zeros_like(like))
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -184,17 +189,6 @@ def _scatter(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(keys, values.real, size)
     out.imag = np.bincount(keys, values.imag, size)
-    return out
-
-
-def _outer_conj(a: np.ndarray) -> np.ndarray:
-    """a_x conj(a_y) for every x, y, with entries (x, y) and (y, x) exact
-    conjugates. The real part Re a_x Re a_y + Im a_x Im a_y is symmetric
-    however the product rounds; the imaginary part is set to t - t^T, with
-    t_xy = Im a_x Re a_y, which is exactly antisymmetric."""
-    out = np.multiply.outer(a, a.conj())
-    t = np.multiply.outer(a.imag, a.real)
-    out.imag = t - t.T
     return out
 
 
@@ -251,6 +245,11 @@ def _hermitian_triplets(
             phase = QUARTER_TURNS[(turns_c[k] - turns_r[k]) % 4]
             out.append((r[k], c[k], scale[k] * (phase * vals[k]).real))
     return tuple(np.concatenate(part) for part in zip(*out))
+
+
+# the parts of L that the triplets are labelled with: -i[H_s, .], -i[V, .]
+# and, for bath i, D_i at BATH + i
+FREE, INTERACTION, BATH = 0, 1, 2
 
 
 class _Layout(NamedTuple):
@@ -372,15 +371,10 @@ class BlockView:
 class Generator:
     """A built local generator: Hamiltonian pieces plus per-bath jump channels.
 
-    apply() evaluates the full generator on a matrix; apply_partial() leaves
-    out the interaction commutator (the partial generator whose fixed point
-    is the product of local Gibbs states). Both are written with the
-    effective Hamiltonian H_eff = H - (i/2) sum gamma A†A, so that
-
-        L[rho] = -i (H_eff rho - rho H_eff†) + sum gamma A rho A†,
-
-    and the dense superoperators and the blocks are built from the nonzero
-    entries of the same form (Generator._entries), on first use, and cached.
+    The blocks read L's triplets with one G = -i H_eff = -i H - (1/2) sum
+    gamma A†A; every other use reads one cached product-basis pass whose
+    triplets carry their part, -i[H_s, .], -i[V, .] or a bath's D_i. L_p, the
+    partial generator fixing the product of local Gibbs states, leaves out V.
     """
 
     def __init__(
@@ -402,15 +396,6 @@ class Generator:
         self.levels = levels
         self.diagnostics = diagnostics
         self.eig = eig if eig is not None else hermitian_eig(h_free)
-        self._superop: np.ndarray | None = None
-        self._partial_superop: np.ndarray | None = None
-        self._h_total = h_free + h_interaction
-        # sum over a bath's channels of gamma A†A: the anticommutator part of D_i
-        self._decay = [
-            sum((ch.rate * ch.op_dag_op for ch in bath), np.zeros_like(h_free))
-            for bath in channels
-        ]
-        self._g_free = -1j * h_free - 0.5 * sum(self._decay)  # G = -i H_eff, without H_int
 
     @property
     def dimension(self) -> int:
@@ -419,40 +404,112 @@ class Generator:
     @property
     def hamiltonian(self) -> np.ndarray:
         """H_s plus the (filtered or full) interaction term."""
-        return self._h_total
+        return self.h_free + self.h_interaction
 
-    @staticmethod
-    def _add_jumps(out: np.ndarray, bath: list[Channel], rho: np.ndarray) -> np.ndarray:
-        """Add sum gamma A rho A† over one bath's channels into out."""
-        for ch in bath:
-            out += ch.rate * (ch.op @ rho @ ch.op.conj().T)
-        return out
+    def _entries(
+        self, terms: list[tuple[int, np.ndarray]], basis: np.ndarray | None
+    ) -> tuple[np.ndarray, ...]:
+        """(row, col, value, part) triplets of the column-stacked L, in `basis`
+        (product basis if None), entry (i, j) at i + d j; repeats add. Each (part,
+        G) of terms gives G rho + rho G†, and bath i's jumps are part BATH + i.
+
+        G rho gives ((i,j), (k,j), G_ik), rho G† gives ((i,j), (i,l), conj G_jl)
+        and gamma a rho a† gives ((i,j), (k,l), gamma a_ik conj a_jl). In the H_s
+        eigenbasis only entries keeping the Bohr frequency stay, which drops the
+        rounding noise of the rotation; jump entries are paired only within one
+        transition frequency, so a dense eigenbasis pairs no more. Entries at
+        (r, c) and (tau r, tau c), tau: i + d j -> j + d i, are added from exact
+        conjugates in the same order, so L[rho†] = L[rho]† holds entry by entry."""
+        d = self.dimension
+        labels = np.array([p for p, _ in terms])
+        g = np.array([g for _, g in terms])
+        chan = [(BATH + b, ch) for b, bath in enumerate(self.channels) for ch in bath]
+        part_of = np.array([p for p, _ in chan], dtype=int)
+        rate = np.array([ch.rate for _, ch in chan])
+        a = np.array([ch.op for _, ch in chan]).reshape(-1, d, d)
+        freq = np.zeros(d * d, dtype=int)
+        if basis is not None:
+            ud = basis.conj().T
+            g, a = ud @ g @ basis, ud @ a @ basis
+            freq = bohr_labels(self.eig.eigenvalues, self.levels.grouping_tol)
+
+        j = np.arange(d)[:, None]
+        t, i, k = np.nonzero(g)
+        v = np.broadcast_to(g[t, i, k], (d, i.size)).ravel()
+        label = np.broadcast_to(labels[t], (d, i.size)).ravel()
+        rows = [(i + d * j).ravel(), (j + d * i).ravel()]
+        cols = [(k + d * j).ravel(), (j + d * k).ravel()]
+        vals = [v, v.conj()]
+        parts = [label, label]
+        # the jump operators' nonzeros in groups of one channel and one
+        # transition frequency, and every ordered pair (x, y) within a group
+        c, i, k = np.nonzero(a)
+        group = c * (freq.max() + 1) + freq[i + d * k]
+        order = np.argsort(group, kind="stable")
+        c, i, k = c[order], i[order], k[order]
+        _, first, size = np.unique(group[order], return_index=True, return_counts=True)
+        pairs = size * size
+        m, start = np.repeat(size, pairs), np.repeat(first, pairs)
+        rank = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        x, y = start + rank // m, start + rank % m
+        # a_x conj(a_y) in real arithmetic: (x, y) and (y, x) are exact conjugates
+        re, im = a[c, i, k].real, a[c, i, k].imag
+        outer = re[x] * re[y] + im[x] * im[y] + 1j * (im[x] * re[y] - im[y] * re[x])
+        rows.append(i[x] + d * i[y])
+        cols.append(k[x] + d * k[y])
+        vals.append(rate[c[x]] * outer)
+        parts.append(part_of[c[x]])
+        out = tuple(np.concatenate(e) for e in (rows, cols, vals, parts))
+        if basis is None:
+            return out
+        keep = freq[out[0]] == freq[out[1]]
+        return tuple(e[keep] for e in out)
+
+    @cached_property
+    def _product(self) -> tuple[np.ndarray, ...]:
+        """The triplets of L by part, in the product basis."""
+        terms = [(FREE, -1j * self.h_free), (INTERACTION, -1j * self.h_interaction)]
+        for b, bath in enumerate(self.channels):
+            terms.append((BATH + b, _dissipator_g(bath, self.h_free)))
+        return self._entries(terms, None)
+
+    def _plan(self, second: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The triplets as _act applies them into two matrices, the second taking
+        those where `second` is True: each one's diagonal and other triplets."""
+        n = self.dimension**2
+        rows, cols, vals, _ = self._product
+        keys, on = rows + n * second, rows == cols
+        diagonal = _scatter(keys[on], vals[on], 2 * n).reshape(2, n)
+        return diagonal, keys[~on], cols[~on], vals[~on]
+
+    def _act(self, rho: np.ndarray, plan: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The two matrices of a plan's action on a matrix or a (T, d, d) stack."""
+        d, n = self.dimension, self.dimension**2
+        if rho.shape[-2:] != (d, d):
+            raise DimensionMismatchError(
+                f"state shape {rho.shape} does not match generator dimension {d}"
+            )
+        diagonal, keys, cols, vals = plan
+        flat = rho.swapaxes(-1, -2).reshape(-1, n)  # column-stacked
+        keys = keys + 2 * n * np.arange(len(flat))[:, None]
+        w = np.take(flat, cols, axis=1) * vals
+        out = _scatter(keys.ravel(), w.ravel(), 2 * n * len(flat)).reshape(-1, 2, n)
+        out += flat[:, None, :] * diagonal
+        out = out.reshape(*rho.shape[:-2], 2, d, d).swapaxes(-1, -2)
+        return out[..., 0, :, :], out[..., 1, :, :]
+
+    @cached_property
+    def _terms_plan(self) -> tuple[np.ndarray, ...]:
+        return self._plan(self._product[3] == INTERACTION)
 
     def dissipator(self, bath_index: int, rho: np.ndarray) -> np.ndarray:
         """beta^2-scaled dissipator of one bath applied to a matrix."""
-        k = self._decay[bath_index]
-        return self._add_jumps(-0.5 * (k @ rho + rho @ k), self.channels[bath_index], rho)
-
-    def _check_dim(self, rho: np.ndarray) -> None:
-        if rho.shape[-2:] != (self.dimension, self.dimension):
-            raise DimensionMismatchError(
-                f"state shape {rho.shape} does not match generator dimension {self.dimension}"
-            )
+        return self._act(rho, self._plan(self._product[3] != BATH + bath_index))[0]
 
     def terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The partial L_p[rho] and the full L[rho], of one matrix or a stack.
-
-        L_p[rho] = G rho + rho G† + sum gamma A rho A† with G = -i H_s - K/2,
-        K the sum of every bath's K_i, and the jump terms added into it bath
-        by bath; L adds the interaction commutator to L_p.
-        """
-        self._check_dim(rho)
-        g, v = self._g_free, self.h_interaction
-        partial = g @ rho + rho @ g.conj().T
-        for bath in self.channels:
-            self._add_jumps(partial, bath, rho)
-        full = partial - 1j * (v @ rho - rho @ v)
-        return partial, full
+        """The partial L_p[rho] and the full L[rho], of one matrix or a stack."""
+        partial, commutator = self._act(rho, self._terms_plan)
+        return partial, partial + commutator
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Full generator action on a matrix (need not be a state)."""
@@ -466,89 +523,36 @@ class Generator:
     def rate_operators(self) -> np.ndarray:
         """Heisenberg-picture operators of the rates linear in rho, stacked:
         D_i†[H_s] for each bath, then L†[H_s], then L_p†[ln rho_G], so that
-        tr(op rho) is Qdot_i, Edot and tr(L_p[rho] ln rho_G) in turn.
+        tr(op rho) is Qdot_i, Edot and tr(L_p[rho] ln rho_G) in turn. A triplet
+        (r, c, v) adds v X_r to entry c of L†[X]^T, column-stacked as X^T is."""
+        d, n, count = self.dimension, self.dimension**2, BATH + len(self.channels)
+        rows, cols, vals, part = self._product
 
-        D_i†[x] = sum gamma A† x A - {K_i, x} / 2, and the commutator's
-        adjoint is i[h, x]. Every x, h and K_i here is Hermitian, so
-        x K_i = (K_i x)† and x h = (h x)†.
-        """
-        h, g = self.h_free, self.log_product_gibbs
-        x = np.array([h, g])
-        kx = np.array(self._decay)[:, None] @ x
-        adj = -0.5 * (kx + kx.conj().swapaxes(-1, -2))  # bath, x
-        for out, bath in zip(adj, self.channels):
-            for ch in bath:
-                out += ch.rate * (ch.op.conj().T @ x @ ch.op)
-        htot_h, h_g = self._h_total @ h, h @ g
-        energy = 1j * (htot_h - htot_h.conj().T) + adj[:, 0].sum(axis=0)
-        spohn = 1j * (h_g - h_g.conj().T) + adj[:, 1].sum(axis=0)
-        return np.concatenate((adj[:, 0], energy[None], spohn[None]))
+        def adjoint(x):  # the adjoint of every part, one bincount
+            w = vals * x.ravel()[rows]
+            return _scatter(part * n + cols, w, count * n).reshape(count, d, d)
 
-    def _entries(
-        self, h: np.ndarray, basis: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, col, value) triplets of the column-stacked L with Hamiltonian h,
-        in `basis` (product basis if None), entry (i, j) at i + d j; repeats add.
+        h, g = adjoint(self.h_free), adjoint(self.log_product_gibbs)
+        spohn = np.delete(g, INTERACTION, axis=0).sum(axis=0)
+        return np.concatenate((h[BATH:], h.sum(axis=0)[None], spohn[None]))
 
-        From the nonzeros of G = -i H_eff and the jump operators a: G rho gives
-        ((i,j), (k,j), G_ik), rho G† gives ((i,j), (i,l), conj G_jl) and gamma
-        a rho a† gives ((i,j), (k,l), gamma a_ik conj a_jl). In the H_s
-        eigenbasis only entries keeping the Bohr frequency stay, which drops
-        the rounding noise of the rotation; jump entries are paired only within
-        one transition frequency, so a dense eigenbasis pairs no more. Entries
-        at (r, c) and (tau r, tau c), tau: i + d j -> j + d i, are added from
-        exact conjugates in the same order, so L[rho†] = L[rho]† holds
-        entry by entry."""
-        d = self.dimension
-        g = -1j * h - 0.5 * sum(self._decay)  # G = -i H_eff
-        jumps = [(ch.rate, ch.op) for bath in self.channels for ch in bath]
-        freq = np.zeros(d * d, dtype=int)
-        if basis is not None:
-            ud = basis.conj().T
-            g = ud @ g @ basis
-            jumps = [(r, ud @ a @ basis) for r, a in jumps]
-            freq = bohr_labels(self.eig.eigenvalues, self.levels.grouping_tol)
-
-        j = np.arange(d)[:, None]
-        i, k = np.nonzero(g)
-        v = np.broadcast_to(g[i, k], (d, i.size)).ravel()
-        rows = [(i + d * j).ravel(), (j + d * i).ravel()]
-        cols = [(k + d * j).ravel(), (j + d * k).ravel()]
-        vals = [v, v.conj()]
-        for r, a in jumps:
-            i, k = np.nonzero(a)
-            pair = freq[i + d * k]
-            for p in (np.flatnonzero(pair == f) for f in np.unique(pair)):
-                ip, kp, ap = i[p], k[p], a[i[p], k[p]]
-                rows.append((ip[:, None] + d * ip).ravel())
-                cols.append((kp[:, None] + d * kp).ravel())
-                vals.append(r * _outer_conj(ap).ravel())
-        rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
-        keep = freq[rows] == freq[cols]
-        return rows[keep], cols[keep], vals[keep]
-
-    def _dense(self, h: np.ndarray) -> np.ndarray:
-        """Column-stacked matrix of L with Hamiltonian h, in the product basis."""
+    def _dense(self, partial: bool) -> np.ndarray:
+        """Column-stacked matrix of L, or of L_p if partial, in the product basis,
+        scattered from the triplets on each call."""
         n = self.dimension**2
         # the matrix and one real bincount buffer
         _require_memory(24 * n * n, f"the dense {n} x {n} superoperator")
-        rows, cols, vals = self._entries(h, None)
-        return _scatter(rows * n + cols, vals, n * n).reshape(n, n)
+        rows, cols, vals, part = self._product
+        keep = part != INTERACTION if partial else slice(None)
+        return _scatter((rows * n + cols)[keep], vals[keep], n * n).reshape(n, n)
 
     @property
     def superop(self) -> np.ndarray:
-        if self._superop is None:
-            self._superop = self._dense(self._h_total)
-        return self._superop
+        return self._dense(partial=False)
 
     @property
     def partial_superop(self) -> np.ndarray:
-        if self._partial_superop is None:
-            self._partial_superop = self._dense(self.h_free)
-        return self._partial_superop
-
-    def superop_inf_norm(self) -> float:
-        return float(np.abs(self.superop).sum(axis=1).max())
+        return self._dense(partial=True)
 
     @cached_property
     def blocks(self) -> BlockView:
@@ -558,7 +562,8 @@ class Generator:
         self-conjugate component (see BlockView), filled by one bincount."""
         d = self.dimension
         basis = self.eig.eigenvectors if self.kind == "modified" else None
-        rows, cols, vals = self._entries(self._h_total, basis)
+        g = -1j * self.hamiltonian + sum(_dissipator_g(b, self.h_free) for b in self.channels)
+        rows, cols, vals, _ = self._entries([(FREE, g)], basis)
         label = _components(d * d, rows, cols)
         sizes = np.bincount(label)
         order = np.argsort(label, kind="stable")
@@ -610,10 +615,10 @@ class Generator:
         )
 
     def stability_norm(self) -> float:
-        """||L||_inf in the product basis, from the product-basis triplets with
+        """||L||_inf in the product basis, from the cached triplets with
         repeats added first, without the dense matrix."""
         n = self.dimension**2
-        rows, cols, vals = self._entries(self._h_total, None)
+        rows, cols, vals, _ = self._product
         keys, at = np.unique(rows * n + cols, return_inverse=True)
         entries = _scatter(at, vals, keys.size)
         return float(np.bincount(keys // n, np.abs(entries), n).max())
@@ -650,14 +655,8 @@ def _bath_channels(spec: SystemSpec) -> list[list[Channel]]:
             g = rate(omega, bath)
             if g == 0.0:
                 continue
-            op = embed(comp, index, dims)
             channels.append(
-                Channel(
-                    omega=omega,
-                    op=op,
-                    rate=spec.beta_coupling**2 * g,
-                    op_dag_op=op.conj().T @ op,
-                )
+                Channel(omega=omega, op=embed(comp, index, dims), rate=spec.beta_coupling**2 * g)
             )
         per_bath.append(channels)
     return per_bath

@@ -12,12 +12,12 @@ applied to the partial generator, whose fixed point is the product of local
 Gibbs states. The audit reports violations; it never raises on them.
 
 The audit is one pass over a (T, d, d) stack of states; audit() is the
-T = 1 case. Rates linear in rho are read in the Heisenberg picture,
-tr(X L[rho]) = tr(L†[X] rho), as one einsum against the operators
-D_i†[H_s], L†[H_s] and L_p†[ln rho_G] that Generator.rate_operators builds
-once per generator. Only dS/dt and the Spohn left-hand side need L[rho] and
-L_p[rho], taken as stacked matmuls through Generator.terms. One stacked eigh
-per state serves the positivity check, ln rho and the entropy S.
+T = 1 case. It reads L from the generator's triplets, as the solver's blocks
+do. Rates linear in rho are traces in the Heisenberg picture, tr(X L[rho]) =
+tr(L†[X] rho), against Generator.rate_operators: D_i†[H_s], L†[H_s] and
+L_p†[ln rho_G], built once per generator. dS/dt and the Spohn left-hand side
+take L[rho] and L_p[rho] from Generator.terms, a gather and bincount of the
+triplets. One stacked eigh per state serves positivity, ln rho and S.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lindloc import liouvillian
+
 
 @pytest.fixture
 def rng():
@@ -33,6 +35,13 @@ def rand_pure(rng, d):
 def rand_unitary(rng, d):
     q, r = np.linalg.qr(rand_complex(rng, d))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def block_entries(gen):
+    """The triplets that gen.blocks are filled from: L with one G = -i H_eff,
+    in the blocks' basis."""
+    g = -1j * gen.hamiltonian + sum(liouvillian._dissipator_g(b, gen.h_free) for b in gen.channels)
+    return gen._entries([(liouvillian.FREE, g)], gen.blocks.basis)
 
 
 def transpose_map(d):

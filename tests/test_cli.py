@@ -312,6 +312,18 @@ def test_simulate_exit_two_on_asserted_violation(tmp_path, monkeypatch):
     assert cli.cmd_simulate(cfg, tmp_path / "o2") == 0
 
 
+def test_violation_time_is_printed_as_a_float(tmp_path, monkeypatch, caplog):
+    """The first violating record is t = 0; the report and the error log
+    print its time as a plain number, not as a numpy scalar's repr."""
+    monkeypatch.setattr(cli, "audit_trajectory", patched_audit(ok=False))
+    cfg = RunConfig.from_dict(base_dict())
+    with caplog.at_level("ERROR", logger="lindloc"):
+        assert cli.cmd_simulate(cfg, tmp_path / "o") == 2
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "second law: violated at t = 0.0\n" in report
+    assert caplog.messages == ["second law violated by the modified generator at t = 0.0"]
+
+
 def test_compare_exit_two_on_asserted_violation(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "audit_trajectory", patched_audit(ok=False))
     cfg = RunConfig.from_dict(base_dict())

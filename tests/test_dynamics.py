@@ -1,5 +1,6 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from lindloc.errors import (
     NonUniqueSteadyStateError,
 )
 from lindloc.baths import BathSpec, SpectralModel
-from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
+from lindloc.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from lindloc.liouvillian import (
     Channel,
     Generator,
@@ -41,7 +42,7 @@ from lindloc.models import (
     two_qubit_model,
 )
 
-from conftest import assert_blocks_are_the_matrix, rand_complex, rand_density
+from conftest import assert_blocks_are_the_matrix, block_entries, rand_complex, rand_density
 
 
 # -- step matrix ------------------------------------------------------------------
@@ -180,8 +181,7 @@ def test_initial_state_validation():
 def test_unphysical_generator_detected_mid_run():
     spec = single_qubit_model()
     base = build_modified_local(spec)
-    sp, sm = SIGMA_PLUS, SIGMA_MINUS
-    bad = Channel(omega=1.0, op=sm, rate=-0.05, op_dag_op=sp @ sm)
+    bad = Channel(omega=1.0, op=SIGMA_MINUS, rate=-0.05)
     gen = Generator(
         spec=spec,
         kind="modified",
@@ -254,10 +254,10 @@ def test_decoupled_second_qubit_has_no_unique_steady_state():
         beta_coupling=0.01,
     )
     gen = build_modified_local(spec)
-    with pytest.raises(NonUniqueSteadyStateError, match="dimension 2") as exc:
+    # decided from the pooled Bohr-block singular values
+    with no_dense(), pytest.raises(NonUniqueSteadyStateError, match="dimension 2") as exc:
         steady_state(gen)
     assert exc.value.null_dim == 2
-    assert gen._superop is None  # decided from the pooled Bohr-block singular values
 
 
 def one_dimensional(h):
@@ -277,7 +277,7 @@ def test_one_dimensional_system_has_no_unique_steady_state():
     for h in (0.0, 0.5):
         for build in (build_modified_local, build_naive_local):
             gen = build(one_dimensional(h))
-            rows, _, _ = gen._entries(gen.hamiltonian, gen.blocks.basis)
+            rows = block_entries(gen)[0]
             assert rows.size == (0 if h == 0.0 else 2)  # -i h and its conjugate
             assert gen.blocks.matrices == (np.zeros((1, 1)),)
             with pytest.raises(NonUniqueSteadyStateError) as exc:
@@ -300,6 +300,12 @@ def test_relaxation_time():
 
 
 # -- blocks against the dense path ---------------------------------------------------
+
+
+def no_dense():
+    """Within this context, building a dense superoperator fails the test."""
+    refuse = AssertionError("the dense superoperator was built")
+    return mock.patch.object(Generator, "_dense", side_effect=refuse)
 
 
 def dense_in_basis(gen):
@@ -359,11 +365,10 @@ def test_block_path_matches_dense_path(chain, build, state_seed):
     cfg = SolverConfig(dt=0.01, t_max=5.0, record_stride=100)
     # a full-rank state has entries in every block
     rho0 = rand_density(np.random.default_rng(state_seed), spec.dimension)
-    a = steady_state(gen)
-    traj = evolve(gen, rho0, cfg)
+    with no_dense():
+        a = steady_state(gen)
+        traj = evolve(gen, rho0, cfg)
     assert len(gen.blocks.matrices) > 1
-    assert gen._superop is None
-    assert gen._partial_superop is None
 
     assert_blocks_are_the_matrix(gen.blocks, dense_in_basis(gen))
     assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
@@ -468,13 +473,13 @@ def test_block_path_in_a_dense_eigenbasis(rng):
     gen = build_modified_local(spec)
     assert np.count_nonzero(gen.eig.eigenvectors) > spec.dimension
     assert np.abs(gen.h_interaction).max() > 1e-3  # the exchange part survives the filter
-    a = steady_state(gen)
     rho0 = rand_density(rng, 4)
     cfg = SolverConfig(dt=0.02, t_max=10.0, record_stride=50)
-    traj = evolve(gen, rho0, cfg)
-    assert gen._superop is None  # the guard's norm comes from the triplets
+    with no_dense():  # the guard's norm comes from the triplets
+        a = steady_state(gen)
+        traj = evolve(gen, rho0, cfg)
     assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
     for x, y in zip(traj.states, dense_states(gen, rho0, cfg), strict=True):
         assert np.abs(x - y).max() <= 1e-12
     # row sums add in another order than the dense matrix's
-    assert gen.stability_norm() == pytest.approx(gen.superop_inf_norm(), rel=1e-15)
+    assert gen.stability_norm() == pytest.approx(np.abs(gen.superop).sum(axis=1).max(), rel=1e-15)

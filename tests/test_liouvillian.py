@@ -252,17 +252,21 @@ def test_modified_generator_is_block_diagonal_in_the_eigenbasis():
         assert set(populations) <= set(view.indices[view.zero].tolist())
 
 
+def inf_norm(m):
+    return float(np.abs(m).sum(axis=1).max())
+
+
 def test_stability_norm_is_dense_inf_norm():
     for spec in CHAINS:
         for gen in (build_modified_local(spec), build_naive_local(spec)):
-            assert gen.stability_norm() == pytest.approx(gen.superop_inf_norm(), rel=1e-15)
+            assert gen.stability_norm() == pytest.approx(inf_norm(gen.superop), rel=1e-15)
 
 
 def test_min_rate_and_norm():
     gen = default_two_qubit()
     n2 = 1.0 / math.expm1(1.0)
     assert gen.min_rate() == pytest.approx(1e-4 * n2, rel=1e-14)
-    assert gen.superop_inf_norm() > 0.0
+    assert inf_norm(gen.superop) > 0.0
 
 
 def test_memory_guard_refuses_an_eight_site_naive_chain(monkeypatch):

@@ -44,3 +44,16 @@ def test_traced_toy_run_sees_every_hooked_layer(workload):
     assert result["correct"] is True
     for name in ("cli.load_config.calls", "models.spec.calls", "liouvillian.build.calls"):
         assert result["metrics"][name]["value"] > 0, name
+
+
+def test_benchmark_self_test_passes():
+    """perfbench/selftest.py: every workload at toy size in both modes, with
+    the metrics and units that BENCHMARK.json names."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=900,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

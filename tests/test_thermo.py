@@ -43,6 +43,7 @@ from lindloc.thermo import (
 
 from conftest import (
     assert_blocks_are_the_matrix,
+    block_entries,
     rand_density,
     rand_hermitian,
     rand_unitary,
@@ -172,6 +173,73 @@ def test_detuned_pair_carries_no_current():
     assert abs(rep.q_dot[1]) <= 1e-10
 
 
+spectra = st.one_of(
+    st.builds(lambda c: SpectralModel(kind="flat", coupling_scale=c), st.floats(0.05, 1.0)),
+    st.builds(
+        lambda c, w: SpectralModel(kind="ohmic", coupling_scale=c, cutoff=w),
+        st.floats(0.05, 1.0),
+        st.floats(1.0, 10.0),
+    ),
+)
+
+
+@seed(20261019)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    omega=st.floats(0.5, 2.0),
+    alpha=st.floats(1e-3, 3e-2),
+    beta_coupling=st.floats(1e-3, 3e-2),
+    t1=st.floats(0.3, 3.0),
+    t2=st.floats(0.3, 3.0),
+    spectral=spectra,
+)
+def test_resonant_pair_matches_the_closed_form(omega, alpha, beta_coupling, t1, t2, spectral):
+    """The resonant pair's steady heat current against the closed form of the
+    local master equation (Levy & Kosloff, EPL 107, 20004 (2014); Hofer et
+    al., NJP 19, 123037 (2017)): with g = alpha the filtered exchange
+    coupling, Gamma_i = gamma_i(omega) + gamma_i(-omega) and p_i =
+    gamma_i(-omega) / Gamma_i,
+
+        Qdot_1 = -Qdot_2 = omega 4 g^2 G1 G2 / ((G1 + G2)(4 g^2 + G1 G2)) (p_1 - p_2).
+
+    The rates are the golden rule's 2 pi h^2 (n + 1) and 2 pi h^2 n, written
+    out here. A detuned pair (e2 = 1.5 e1) carries no current."""
+    if spectral.kind == "flat":
+        h2 = spectral.coupling_scale
+    else:
+        h2 = spectral.coupling_scale * omega * math.exp(-omega / spectral.cutoff)
+    gammas, populations = [], []
+    for t in (t1, t2):
+        n = 1.0 / math.expm1(omega / t)
+        down = beta_coupling**2 * 2.0 * math.pi * h2 * (n + 1.0)
+        up = beta_coupling**2 * 2.0 * math.pi * h2 * n
+        gammas.append(down + up)
+        populations.append(up / (down + up))
+    (g1, g2), (p1, p2), g = gammas, populations, alpha
+    prefactor = omega * 4.0 * g * g * g1 * g2 / ((g1 + g2) * (4.0 * g * g + g1 * g2))
+    closed = prefactor * (p1 - p2)
+
+    def steady_report(e2):
+        params = TwoQubitParams(
+            e1=omega, e2=e2, alpha=alpha, beta_coupling=beta_coupling, t1=t1, t2=t2, spectral=spectral
+        )
+        gen = build_modified_local(two_qubit_model(params))
+        return audit(gen, steady_state(gen).rho_ss)
+
+    rep = steady_report(omega)
+    q1, q2 = rep.q_dot
+    assert abs(q1 - closed) <= 1e-12 * prefactor
+    assert abs(q1 + q2) <= 1e-12 * prefactor
+    # the production's scale is the prefactor's too, so that t1 = t2 is covered
+    betas = 1.0 / t1 + 1.0 / t2
+    assert abs(rep.entropy_production + q1 / t1 + q2 / t2) <= 1e-12 * prefactor * betas
+    if abs(closed) > 1e-12 * prefactor:
+        assert (q1 > 0.0) == (t1 > t2)  # heat flows from the hot bath to the cold one
+
+    detuned = steady_report(1.5 * omega)
+    assert np.abs(detuned.q_dot).max() <= 1e-12 * omega * max(g1, g2)
+
+
 def test_heat_currents_scale_with_coupling_squared(rng):
     rho = rand_density(rng, 4)
     weak = build_modified_local(two_qubit_model(TwoQubitParams(beta_coupling=0.01)))
@@ -272,12 +340,25 @@ def test_audit_rejects_misshaped_states():
 # -- the laws over random networks ------------------------------------------------------
 
 
+def dense_dissipators(gen, rho):
+    """Each bath's D_i[rho] = sum gamma (a rho a† - {a†a, rho}/2), from the
+    channels' dense jump operators, independent of the generator's triplets."""
+    out = []
+    for bath in gen.channels:
+        d_i = np.zeros_like(rho)
+        for ch in bath:
+            a, k = ch.op, ch.op.conj().T @ ch.op
+            d_i += ch.rate * (a @ rho @ a.conj().T - 0.5 * (k @ rho + rho @ k))
+        out.append(d_i)
+    return out
+
+
 def reference_report(gen, rho):
     """One state through the per-state formulas: traces against each bath's
     D_i[rho] in the Schrödinger picture, L_p = -i[H_s, .] + sum D_i, and its own
     eigendecomposition for ln rho and S."""
     d, h, v = gen.dimension, gen.h_free, gen.h_interaction
-    diss = [gen.dissipator(i, rho) for i in range(len(gen.channels))]
+    diss = dense_dissipators(gen, rho)
     l_partial = -1j * (h @ rho - rho @ h) + sum(diss)
     l_full = l_partial - 1j * (v @ rho - rho @ v)
     q = [np.trace(h @ d_i).real for d_i in diss]
@@ -298,6 +379,28 @@ def reference_report(gen, rho):
         "spohn_rhs": -np.trace(l_partial @ gen.log_product_gibbs).real,
         "entropy": entropy,
     }
+
+
+def assert_rate_operators_are_the_adjoints(gen, states, scale):
+    """tr(op rho) for each row of gen.rate_operators and each state of a stack,
+    against the dense reference (D_i, L and L_p built from the jump operators)
+    and against tr(X L[rho]) through the dense superoperators."""
+    h, g, v = gen.h_free, gen.log_product_gibbs, gen.h_interaction
+    superop, partial_superop = gen.superop, gen.partial_superop
+    for rho in states:
+        diss = dense_dissipators(gen, rho)
+        l_partial = -1j * (h @ rho - rho @ h) + sum(diss)
+        l_full = l_partial - 1j * (v @ rho - rho @ v)
+        want = [*(h @ d_i for d_i in diss), h @ l_full, g @ l_partial]
+        via_superop = [
+            *(h @ d_i for d_i in diss),
+            h @ unvectorize(superop @ vectorize(rho)),
+            g @ unvectorize(partial_superop @ vectorize(rho)),
+        ]
+        for op, ref, dense in zip(gen.rate_operators, want, via_superop, strict=True):
+            got = np.trace(op @ rho)
+            assert abs(got - np.trace(ref)) <= 1e-12 * scale
+            assert abs(got - np.trace(dense)) <= 1e-12 * scale
 
 
 # subsystem level grids: all Bohr frequencies are multiples of 0.5, far apart
@@ -322,7 +425,7 @@ def test_laws_hold_on_random_networks(network, draw_seed):
     modified generator's blocks are conjugate pairs and real self-conjugate
     blocks with exact zeros between them, its steady state is unique and
     positive, it keeps both laws on random full-rank states, and the stacked
-    audit agrees with the per-state formulas."""
+    audit and each rate operator agree with the per-state formulas."""
     rng = np.random.default_rng(draw_seed)
     flat = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
     subsystems, baths = [], []
@@ -347,7 +450,7 @@ def test_laws_hold_on_random_networks(network, draw_seed):
     # the blocks against L assembled in their basis, whose entries at the
     # transposed indices are exact conjugates
     n = full * full
-    rows, cols, vals = gen._entries(gen.hamiltonian, gen.blocks.basis)
+    rows, cols, vals, _ = block_entries(gen)
     assembled = liouvillian._scatter(rows * n + cols, vals, n * n).reshape(n, n)
     tau = transpose_map(full)
     assert np.array_equal(assembled[np.ix_(tau, tau)], assembled.conj())
@@ -361,6 +464,10 @@ def test_laws_hold_on_random_networks(network, draw_seed):
     traj = Trajectory(times=np.arange(3.0), states=states)
     energy_scale = float(np.abs(np.linalg.eigvalsh(gen.h_free)).max())
     scale = max(1.0, energy_scale)
+    # the naive generator's interaction does not commute with H_s, so its
+    # commutator reaches L†[H_s]
+    for built in (gen, build_naive_local(spec)):
+        assert_rate_operators_are_the_adjoints(built, states, scale)
     for rho, stacked in zip(states, audit_trajectory(gen, traj), strict=True):
         ref = reference_report(gen, rho)
         q_ref = ref.pop("q_dot")
