@@ -37,7 +37,7 @@ from .errors import (
     PositivityError,
 )
 from .linalg import max_abs, runs
-from .liouvillian import Generator
+from .liouvillian import Generator, _require_memory
 
 log = logging.getLogger("lindloc")
 
@@ -167,6 +167,12 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
             WEAK_COUPLING_WINDOW,
         )
 
+    n_steps = max(1, int(round(config.t_max / config.dt)))
+    stride = min(config.record_stride, n_steps)
+    records = -(-n_steps // stride)
+    # the recorded states, their d^2 real words of block coordinates, steps and times
+    _require_memory((records + 1) * (24 * d * d + 32), f"{records} records of a {d} x {d} state")
+
     view = gen.blocks
     x, z = view.to_vector(rho0)
     # a block that starts at exactly zero stays exactly zero
@@ -175,9 +181,7 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
         for v, block, m in zip((x if r else z for r in view.real), view.slices, view.matrices)
         if v[block].any()
     ]
-    n_steps = max(1, int(round(config.t_max / config.dt)))
     step_matrices = [rk4_step_matrix(m, config.dt) for _, _, m in live]
-    stride = min(config.record_stride, n_steps)
     stride_matrices = [np.linalg.matrix_power(s, stride) for s in step_matrices]
 
     # every stride-th step is recorded, and the last step

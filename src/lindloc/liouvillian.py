@@ -46,7 +46,6 @@ from .linalg import (
 )
 from .spectral import (
     EnergyLevels,
-    bohr_labels,
     decompose_operator,
     default_grouping_tol,
     group_levels,
@@ -371,10 +370,12 @@ class BlockView:
 class Generator:
     """A built local generator: Hamiltonian pieces plus per-bath jump channels.
 
-    The blocks read L's triplets with one G = -i H_eff = -i H - (1/2) sum
-    gamma A†A; every other use reads one cached product-basis pass whose
-    triplets carry their part, -i[H_s, .], -i[V, .] or a bath's D_i. L_p, the
-    partial generator fixing the product of local Gibbs states, leaves out V.
+    L's parts are one cached list of (part, G): -i H_s, -i V and bath i's
+    -K_i/2. The blocks read L's triplets with their sum, G = -i H_eff, in the
+    Bohr blocks of `levels` (H_s's eigensystem and frequencies); every other
+    use reads one cached product-basis pass whose triplets carry their part.
+    L_p, the partial generator fixing the product of local Gibbs states,
+    leaves out V.
     """
 
     def __init__(
@@ -386,7 +387,6 @@ class Generator:
         channels: list[list[Channel]],
         levels: EnergyLevels,
         diagnostics: SpectrumDiagnostics | None,
-        eig: HermitianEigenSystem | None = None,
     ):
         self.spec = spec
         self.kind = kind
@@ -395,7 +395,11 @@ class Generator:
         self.channels = channels
         self.levels = levels
         self.diagnostics = diagnostics
-        self.eig = eig if eig is not None else hermitian_eig(h_free)
+
+    @property
+    def eig(self) -> HermitianEigenSystem:
+        """The H_s eigensystem the levels were grouped from."""
+        return self.levels.eig
 
     @property
     def dimension(self) -> int:
@@ -431,7 +435,7 @@ class Generator:
         if basis is not None:
             ud = basis.conj().T
             g, a = ud @ g @ basis, ud @ a @ basis
-            freq = bohr_labels(self.eig.eigenvalues, self.levels.grouping_tol)
+            freq = self.levels.frequency_labels.ravel()
 
         j = np.arange(d)[:, None]
         t, i, k = np.nonzero(g)
@@ -466,12 +470,16 @@ class Generator:
         return tuple(e[keep] for e in out)
 
     @cached_property
+    def _terms(self) -> list[tuple[int, np.ndarray]]:
+        """(part, G) of each part of L: -i H_s, -i V and bath i's -K_i/2."""
+        return [(FREE, -1j * self.h_free), (INTERACTION, -1j * self.h_interaction)] + [
+            (BATH + b, _dissipator_g(bath, self.h_free)) for b, bath in enumerate(self.channels)
+        ]
+
+    @cached_property
     def _product(self) -> tuple[np.ndarray, ...]:
         """The triplets of L by part, in the product basis."""
-        terms = [(FREE, -1j * self.h_free), (INTERACTION, -1j * self.h_interaction)]
-        for b, bath in enumerate(self.channels):
-            terms.append((BATH + b, _dissipator_g(bath, self.h_free)))
-        return self._entries(terms, None)
+        return self._entries(self._terms, None)
 
     def _plan(self, second: np.ndarray) -> tuple[np.ndarray, ...]:
         """The triplets as _act applies them into two matrices, the second taking
@@ -562,7 +570,7 @@ class Generator:
         self-conjugate component (see BlockView), filled by one bincount."""
         d = self.dimension
         basis = self.eig.eigenvectors if self.kind == "modified" else None
-        g = -1j * self.hamiltonian + sum(_dissipator_g(b, self.h_free) for b in self.channels)
+        g = -1j * self.hamiltonian + sum(t for part, t in self._terms if part >= BATH)
         rows, cols, vals, _ = self._entries([(FREE, g)], basis)
         label = _components(d * d, rows, cols)
         sizes = np.bincount(label)
@@ -700,7 +708,6 @@ def _build(spec: SystemSpec, filtered: bool) -> Generator:
         channels=_bath_channels(spec),
         levels=levels,
         diagnostics=diagnostics,
-        eig=eig,
     )
 
 

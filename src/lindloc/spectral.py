@@ -1,26 +1,28 @@
 """Energy-level grouping and Bohr-frequency decompositions.
 
-An operator A relative to a Hamiltonian with grouped eigenvalues e_k and
-projectors P_k splits into frequency components
+An operator A relative to a Hamiltonian with eigenvalues E_i, eigenvectors
+V and eigenvalues grouped into levels e_k splits into frequency components
 
-    A(w) = sum over (m, n) with e_n - e_m = w of  P_m A P_n,
+    A(w) = V (M_w o V† A V) V†,   (M_w)_ik = 1 if e(k) - e(i) = w else 0,
 
-so that sum_w A(w) = A and A(w)† = A(-w). The w = 0 component is the part of
-A that commutes with the Hamiltonian; dropping everything else is the secular
-filter used when building the interaction term of the local generator.
+the sum over level pairs (m, n) with e_n - e_m = w of P_m A P_n, so that
+sum_w A(w) = A and A(w)† = A(-w). The level-pair differences are clustered
+once, by one rule (EnergyLevels), and that clustering gives the frequencies,
+the masks M_w and the Bohr blocks of the generator. The w = 0 component is
+the part of A that commutes with the Hamiltonian; dropping everything else
+is the secular filter used when building the interaction term of the local
+generator.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AmbiguousSpectrumError, DimensionMismatchError
 from .linalg import HermitianEigenSystem, max_abs, require_hermitian, require_square
-
-log = logging.getLogger("lindloc")
 
 # Relative scale for merging eigenvalues / Bohr frequencies.
 DEFAULT_GROUPING_SCALE = 1e-9
@@ -36,20 +38,22 @@ def default_grouping_tol(eigenvalues: np.ndarray) -> float:
     return DEFAULT_GROUPING_SCALE * scale
 
 
-def _cluster_sorted(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clusters of a sorted 1-d array: split where the gap exceeds tol."""
-    if values.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(values) > tol)[0] + 1
-    return np.split(np.arange(values.size), breaks)
+def _cluster_sorted(values: np.ndarray, tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Single-linkage clusters of a sorted 1-d array, split where the gap
+    exceeds tol: the cluster of each value, and each cluster's values."""
+    ends = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), values.size]
+    label = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+    return label, [values[a:b] for a, b in zip(ends, ends[1:])]
 
 
 @dataclass(frozen=True)
 class EnergyLevels:
-    """Distinct (grouped) eigenvalues with their spectral projectors."""
+    """Distinct (grouped) eigenvalues, the eigensystem they were grouped
+    from, and the level of each of its eigenvalues."""
 
+    eig: HermitianEigenSystem
     energies: np.ndarray
-    projectors: tuple[np.ndarray, ...]
+    labels: np.ndarray
     grouping_tol: float
 
     @property
@@ -58,24 +62,32 @@ class EnergyLevels:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.labels.shape[0]
+
+    @cached_property
+    def _bohr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one clustering of the level-pair differences e_n - e_m at
+        grouping_tol: the sorted cluster means, and frequency_labels."""
+        diffs = (self.energies[None, :] - self.energies[:, None]).ravel()
+        order = np.argsort(diffs, kind="stable")
+        label, clusters = _cluster_sorted(diffs[order], self.grouping_tol)
+        pair = np.empty(diffs.size, dtype=int)
+        pair[order] = label
+        freqs = np.array([float(np.mean(c)) for c in clusters])
+        labels = pair.reshape(self.count, -1)[np.ix_(self.labels, self.labels)]
+        freqs.flags.writeable = labels.flags.writeable = False  # every caller shares them
+        return freqs, labels
 
     def bohr_frequencies(self) -> np.ndarray:
         """Sorted distinct energy differences e_n - e_m, merged at grouping_tol."""
-        diffs = (self.energies[None, :] - self.energies[:, None]).ravel()
-        diffs = np.sort(diffs)
-        reps = [float(np.mean(diffs[idx])) for idx in _cluster_sorted(diffs, self.grouping_tol)]
-        return np.array(reps)
+        return self._bohr[0]
 
-
-def bohr_labels(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
-    """Label of E_i - E_j for each column-stacked index pair (i, j) -> i + d j,
-    clustered at tol with the rule bohr_frequencies uses; ascending in frequency."""
-    diffs = (eigenvalues[:, None] - eigenvalues[None, :]).ravel(order="F")
-    order = np.argsort(diffs, kind="stable")
-    labels = np.empty(diffs.size, dtype=int)
-    labels[order] = np.concatenate(([0], np.cumsum(np.diff(diffs[order]) > tol)))
-    return labels
+    @property
+    def frequency_labels(self) -> np.ndarray:
+        """Entry (i, k) is the index in bohr_frequencies() of e(k) - e(i), the
+        levels of E_k and E_i: the frequency of entry (i, k) of an operator
+        written in the eigenbasis."""
+        return self._bohr[1]
 
 
 def group_levels(eig: HermitianEigenSystem, tol: float) -> EnergyLevels:
@@ -86,22 +98,28 @@ def group_levels(eig: HermitianEigenSystem, tol: float) -> EnergyLevels:
     """
     if tol <= 0.0:
         raise ValueError(f"grouping tolerance must be positive, got {tol!r}")
-    w, v = eig.eigenvalues, eig.eigenvectors
-    energies = []
-    projectors = []
-    for idx in _cluster_sorted(w, tol):
-        diameter = float(w[idx[-1]] - w[idx[0]])
+    labels, clusters = _cluster_sorted(eig.eigenvalues, tol)
+    for c in clusters:
+        diameter = float(c[-1] - c[0])
         if diameter > 10.0 * tol:
             raise AmbiguousSpectrumError(
-                f"eigenvalue cluster around {float(np.mean(w[idx])):.6g} spans "
+                f"eigenvalue cluster around {float(np.mean(c)):.6g} spans "
                 f"{diameter:.3e}, more than 10x the grouping tolerance {tol:.3e}"
             )
-        cols = v[:, idx]
-        energies.append(float(np.mean(w[idx])))
-        projectors.append(cols @ cols.conj().T)
-    return EnergyLevels(
-        energies=np.array(energies), projectors=tuple(projectors), grouping_tol=tol
-    )
+    energies = np.array([float(np.mean(c)) for c in clusters])
+    return EnergyLevels(eig=eig, energies=energies, labels=labels, grouping_tol=tol)
+
+
+def _parts(a: np.ndarray, levels: EnergyLevels, masks: np.ndarray) -> np.ndarray:
+    """V (mask o V† a V) V† for one mask or a stack: the part of a on the
+    eigenbasis entries each mask selects."""
+    d = require_square(a, "operator")
+    if d != levels.dim:
+        raise DimensionMismatchError(
+            f"operator dimension {d} does not match level dimension {levels.dim}"
+        )
+    v = levels.eig.eigenvectors
+    return v @ np.where(masks, v.conj().T @ a @ v, 0.0) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -123,10 +141,7 @@ class BohrDecomposition:
         return np.zeros_like(self.source)
 
     def resum(self) -> np.ndarray:
-        out = np.zeros_like(self.source)
-        for _, op in self.terms:
-            out = out + op
-        return out
+        return sum((op for _, op in self.terms), np.zeros_like(self.source))
 
 
 def decompose_operator(a: np.ndarray, levels: EnergyLevels) -> BohrDecomposition:
@@ -136,51 +151,27 @@ def decompose_operator(a: np.ndarray, levels: EnergyLevels) -> BohrDecomposition
     components with entries below ZERO_TERM_SCALE relative to the source are
     dropped.
     """
-    d = require_square(a, "operator")
-    if d != levels.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {d} does not match level dimension {levels.dim}"
-        )
-    e, proj = levels.energies, levels.projectors
-    raw_w = []
-    raw_op = []
-    for m in range(levels.count):
-        left = proj[m] @ a
-        for n in range(levels.count):
-            raw_w.append(e[n] - e[m])
-            raw_op.append(left @ proj[n])
-
-    raw_w = np.array(raw_w)
-    order = np.argsort(raw_w, kind="stable")
-    sorted_w = raw_w[order]
-
+    freqs = levels.bohr_frequencies()
+    comps = _parts(a, levels, levels.frequency_labels == np.arange(freqs.size)[:, None, None])
     scale = max_abs(a)
-    terms: list[tuple[float, np.ndarray]] = []
-    for idx in _cluster_sorted(sorted_w, levels.grouping_tol):
-        comp = np.zeros_like(a, dtype=complex)
-        for k in idx:
-            comp = comp + raw_op[order[k]]
-        if scale > 0.0 and max_abs(comp) < ZERO_TERM_SCALE * scale:
-            continue
-        terms.append((float(np.mean(sorted_w[idx])), comp))
-    return BohrDecomposition(terms=tuple(terms), source=np.asarray(a, dtype=complex))
+    terms = tuple(
+        (float(w), comp)
+        for w, comp in zip(freqs, comps)
+        if scale == 0.0 or max_abs(comp) >= ZERO_TERM_SCALE * scale
+    )
+    return BohrDecomposition(terms=terms, source=np.asarray(a, dtype=complex))
 
 
 def secular_filter(h: np.ndarray, levels: EnergyLevels) -> np.ndarray:
-    """Zero-frequency part of a Hermitian operator: sum_k P_k h P_k.
+    """Zero-frequency part of a Hermitian operator: sum_k P_k h P_k, the
+    eigenbasis entries within one level.
 
     This is the component that commutes with the Hamiltonian defining the
     levels; it equals the w = 0 term of decompose_operator.
     """
     require_hermitian(h, name="interaction operator")
-    if h.shape[0] != levels.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {h.shape[0]} does not match level dimension {levels.dim}"
-        )
-    out = np.zeros_like(h, dtype=complex)
-    for p in levels.projectors:
-        out = out + p @ h @ p
-    return out
+    labels = levels.frequency_labels
+    return _parts(h, levels, labels == labels[0, 0])
 
 
 @dataclass(frozen=True)
@@ -211,11 +202,8 @@ def sparse_spectrum_diagnostics(levels: EnergyLevels, coupling: float) -> Spectr
     freqs = levels.bohr_frequencies()
     nonzero = np.abs(freqs[np.abs(freqs) > levels.grouping_tol])
     min_freq = float(nonzero.min()) if nonzero.size else float("inf")
-    if freqs.size >= 2:
-        spacings = np.diff(np.sort(freqs))
-        min_spacing = float(spacings.min())
-    else:
-        min_spacing = float("inf")
+    # the frequencies are sorted
+    min_spacing = float(np.diff(freqs).min()) if freqs.size >= 2 else float("inf")
     fr = min_freq / coupling
     sr = min_spacing / coupling
     worst = min(fr, sr)

@@ -40,7 +40,7 @@ def rand_unitary(rng, d):
 def block_entries(gen):
     """The triplets that gen.blocks are filled from: L with one G = -i H_eff,
     in the blocks' basis."""
-    g = -1j * gen.hamiltonian + sum(liouvillian._dissipator_g(b, gen.h_free) for b in gen.channels)
+    g = -1j * gen.hamiltonian + sum(t for part, t in gen._terms if part >= liouvillian.BATH)
     return gen._entries([(liouvillian.FREE, g)], gen.blocks.basis)
 
 

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import lindloc.cli as cli
+from lindloc import liouvillian
 from lindloc.cli import (
     RunConfig,
     _set_by_path,
@@ -574,6 +575,17 @@ def test_error_exits_are_one(tmp_path):
     proc = run_cli("simulate", write_yaml(tmp_path, base_dict()), "--jobs", 0)
     assert proc.returncode == 1
     assert "--jobs" in proc.stderr
+
+
+def test_record_count_beyond_memory_exits_one(tmp_path, monkeypatch, capsys):
+    # in process, with the physical memory fixed, so the run is refused on any machine
+    monkeypatch.setattr(liouvillian, "PHYSICAL_MEMORY", 8 * 2**30)
+    data = base_dict(solver={"dt": 1.0e-5, "t_max": 1.0e4, "record_stride": 1})
+    path = write_yaml(tmp_path, data)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "lindloc: error: 1000000000 records of a 4 x 4 state would need" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_number_exits_one(tmp_path):

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lindloc import dynamics
+from lindloc import dynamics, liouvillian
 from lindloc.dynamics import (
     SolverConfig,
     SteadyStateResult,
@@ -20,6 +21,7 @@ from lindloc.errors import (
     ConfigError,
     DimensionMismatchError,
     IntegrationError,
+    LindlocError,
     NonUniqueSteadyStateError,
 )
 from lindloc.baths import BathSpec, SpectralModel
@@ -41,6 +43,7 @@ from lindloc.models import (
     single_qubit_model,
     two_qubit_model,
 )
+from lindloc.thermo import audit
 
 from conftest import assert_blocks_are_the_matrix, block_entries, rand_complex, rand_density
 
@@ -147,6 +150,23 @@ def test_oversized_step_is_rejected():
     gen = build_modified_local(single_qubit_model())
     with pytest.raises(ConfigError, match="stability"):
         evolve(gen, mixed_state(2), SolverConfig(dt=1e6, t_max=2e6))
+
+
+def test_record_count_is_checked_before_allocating(monkeypatch):
+    """A run that passes the stability guard but asks for 10^9 records is
+    refused from its record count, before any record array exists; the
+    physical memory is fixed so the outcome does not depend on the machine."""
+    monkeypatch.setattr(liouvillian, "PHYSICAL_MEMORY", 8 * 2**30)
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    cfg = SolverConfig(dt=1.0e-5, t_max=1.0e4, record_stride=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LindlocError, match=r"1000000000 records of a 4 x 4 state would need"):
+            evolve(gen, mixed_state(4), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def test_long_horizon_warning(caplog):
@@ -453,6 +473,20 @@ def test_anti_hermitian_part_of_rho0_is_not_carried():
         assert np.array_equal(traj.states, evolve(gen, rho, cfg).states)
     with pytest.raises(IntegrationError, match="not Hermitian within 1e-9"):
         evolve(gen, rho + 20.0 * skew, cfg)
+
+
+def test_each_bath_forms_its_k_once(rng):
+    """steady_state reads the blocks and audit the product-basis triplets; both
+    read one cached list of the baths' -K_i/2."""
+    spec = qubit_chain_model(3, [1.0, 1.5, 1.0], [2.0, 1.0, 0.5])
+    with mock.patch.object(
+        liouvillian, "_dissipator_g", wraps=liouvillian._dissipator_g
+    ) as formed:
+        gen = build_modified_local(spec)
+        ss = steady_state(gen)
+        audit(gen, ss.rho_ss)
+        audit(gen, rand_density(rng, spec.dimension))
+    assert formed.call_count == len(spec.baths)
 
 
 def test_block_path_in_a_dense_eigenbasis(rng):

@@ -14,7 +14,6 @@ from lindloc.errors import (
     NonHermitianError,
 )
 from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, embed, kron
-from lindloc.spectral import bohr_labels
 from lindloc.liouvillian import (
     Subsystem,
     SystemSpec,
@@ -235,7 +234,8 @@ def eigenbasis_superop(gen):
 def test_modified_generator_is_block_diagonal_in_the_eigenbasis():
     for spec in CHAINS:
         mod, naive = build_modified_local(spec), build_naive_local(spec)
-        freq = bohr_labels(mod.eig.eigenvalues, mod.levels.grouping_tol)
+        # the Bohr frequency of E_i - E_j at i + d j
+        freq = mod.levels.frequency_labels.ravel()
         between = freq[:, None] != freq[None, :]
 
         l_mod = eigenbasis_superop(mod)

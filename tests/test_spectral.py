@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lindloc.errors import AmbiguousSpectrumError, DimensionMismatchError
 from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, hermitian_eig, kron
@@ -11,7 +13,7 @@ from lindloc.spectral import (
     sparse_spectrum_diagnostics,
 )
 
-from conftest import rand_complex, rand_hermitian
+from conftest import rand_complex, rand_hermitian, rand_unitary
 
 
 def levels_of(h, tol=1e-9):
@@ -22,17 +24,19 @@ def levels_of(h, tol=1e-9):
 
 
 def test_grouping_merges_degenerate_levels():
-    lv = levels_of(np.diag([0.0, 0.0, 1.0]).astype(complex))
-    assert lv.count == 2
-    assert np.allclose(lv.energies, [0.0, 1.0])
-    # projector rank equals level multiplicity
-    assert np.trace(lv.projectors[0]).real == pytest.approx(2.0, abs=1e-12)
-    assert np.trace(lv.projectors[1]).real == pytest.approx(1.0, abs=1e-12)
-    # projectors are orthogonal idempotents resolving the identity
-    p0, p1 = lv.projectors
-    assert np.abs(p0 @ p0 - p0).max() < 1e-12
-    assert np.abs(p0 @ p1).max() < 1e-12
-    assert np.abs(p0 + p1 - np.eye(3)).max() < 1e-12
+    eig = hermitian_eig(np.diag([0.0, 0.0, 1.0]).astype(complex))
+    lv = group_levels(eig, 1e-9)
+    assert lv.eig is eig
+    assert (lv.count, lv.dim) == (2, 3)
+    assert lv.energies.tolist() == [0.0, 1.0]
+    # one level label per eigenvalue
+    assert lv.labels.tolist() == [0, 0, 1]
+    # entry (i, k) carries E_k - E_i, an index into the sorted frequencies
+    assert lv.bohr_frequencies().tolist() == [-1.0, 0.0, 1.0]
+    assert lv.frequency_labels.tolist() == [[1, 1, 2], [1, 1, 2], [0, 0, 1]]
+    # the one clustering is cached and shared, so no caller may write to it
+    assert not lv.bohr_frequencies().flags.writeable
+    assert not lv.frequency_labels.flags.writeable
 
 
 def test_grouping_near_degenerate_within_tol():
@@ -147,6 +151,44 @@ def test_filter_equals_zero_frequency_component(rng):
     lv = levels_of(h)
     dec = decompose_operator(g, lv)
     assert np.allclose(secular_filter(g, lv), dec.component(0.0, 1e-8), atol=1e-12)
+
+
+@seed(20261019)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    multiplicity=st.dictionaries(st.integers(0, 6), st.integers(1, 3), min_size=1, max_size=4),
+    unit=st.floats(0.5, 2.0),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_near_degenerate_levels_decompose_by_one_clustering(multiplicity, unit, draw):
+    """Levels on a coarse grid, each eigenvalue jittered by up to 0.4 tol, in
+    a random eigenbasis: the clusters are the drawn levels, and the
+    components are the Bohr components of the grouped Hamiltonian."""
+    rng = np.random.default_rng(draw)
+    tol = 1e-12 * unit
+    grid = sorted(multiplicity)
+    counts = [multiplicity[k] for k in grid]
+    w = np.repeat(unit * np.array(grid, dtype=float), counts)
+    w = w + rng.uniform(-0.4, 0.4, w.size) * tol
+    u = rand_unitary(rng, w.size)
+    lv = levels_of((u * w) @ u.conj().T, tol)
+
+    assert lv.labels.tolist() == np.repeat(np.arange(len(grid)), counts).tolist()
+    assert np.abs(lv.energies - unit * np.array(grid)).max() <= 0.4 * tol + 1e-14 * unit
+
+    a = rand_hermitian(rng, w.size)
+    dec = decompose_operator(a, lv)
+    v = lv.eig.eigenvectors
+    h_bar = (v * lv.energies[lv.labels]) @ v.conj().T
+    scale = np.abs(a).max() * max(1.0, np.abs(lv.energies).max())
+    assert np.abs(dec.resum() - a).max() <= 1e-10 * scale
+    for omega, op in dec.terms:
+        # two clusters of one grid frequency lie more than tol apart
+        partner = dec.component(-omega, 0.5 * tol)
+        assert np.abs(op.conj().T - partner).max() <= 1e-10 * scale
+        assert np.abs(h_bar @ op - op @ h_bar + omega * op).max() <= 1e-10 * scale
+    zero = dec.component(0.0, 0.5 * tol)
+    assert np.abs(secular_filter(a, lv) - zero).max() <= 1e-12 * np.abs(a).max()
 
 
 # -- spectrum diagnostics --------------------------------------------------------
