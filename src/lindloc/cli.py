@@ -354,9 +354,10 @@ def dump_config(config: RunConfig) -> str:
 # -- config -> physics objects ----------------------------------------------
 
 
-def make_generator(config: RunConfig) -> Generator:
+def make_generator(config: RunConfig, previous: Generator | None = None) -> Generator:
+    """The config's generator, reusing previous's structure where it can."""
     build = build_naive_local if config.generator == "naive" else build_modified_local
-    return build(config.spec)
+    return build(config.spec, previous)
 
 
 def initial_state(config: RunConfig, gen: Generator) -> np.ndarray:
@@ -530,14 +531,16 @@ def _set_by_path(data: dict, dotted: str, value: float) -> None:
             node = node[key]
 
 
-def _sweep_point(config: RunConfig, k: int, value: float):
-    """The steady state's residual and audit with sweep.values[k] set in the model."""
+def _sweep_point(config: RunConfig, k: int, value: float, previous: Generator | None):
+    """The generator with sweep.values[k] set in the model, built from the
+    previous point's where only rates changed, its steady state's residual
+    and its audit."""
     data = replace(config, sweep=None).to_dict()
     _set_by_path(data, config.sweep.parameter, value)
     try:
-        gen = make_generator(RunConfig.from_dict(data))
+        gen = make_generator(RunConfig.from_dict(data), previous)
         result = steady_state(gen)
-        return result.residual, audit(gen, result.rho_ss)
+        return gen, result.residual, audit(gen, result.rho_ss)
     except (LindlocError, ValueError) as exc:
         raise ConfigError(f"sweep.values[{k}] = {value!r}: {exc}") from exc
 
@@ -546,7 +549,13 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     if config.sweep is None:
         raise ConfigError("sweep: section is required by the sweep command")
     parameter, values = config.sweep.parameter, config.sweep.values
-    points = [(value, *_sweep_point(config, k, value)) for k, value in enumerate(values)]
+    points, gen, built = [], None, 0
+    for k, value in enumerate(values):
+        previous = gen
+        gen, residual, report = _sweep_point(config, k, value, previous)
+        built += previous is None or gen.structure is not previous.structure
+        points.append((value, residual, report))
+    log.info("sweep: generator structure built at %d of %d points", built, len(values))
 
     def write_table(fh) -> None:
         header = (

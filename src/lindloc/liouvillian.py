@@ -11,9 +11,11 @@ bath i's coupling operator in its own subsystem eigenbasis, embedded into the
 product space. The naive variant keeps the full interaction in the
 commutator; its dissipators are identical.
 
-L is written down once, as (row, col, value) triplets (Generator._entries):
-its action, adjoint, dense form and norm are read from them, and the blocks
-are the connected components of their pattern. The modified generator is
+L is written down once, as (row, col, value) triplets (_triplets): its
+action, adjoint, dense form and norm are read from them, and the blocks are
+the connected components of their pattern. Where the triplets go is a
+Structure, which generators that differ only in rates share; a Generator
+fills it with its values. The modified generator is
 covariant under the free evolution, so in the H_s eigenbasis each component
 lies inside one Bohr block (E_k - E_l = E_i - E_j); the naive generator of a
 qubit chain conserves parity and splits into two halves in the product basis.
@@ -149,9 +151,10 @@ class Channel:
     rate: float
 
 
-def _dissipator_g(bath: list[Channel], like: np.ndarray) -> np.ndarray:
-    """G = -K_i/2 of one bath's D_i, K_i = sum gamma A†A over its channels."""
-    return sum((-0.5 * ch.rate * (ch.op.conj().T @ ch.op) for ch in bath), np.zeros_like(like))
+def _dissipator_g(bath: list[Channel], products: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """G = -K_i/2 of one bath's D_i, K_i = sum gamma A†A over its channels,
+    given the A†A of each."""
+    return sum((-0.5 * ch.rate * p for ch, p in zip(bath, products)), np.zeros_like(like))
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -214,23 +217,26 @@ def _transpose(d: int) -> np.ndarray:
 
 SQRT2 = np.sqrt(2.0)
 SQRT_HALF = np.sqrt(0.5)
-# Re(i^k v) for k quarter turns is an exact sign and swap of v's parts
-QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 # the product of two weights' magnitudes, by how many are off the diagonal
 WEIGHT_PRODUCTS = np.array([1.0, SQRT_HALF, 0.5])
+# Re(i^q v) for q quarter turns is SIGNS[q] times the part q % 2 of v
+SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _hermitian_triplets(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, tau: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real (row, col, value) triplets, in Hermitian coordinates (see BlockView),
-    of the part of L on tau-closed blocks, from its complex triplets.
+    rows: np.ndarray, cols: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Real (row, col) triplets, in Hermitian coordinates (see BlockView), of
+    the part of L on tau-closed blocks, from its complex triplets' (row, col):
+    each one's complex triplet, the part of that value it takes (0 real, 1
+    imaginary) and the factor it takes it with.
 
     Entry p feeds the coordinate at p with weight 1, 1/sqrt2 or -i/sqrt2
     (p = tau p, p < tau p, p > tau p) and, off the diagonal, the coordinate at
     tau p with weight i/sqrt2 (p < tau p) or 1/sqrt2 (p > tau p). A triplet
     (r, c, v) adds Re(conj(w_r) v w_c) to each of the at most four coordinate
-    pairs it feeds; the imaginary parts cancel between r, c and tau r, tau c."""
+    pairs it feeds; the imaginary parts cancel between r, c and tau r, tau c.
+    conj(w_r) w_c is a magnitude times i^q, and Re(i^q v) is +-Re v or +-Im v."""
     scale = WEIGHT_PRODUCTS[(rows != tau[rows]).astype(int) + (cols != tau[cols])]
 
     def feeds(p):  # (slot, quarter turns of the weight, whether it is fed)
@@ -240,15 +246,84 @@ def _hermitian_triplets(
     out = []
     for r, turns_r, fed_r in feeds(rows):
         for c, turns_c, fed_c in feeds(cols):
-            k = fed_r & fed_c
-            phase = QUARTER_TURNS[(turns_c[k] - turns_r[k]) % 4]
-            out.append((r[k], c[k], scale[k] * (phase * vals[k]).real))
+            k = np.flatnonzero(fed_r & fed_c)
+            q = (turns_c[k] - turns_r[k]) % 4
+            out.append((r[k], c[k], k, q % 2, scale[k] * SIGNS[q]))
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
 # the parts of L that the triplets are labelled with: -i[H_s, .], -i[V, .]
 # and, for bath i, D_i at BATH + i
 FREE, INTERACTION, BATH = 0, 1, 2
+
+
+class _Triplets(NamedTuple):
+    """Where L's column-stacked triplets go, entry (i, j) at i + d j, and what
+    each one's value is: entry source[k] of Generator._source's values, which
+    are the G entries at pos, their conjugates, and each jump entry e's
+    channel rate times outer[e]."""
+
+    pos: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    parts: np.ndarray
+    source: np.ndarray
+    channel: np.ndarray
+    outer: np.ndarray
+
+
+def _triplets(
+    nonzero: np.ndarray, a: np.ndarray, bath: np.ndarray, freq: np.ndarray | None = None
+) -> _Triplets:
+    """The triplets of L from where its G's are nonzero, (T, d, d) with G t
+    labelled t, and its jump operators a, (m, d, d) with jump c part
+    BATH + bath[c]. With the Bohr frequency `freq` of each entry (in the H_s
+    eigenbasis), only triplets whose row and column have one are kept.
+
+    Each G gives G rho + rho G†: G rho gives ((i,j), (k,j), G_ik), rho G†
+    gives ((i,j), (i,l), conj G_jl) and gamma a rho a† gives ((i,j), (k,l),
+    gamma a_ik conj a_jl). In the H_s eigenbasis only entries keeping the
+    Bohr frequency stay, which drops the rounding noise of the rotation; jump
+    entries are paired only within one transition frequency, so a dense
+    eigenbasis pairs no more. Entries at (r, c) and (tau r, tau c),
+    tau: i + d j -> j + d i, come from exact conjugates in the same order, so
+    L[rho†] = L[rho]† holds entry by entry."""
+    d = nonzero.shape[-1]
+    j = np.arange(d)[:, None]
+    t, i, k = pos = np.nonzero(nonzero)
+    e = np.broadcast_to(np.arange(t.size), (d, t.size)).ravel()
+    g_rows = np.concatenate(((i + d * j).ravel(), (j + d * i).ravel()))
+    g_cols = np.concatenate(((k + d * j).ravel(), (j + d * k).ravel()))
+    g_parts = np.concatenate((t[e], t[e]))
+    g_source = np.concatenate((e, e + t.size))
+    # the jump operators' nonzeros in groups of one channel and one
+    # transition frequency, and every ordered pair (x, y) within a group
+    c, i, k = np.nonzero(a)
+    group = c if freq is None else c * (freq.max() + 1) + freq[i + d * k]
+    order = np.argsort(group, kind="stable")
+    c, i, k = c[order], i[order], k[order]
+    _, first, size = np.unique(group[order], return_index=True, return_counts=True)
+    pairs = size * size
+    m, start = np.repeat(size, pairs), np.repeat(first, pairs)
+    rank = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    x, y = start + rank // m, start + rank % m
+    a_rows, a_cols = i[x] + d * i[y], k[x] + d * k[y]
+    g = slice(None)
+    if freq is not None:
+        g, jump = freq[g_rows] == freq[g_cols], freq[a_rows] == freq[a_cols]
+        x, y, a_rows, a_cols = x[jump], y[jump], a_rows[jump], a_cols[jump]
+    # a_x conj(a_y) in real arithmetic: (x, y) and (y, x) are exact conjugates
+    re, im = a[c, i, k].real, a[c, i, k].imag
+    outer = re[x] * re[y] + im[x] * im[y] + 1j * (im[x] * re[y] - im[y] * re[x])
+    return _Triplets(
+        pos,
+        np.concatenate((g_rows[g], a_rows)),
+        np.concatenate((g_cols[g], a_cols)),
+        np.concatenate((g_parts[g], BATH + bath[c[x]])),
+        np.concatenate((g_source[g], 2 * t.size + np.arange(x.size))),
+        c[x],
+        outer,
+    )
 
 
 class _Layout(NamedTuple):
@@ -367,211 +442,115 @@ class BlockView:
         return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
-class Generator:
-    """A built local generator: Hamiltonian pieces plus per-bath jump channels.
+class _BlockPattern(NamedTuple):
+    """Where L's values go in its blocks: the triplets' source (pos, channel
+    and outer, see _Triplets), and one bincount that adds factor times the
+    float64 word `gather` of the source at each `key` of `size` words; block
+    k holds words shapes[k] = (offset, count, rows, real)."""
 
-    L's parts are one cached list of (part, G): -i H_s, -i V and bath i's
-    -K_i/2. The blocks read L's triplets with their sum, G = -i H_eff, in the
-    Bohr blocks of `levels` (H_s's eigensystem and frequencies); every other
-    use reads one cached product-basis pass whose triplets carry their part.
-    L_p, the partial generator fixing the product of local Gibbs states,
-    leaves out V.
-    """
+    basis: np.ndarray | None
+    pos: tuple[np.ndarray, ...]
+    channel: np.ndarray
+    outer: np.ndarray
+    keys: np.ndarray
+    gather: np.ndarray
+    factor: np.ndarray
+    size: int
+    indices: tuple[np.ndarray, ...]
+    shapes: tuple[tuple[int, int, int, bool], ...]
 
-    def __init__(
-        self,
-        spec: SystemSpec,
-        kind: str,
-        h_free: np.ndarray,
-        h_interaction: np.ndarray,
-        channels: list[list[Channel]],
-        levels: EnergyLevels,
-        diagnostics: SpectrumDiagnostics | None,
-    ):
-        self.spec = spec
-        self.kind = kind
-        self.h_free = h_free
-        self.h_interaction = h_interaction  # already scaled by alpha
-        self.channels = channels
-        self.levels = levels
-        self.diagnostics = diagnostics
 
-    @property
-    def eig(self) -> HermitianEigenSystem:
-        """The H_s eigensystem the levels were grouped from."""
-        return self.levels.eig
+@dataclass(eq=False)
+class Structure:
+    """What a generator's rates leave unchanged: the H_s levels, the (filtered
+    or full) interaction, each bath's channels as (omega, jump operator) and,
+    built on first use, where each value of L goes, in the product-basis
+    triplets and in the blocks. A Generator fills it with its values, so
+    generators that differ only in rates share one structure (see
+    _reusable). `silent` holds each bath's Bohr frequencies whose rate is
+    zero, or None when the channels were given rather than found from a
+    spec's baths."""
+
+    kind: str
+    h_free: np.ndarray
+    h_interaction: np.ndarray
+    levels: EnergyLevels
+    jumps: list[list[tuple[float, np.ndarray]]]
+    silent: list[list[float]] | None = None
 
     @property
     def dimension(self) -> int:
         return self.h_free.shape[0]
 
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        """H_s plus the (filtered or full) interaction term."""
-        return self.h_free + self.h_interaction
-
-    def _entries(
-        self, terms: list[tuple[int, np.ndarray]], basis: np.ndarray | None
-    ) -> tuple[np.ndarray, ...]:
-        """(row, col, value, part) triplets of the column-stacked L, in `basis`
-        (product basis if None), entry (i, j) at i + d j; repeats add. Each (part,
-        G) of terms gives G rho + rho G†, and bath i's jumps are part BATH + i.
-
-        G rho gives ((i,j), (k,j), G_ik), rho G† gives ((i,j), (i,l), conj G_jl)
-        and gamma a rho a† gives ((i,j), (k,l), gamma a_ik conj a_jl). In the H_s
-        eigenbasis only entries keeping the Bohr frequency stay, which drops the
-        rounding noise of the rotation; jump entries are paired only within one
-        transition frequency, so a dense eigenbasis pairs no more. Entries at
-        (r, c) and (tau r, tau c), tau: i + d j -> j + d i, are added from exact
-        conjugates in the same order, so L[rho†] = L[rho]† holds entry by entry."""
+    def _stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The jump operators stacked, (m, d, d), and the bath of each."""
         d = self.dimension
-        labels = np.array([p for p, _ in terms])
-        g = np.array([g for _, g in terms])
-        chan = [(BATH + b, ch) for b, bath in enumerate(self.channels) for ch in bath]
-        part_of = np.array([p for p, _ in chan], dtype=int)
-        rate = np.array([ch.rate for _, ch in chan])
-        a = np.array([ch.op for _, ch in chan]).reshape(-1, d, d)
-        freq = np.zeros(d * d, dtype=int)
-        if basis is not None:
-            ud = basis.conj().T
-            g, a = ud @ g @ basis, ud @ a @ basis
-            freq = self.levels.frequency_labels.ravel()
-
-        j = np.arange(d)[:, None]
-        t, i, k = np.nonzero(g)
-        v = np.broadcast_to(g[t, i, k], (d, i.size)).ravel()
-        label = np.broadcast_to(labels[t], (d, i.size)).ravel()
-        rows = [(i + d * j).ravel(), (j + d * i).ravel()]
-        cols = [(k + d * j).ravel(), (j + d * k).ravel()]
-        vals = [v, v.conj()]
-        parts = [label, label]
-        # the jump operators' nonzeros in groups of one channel and one
-        # transition frequency, and every ordered pair (x, y) within a group
-        c, i, k = np.nonzero(a)
-        group = c * (freq.max() + 1) + freq[i + d * k]
-        order = np.argsort(group, kind="stable")
-        c, i, k = c[order], i[order], k[order]
-        _, first, size = np.unique(group[order], return_index=True, return_counts=True)
-        pairs = size * size
-        m, start = np.repeat(size, pairs), np.repeat(first, pairs)
-        rank = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        x, y = start + rank // m, start + rank % m
-        # a_x conj(a_y) in real arithmetic: (x, y) and (y, x) are exact conjugates
-        re, im = a[c, i, k].real, a[c, i, k].imag
-        outer = re[x] * re[y] + im[x] * im[y] + 1j * (im[x] * re[y] - im[y] * re[x])
-        rows.append(i[x] + d * i[y])
-        cols.append(k[x] + d * k[y])
-        vals.append(rate[c[x]] * outer)
-        parts.append(part_of[c[x]])
-        out = tuple(np.concatenate(e) for e in (rows, cols, vals, parts))
-        if basis is None:
-            return out
-        keep = freq[out[0]] == freq[out[1]]
-        return tuple(e[keep] for e in out)
+        ops = np.array([op for jumps in self.jumps for _, op in jumps]).reshape(-1, d, d)
+        return ops, np.array([b for b, jumps in enumerate(self.jumps) for _ in jumps], dtype=int)
 
     @cached_property
-    def _terms(self) -> list[tuple[int, np.ndarray]]:
-        """(part, G) of each part of L: -i H_s, -i V and bath i's -K_i/2."""
-        return [(FREE, -1j * self.h_free), (INTERACTION, -1j * self.h_interaction)] + [
-            (BATH + b, _dissipator_g(bath, self.h_free)) for b, bath in enumerate(self.channels)
-        ]
+    def products(self) -> list[np.ndarray]:
+        """Each bath's A†A of its channels, stacked."""
+        ops, bath = self._stack()
+        products = ops.conj().swapaxes(-1, -2) @ ops
+        return [products[bath == b] for b in range(len(self.jumps))]
 
     @cached_property
-    def _product(self) -> tuple[np.ndarray, ...]:
-        """The triplets of L by part, in the product basis."""
-        return self._entries(self._terms, None)
+    def product(self) -> _Triplets:
+        """The triplets of L by part, in the product basis: -i H_s, -i V and,
+        for each bath, where any of its channels' A†A is nonzero."""
+        nonzero = [self.h_free != 0, self.h_interaction != 0]
+        nonzero += [(p != 0).any(axis=0) for p in self.products]
+        return _triplets(np.array(nonzero), *self._stack())
 
-    def _plan(self, second: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The triplets as _act applies them into two matrices, the second taking
-        those where `second` is True: each one's diagonal and other triplets."""
+    def plan(self, second: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Where the product triplets go as Generator._act applies them into
+        two matrices, the second taking those where `second` is True: which
+        are diagonal and their keys, and the keys and columns of the others."""
         n = self.dimension**2
-        rows, cols, vals, _ = self._product
+        rows, cols = self.product.rows, self.product.cols
         keys, on = rows + n * second, rows == cols
-        diagonal = _scatter(keys[on], vals[on], 2 * n).reshape(2, n)
-        return diagonal, keys[~on], cols[~on], vals[~on]
-
-    def _act(self, rho: np.ndarray, plan: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The two matrices of a plan's action on a matrix or a (T, d, d) stack."""
-        d, n = self.dimension, self.dimension**2
-        if rho.shape[-2:] != (d, d):
-            raise DimensionMismatchError(
-                f"state shape {rho.shape} does not match generator dimension {d}"
-            )
-        diagonal, keys, cols, vals = plan
-        flat = rho.swapaxes(-1, -2).reshape(-1, n)  # column-stacked
-        keys = keys + 2 * n * np.arange(len(flat))[:, None]
-        w = np.take(flat, cols, axis=1) * vals
-        out = _scatter(keys.ravel(), w.ravel(), 2 * n * len(flat)).reshape(-1, 2, n)
-        out += flat[:, None, :] * diagonal
-        out = out.reshape(*rho.shape[:-2], 2, d, d).swapaxes(-1, -2)
-        return out[..., 0, :, :], out[..., 1, :, :]
+        return on, keys[on], keys[~on], cols[~on]
 
     @cached_property
-    def _terms_plan(self) -> tuple[np.ndarray, ...]:
-        return self._plan(self._product[3] == INTERACTION)
-
-    def dissipator(self, bath_index: int, rho: np.ndarray) -> np.ndarray:
-        """beta^2-scaled dissipator of one bath applied to a matrix."""
-        return self._act(rho, self._plan(self._product[3] != BATH + bath_index))[0]
-
-    def terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The partial L_p[rho] and the full L[rho], of one matrix or a stack."""
-        partial, commutator = self._act(rho, self._terms_plan)
-        return partial, partial + commutator
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Full generator action on a matrix (need not be a state)."""
-        return self.terms(rho)[1]
-
-    def apply_partial(self, rho: np.ndarray) -> np.ndarray:
-        """Generator action without the interaction commutator."""
-        return self.terms(rho)[0]
+    def terms_plan(self) -> tuple[np.ndarray, ...]:
+        return self.plan(self.product.parts == INTERACTION)
 
     @cached_property
-    def rate_operators(self) -> np.ndarray:
-        """Heisenberg-picture operators of the rates linear in rho, stacked:
-        D_i†[H_s] for each bath, then L†[H_s], then L_p†[ln rho_G], so that
-        tr(op rho) is Qdot_i, Edot and tr(L_p[rho] ln rho_G) in turn. A triplet
-        (r, c, v) adds v X_r to entry c of L†[X]^T, column-stacked as X^T is."""
-        d, n, count = self.dimension, self.dimension**2, BATH + len(self.channels)
-        rows, cols, vals, part = self._product
-
-        def adjoint(x):  # the adjoint of every part, one bincount
-            w = vals * x.ravel()[rows]
-            return _scatter(part * n + cols, w, count * n).reshape(count, d, d)
-
-        h, g = adjoint(self.h_free), adjoint(self.log_product_gibbs)
-        spohn = np.delete(g, INTERACTION, axis=0).sum(axis=0)
-        return np.concatenate((h[BATH:], h.sum(axis=0)[None], spohn[None]))
-
-    def _dense(self, partial: bool) -> np.ndarray:
-        """Column-stacked matrix of L, or of L_p if partial, in the product basis,
-        scattered from the triplets on each call."""
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each product triplet's distinct (row, col), and the row of each."""
         n = self.dimension**2
-        # the matrix and one real bincount buffer
-        _require_memory(24 * n * n, f"the dense {n} x {n} superoperator")
-        rows, cols, vals, part = self._product
-        keep = part != INTERACTION if partial else slice(None)
-        return _scatter((rows * n + cols)[keep], vals[keep], n * n).reshape(n, n)
+        keys, at = np.unique(self.product.rows * n + self.product.cols, return_inverse=True)
+        return at, keys // n
 
-    @property
-    def superop(self) -> np.ndarray:
-        return self._dense(partial=False)
-
-    @property
-    def partial_superop(self) -> np.ndarray:
-        return self._dense(partial=True)
+    def block_triplets(self) -> tuple[np.ndarray | None, _Triplets]:
+        """The blocks' basis, the H_s eigenbasis for the modified generator
+        and the product basis (None) for the naive one, and the triplets of L
+        there with one G = -i H_eff - sum_i K_i/2, taken as nonzero wherever
+        H_eff is or some channel's A†A can be."""
+        d = self.dimension
+        ops, bath = self._stack()
+        h = -1j * (self.h_free + self.h_interaction)
+        basis = freq = None
+        if self.kind == "modified":
+            basis = self.levels.eig.eigenvectors
+            ud = basis.conj().T
+            h, ops = ud @ h @ basis, ud @ ops @ basis
+            freq = self.levels.frequency_labels.ravel()
+        # A†A can be nonzero at (k, l) where some row of A is at k and at l:
+        # one product of the stacked 0/1 patterns covers every channel
+        stacked = (ops != 0).reshape(-1, d).astype(float)
+        nonzero = (h != 0) | (stacked.T @ stacked > 0)
+        return basis, _triplets(nonzero[None], ops, bath, freq)
 
     @cached_property
-    def blocks(self) -> BlockView:
-        """L as a direct sum over the connected components of its nonzero pattern,
-        in the H_s eigenbasis for the modified generator, else the product basis:
-        one complex block per conjugate pair and one real block per
-        self-conjugate component (see BlockView), filled by one bincount."""
+    def blocks(self) -> _BlockPattern:
+        """L's blocks, the connected components of the block triplets'
+        pattern: one complex block per conjugate pair and one real block per
+        self-conjugate component (see BlockView)."""
         d = self.dimension
-        basis = self.eig.eigenvectors if self.kind == "modified" else None
-        g = -1j * self.hamiltonian + sum(t for part, t in self._terms if part >= BATH)
-        rows, cols, vals, _ = self._entries([(FREE, g)], basis)
+        basis, tr = self.block_triplets()
+        rows, cols = tr.rows, tr.cols
         label = _components(d * d, rows, cols)
         sizes = np.bincount(label)
         order = np.argsort(label, kind="stable")
@@ -598,38 +577,214 @@ class Generator:
             return offset[k] + width * (pos[r] * sizes[k] + pos[c])
 
         at = label[rows]
-        self_conjugate = real[at]
-        hr, hc, hv = _hermitian_triplets(
-            rows[self_conjugate], cols[self_conjugate], vals[self_conjugate], tau
+        self_conjugate = np.flatnonzero(real[at])
+        hr, hc, k, part, factor = _hermitian_triplets(
+            rows[self_conjugate], cols[self_conjugate], tau
         )
-        pair = partner[at] > at
-        entry, v = key(rows[pair], cols[pair], 2), vals[pair]
-        flat = np.bincount(
-            np.concatenate((key(hr, hc, 1), entry, entry + 1)),
-            np.concatenate((hv, v.real, v.imag)),
-            int(words.sum()),
-        )
+        pair = np.flatnonzero(partner[at] > at)
+        entry = key(rows[pair], cols[pair], 2)
+        # a triplet's value is two float64 words of the source: real, imaginary
+        word = 2 * tr.source
         indices = np.split(order, start[1:])
-        return BlockView(
+        return _BlockPattern(
             basis,
-            d,
+            tr.pos,
+            tr.channel,
+            tr.outer,
+            np.concatenate((key(hr, hc, 1), entry, entry + 1)),
+            np.concatenate((word[self_conjugate][k] + part, word[pair], word[pair] + 1)),
+            np.concatenate((factor, np.ones(2 * pair.size))),
+            int(words.sum()),
             tuple(indices[k] for k in kept),
+            tuple((offset[k], words[k], sizes[k], real[k]) for k in kept),
+        )
+
+
+class Generator:
+    """A built local generator: Hamiltonian pieces plus per-bath jump channels.
+
+    Its Structure says where each value of L goes, and the generator fills
+    it with its own values; given no structure, it builds one from its
+    channels' operators. L's parts are one cached list of (part, G): -i H_s,
+    -i V and bath i's -K_i/2. The blocks read L with their sum, G = -i H_eff, in the Bohr
+    blocks of `levels` (H_s's eigensystem and frequencies); every other use
+    reads one cached product-basis pass whose triplets carry their part.
+    L_p, the partial generator fixing the product of local Gibbs states,
+    leaves out V.
+    """
+
+    def __init__(
+        self,
+        spec: SystemSpec,
+        kind: str,
+        h_free: np.ndarray,
+        h_interaction: np.ndarray,
+        channels: list[list[Channel]],
+        levels: EnergyLevels,
+        diagnostics: SpectrumDiagnostics | None,
+        structure: Structure | None = None,
+    ):
+        self.spec = spec
+        self.kind = kind
+        self.h_free = h_free
+        self.h_interaction = h_interaction  # already scaled by alpha
+        self.channels = channels
+        self.levels = levels
+        self.diagnostics = diagnostics
+        if structure is None:
+            jumps = [[(ch.omega, ch.op) for ch in bath] for bath in channels]
+            structure = Structure(kind, h_free, h_interaction, levels, jumps)
+        self.structure = structure
+
+    @property
+    def eig(self) -> HermitianEigenSystem:
+        """The H_s eigensystem the levels were grouped from."""
+        return self.levels.eig
+
+    @property
+    def dimension(self) -> int:
+        return self.h_free.shape[0]
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """H_s plus the (filtered or full) interaction term."""
+        return self.h_free + self.h_interaction
+
+    def _source(self, g: np.ndarray, pattern: _Triplets | _BlockPattern) -> np.ndarray:
+        """The values a pattern's triplets take theirs from (see _Triplets),
+        given the stack of G's in the pattern's basis."""
+        v = g[pattern.pos]
+        rates = np.array([ch.rate for bath in self.channels for ch in bath])
+        return np.concatenate((v, v.conj(), rates[pattern.channel] * pattern.outer))
+
+    @cached_property
+    def _terms(self) -> list[tuple[int, np.ndarray]]:
+        """(part, G) of each part of L: -i H_s, -i V and bath i's -K_i/2."""
+        products = self.structure.products
+        return [(FREE, -1j * self.h_free), (INTERACTION, -1j * self.h_interaction)] + [
+            (BATH + b, _dissipator_g(bath, products[b], self.h_free))
+            for b, bath in enumerate(self.channels)
+        ]
+
+    @cached_property
+    def _product(self) -> tuple[np.ndarray, ...]:
+        """The (row, col, value, part) triplets of L in the product basis."""
+        p = self.structure.product
+        values = self._source(np.array([g for _, g in self._terms]), p)
+        return p.rows, p.cols, values[p.source], p.parts
+
+    def _plan(self, pattern: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """A plan (Structure.plan) with the triplets' values: each matrix's
+        diagonal, and the keys, columns and values of the other triplets."""
+        n = self.dimension**2
+        on, keys_on, keys, cols = pattern
+        vals = self._product[2]
+        return _scatter(keys_on, vals[on], 2 * n).reshape(2, n), keys, cols, vals[~on]
+
+    def _act(self, rho: np.ndarray, plan: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The two matrices of a plan's action on a matrix or a (T, d, d) stack."""
+        d, n = self.dimension, self.dimension**2
+        if rho.shape[-2:] != (d, d):
+            raise DimensionMismatchError(
+                f"state shape {rho.shape} does not match generator dimension {d}"
+            )
+        diagonal, keys, cols, vals = plan
+        flat = rho.swapaxes(-1, -2).reshape(-1, n)  # column-stacked
+        keys = keys + 2 * n * np.arange(len(flat))[:, None]
+        w = np.take(flat, cols, axis=1) * vals
+        out = _scatter(keys.ravel(), w.ravel(), 2 * n * len(flat)).reshape(-1, 2, n)
+        out += flat[:, None, :] * diagonal
+        out = out.reshape(*rho.shape[:-2], 2, d, d).swapaxes(-1, -2)
+        return out[..., 0, :, :], out[..., 1, :, :]
+
+    @cached_property
+    def _terms_plan(self) -> tuple[np.ndarray, ...]:
+        return self._plan(self.structure.terms_plan)
+
+    def dissipator(self, bath_index: int, rho: np.ndarray) -> np.ndarray:
+        """beta^2-scaled dissipator of one bath applied to a matrix."""
+        s = self.structure
+        return self._act(rho, self._plan(s.plan(s.product.parts != BATH + bath_index)))[0]
+
+    def terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The partial L_p[rho] and the full L[rho], of one matrix or a stack."""
+        partial, commutator = self._act(rho, self._terms_plan)
+        return partial, partial + commutator
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Full generator action on a matrix (need not be a state)."""
+        return self.terms(rho)[1]
+
+    def apply_partial(self, rho: np.ndarray) -> np.ndarray:
+        """Generator action without the interaction commutator."""
+        return self.terms(rho)[0]
+
+    @cached_property
+    def rate_operators(self) -> np.ndarray:
+        """Heisenberg-picture operators of the rates linear in rho, stacked:
+        D_i†[H_s] for each bath, then L†[H_s], then L_p†[ln rho_G], so that
+        tr(op rho) is Qdot_i, Edot and tr(L_p[rho] ln rho_G) in turn. A triplet
+        (r, c, v) adds v X_r to entry c of L†[X]^T, column-stacked as X^T is."""
+        d, n, count = self.dimension, self.dimension**2, BATH + len(self.channels)
+        rows, cols, vals, part = self._product
+        keys = part * n + cols
+
+        def adjoint(x):  # the adjoint of every part, one bincount
+            return _scatter(keys, vals * x.ravel()[rows], count * n).reshape(count, d, d)
+
+        h, g = adjoint(self.h_free), adjoint(self.log_product_gibbs)
+        spohn = np.delete(g, INTERACTION, axis=0).sum(axis=0)
+        return np.concatenate((h[BATH:], h.sum(axis=0)[None], spohn[None]))
+
+    def _dense(self, partial: bool) -> np.ndarray:
+        """Column-stacked matrix of L, or of L_p if partial, in the product basis,
+        scattered from the triplets on each call."""
+        n = self.dimension**2
+        # the matrix and one real bincount buffer
+        _require_memory(24 * n * n, f"the dense {n} x {n} superoperator")
+        rows, cols, vals, part = self._product
+        keep = part != INTERACTION if partial else slice(None)
+        return _scatter((rows * n + cols)[keep], vals[keep], n * n).reshape(n, n)
+
+    @property
+    def superop(self) -> np.ndarray:
+        return self._dense(partial=False)
+
+    @property
+    def partial_superop(self) -> np.ndarray:
+        return self._dense(partial=True)
+
+    def _block_g(self, basis: np.ndarray | None) -> np.ndarray:
+        """The blocks' G = -i H_eff, H_eff = H - i sum_i K_i/2, in `basis`
+        (the product basis if None), as a stack of one."""
+        g = (-1j * self.hamiltonian + sum(t for part, t in self._terms if part >= BATH))[None]
+        return g if basis is None else basis.conj().T @ g @ basis
+
+    @cached_property
+    def blocks(self) -> BlockView:
+        """L as a direct sum over the connected components of its pattern (see
+        Structure.blocks), filled by one bincount."""
+        s = self.structure.blocks
+        words = self._source(self._block_g(s.basis), s).view(np.float64)
+        flat = np.bincount(s.keys, s.factor * words[s.gather], s.size)
+        return BlockView(
+            s.basis,
+            self.dimension,
+            s.indices,
             tuple(
-                flat[offset[k] : offset[k] + words[k]]
-                .view(np.float64 if real[k] else np.complex128)
-                .reshape(sizes[k], sizes[k])
-                for k in kept
+                flat[offset : offset + count]
+                .view(np.float64 if real else np.complex128)
+                .reshape(rows, rows)
+                for offset, count, rows, real in s.shapes
             ),
         )
 
     def stability_norm(self) -> float:
         """||L||_inf in the product basis, from the cached triplets with
         repeats added first, without the dense matrix."""
-        n = self.dimension**2
-        rows, cols, vals, _ = self._product
-        keys, at = np.unique(rows * n + cols, return_inverse=True)
-        entries = _scatter(at, vals, keys.size)
-        return float(np.bincount(keys // n, np.abs(entries), n).max())
+        at, rows = self.structure.distinct
+        entries = _scatter(at, self._product[2], rows.size)
+        return float(np.bincount(rows, np.abs(entries), self.dimension**2).max())
 
     @cached_property
     def log_product_gibbs(self) -> np.ndarray:
@@ -650,31 +805,62 @@ class Generator:
         return min(rates) if rates else float("inf")
 
 
-def _bath_channels(spec: SystemSpec) -> list[list[Channel]]:
-    dims = spec.dims
-    per_bath: list[list[Channel]] = []
+def _reusable(previous: Generator | None, spec: SystemSpec, kind: str) -> bool:
+    """Whether spec's generator of this kind has the structure of `previous`,
+    so that only its values change: the same kind, exactly equal subsystem
+    Hamiltonians, bath coupling operators, interaction terms, alpha and
+    grouping_tol, and the same channels, the Bohr components with a nonzero
+    scaled rate beta^2 gamma(omega)."""
+    if previous is None or previous.kind != kind or previous.structure.silent is None:
+        return False
+
+    def inputs(s):  # the numbers and the operators a structure is built from
+        ops = [*(x.hamiltonian for x in s.subsystems), *(b.coupling_op for b in s.baths)]
+        return (len(ops), len(s.interactions), s.alpha, s.grouping_tol), ops + s.interactions
+
+    (numbers, ops), (new_numbers, new_ops) = inputs(previous.spec), inputs(spec)
+    if numbers != new_numbers or not all(map(np.array_equal, ops, new_ops)):
+        return False
+    beta2 = spec.beta_coupling**2
+    s = previous.structure
+    return all(
+        all(beta2 * rate(omega, bath) != 0.0 for omega, _ in jumps)
+        and all(beta2 * rate(omega, bath) == 0.0 for omega in silent)
+        for jumps, silent, bath in zip(s.jumps, s.silent, spec.baths)
+    )
+
+
+def _structure(spec: SystemSpec, kind: str, h_free: np.ndarray, levels: EnergyLevels) -> Structure:
+    """The structure of spec's generator of this kind: the interaction, and
+    each bath's Bohr components in its subsystem's eigenbasis, embedded, that
+    have a nonzero scaled rate, with the frequencies of the others."""
+    h_int = spec.interaction_sum()
+    if kind == "modified":
+        h_int = secular_filter(h_int, levels)
+    beta2 = spec.beta_coupling**2
+    jumps, silent = [], []
     for index, (sub, bath) in enumerate(zip(spec.subsystems, spec.baths)):
         local_eig = hermitian_eig(sub.hamiltonian)
         tol = spec.grouping_tol or default_grouping_tol(local_eig.eigenvalues)
-        local_levels = group_levels(local_eig, tol)
-        decomp = decompose_operator(bath.coupling_op, local_levels)
-        channels = []
-        for omega, comp in decomp.terms:
-            g = rate(omega, bath)
-            if g == 0.0:
-                continue
-            channels.append(
-                Channel(omega=omega, op=embed(comp, index, dims), rate=spec.beta_coupling**2 * g)
-            )
-        per_bath.append(channels)
-    return per_bath
+        terms = decompose_operator(bath.coupling_op, group_levels(local_eig, tol)).terms
+        live = [beta2 * rate(omega, bath) != 0.0 for omega, _ in terms]
+        jumps.append(
+            [(omega, embed(comp, index, spec.dims)) for (omega, comp), on in zip(terms, live) if on]
+        )
+        silent.append([omega for (omega, _), on in zip(terms, live) if not on])
+    return Structure(kind, h_free, spec.alpha * h_int, levels, jumps, silent)
 
 
-def _build(spec: SystemSpec, filtered: bool) -> Generator:
-    h_free = spec.free_hamiltonian()
-    eig = hermitian_eig(h_free)
-    tol = spec.grouping_tol or default_grouping_tol(eig.eigenvalues)
-    levels = group_levels(eig, tol)
+def _build(spec: SystemSpec, kind: str, previous: Generator | None) -> Generator:
+    """spec's generator of this kind: previous's structure if spec has it
+    (see _reusable), else a new one, filled with spec's rates."""
+    reused = previous.structure if _reusable(previous, spec, kind) else None
+    if reused is None:
+        h_free = spec.free_hamiltonian()
+        eig = hermitian_eig(h_free)
+        levels = group_levels(eig, spec.grouping_tol or default_grouping_tol(eig.eigenvalues))
+    else:
+        h_free, levels = reused.h_free, reused.levels
 
     diagnostics = None
     strength = max(spec.alpha, spec.beta_coupling)
@@ -692,33 +878,28 @@ def _build(spec: SystemSpec, filtered: bool) -> Generator:
                 min(diagnostics.frequency_ratio, diagnostics.spacing_ratio),
             )
 
-    h_int_bare = spec.interaction_sum()
-    if filtered:
-        h_int = spec.alpha * secular_filter(h_int_bare, levels)
-        kind = "modified"
-    else:
-        h_int = spec.alpha * h_int_bare
-        kind = "naive"
-
+    structure = reused or _structure(spec, kind, h_free, levels)
+    beta2 = spec.beta_coupling**2
+    channels = [
+        [Channel(omega=omega, op=op, rate=beta2 * rate(omega, bath)) for omega, op in jumps]
+        for jumps, bath in zip(structure.jumps, spec.baths)
+    ]
     return Generator(
-        spec=spec,
-        kind=kind,
-        h_free=h_free,
-        h_interaction=h_int,
-        channels=_bath_channels(spec),
-        levels=levels,
-        diagnostics=diagnostics,
+        spec, kind, h_free, structure.h_interaction, channels, levels, diagnostics, structure
     )
 
 
-def build_modified_local(spec: SystemSpec) -> Generator:
-    """Local generator with the secular-filtered interaction commutator."""
-    return _build(spec, filtered=True)
+def build_modified_local(spec: SystemSpec, previous: Generator | None = None) -> Generator:
+    """Local generator with the secular-filtered interaction commutator. A
+    `previous` generator lends its structure when spec differs from its
+    spec only in rates (see _reusable)."""
+    return _build(spec, "modified", previous)
 
 
-def build_naive_local(spec: SystemSpec) -> Generator:
-    """Baseline local generator keeping the full interaction commutator."""
-    return _build(spec, filtered=False)
+def build_naive_local(spec: SystemSpec, previous: Generator | None = None) -> Generator:
+    """Baseline local generator keeping the full interaction commutator; see
+    build_modified_local for `previous`."""
+    return _build(spec, "naive", previous)
 
 
 def product_gibbs(spec: SystemSpec) -> np.ndarray:

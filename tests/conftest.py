@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lindloc import liouvillian
-
 
 @pytest.fixture
 def rng():
@@ -40,8 +38,9 @@ def rand_unitary(rng, d):
 def block_entries(gen):
     """The triplets that gen.blocks are filled from: L with one G = -i H_eff,
     in the blocks' basis."""
-    g = -1j * gen.hamiltonian + sum(t for part, t in gen._terms if part >= liouvillian.BATH)
-    return gen._entries([(liouvillian.FREE, g)], gen.blocks.basis)
+    basis, pattern = gen.structure.block_triplets()
+    values = gen._source(gen._block_g(basis), pattern)[pattern.source]
+    return pattern.rows, pattern.cols, values, pattern.parts
 
 
 def transpose_map(d):
@@ -106,3 +105,30 @@ def assert_blocks_are_the_matrix(view, dense):
         assert_block_matches(m, real, dense[np.ix_(idx, idx)], d, idx, np.abs(dense).max())
         if not real:
             assert np.abs(dense[np.ix_(tau[idx], tau[idx])] - m.conj()).max() <= 1e-18
+
+
+def resonant_pair_current(omega, alpha, beta_coupling, t1, t2, spectral):
+    """The closed form of the resonant pair's steady heat current under the
+    local master equation (Levy & Kosloff, EPL 107, 20004 (2014); Hofer et
+    al., NJP 19, 123037 (2017)): with g = alpha the filtered exchange
+    coupling, Gamma_i = gamma_i(omega) + gamma_i(-omega) and p_i =
+    gamma_i(-omega) / Gamma_i,
+
+        Qdot_1 = -Qdot_2 = omega 4 g^2 G1 G2 / ((G1 + G2)(4 g^2 + G1 G2)) (p_1 - p_2).
+
+    The rates are the golden rule's 2 pi h^2 (n + 1) and 2 pi h^2 n, written
+    out here. Returns Qdot_1, its prefactor and (Gamma_1, Gamma_2)."""
+    if spectral.kind == "flat":
+        h2 = spectral.coupling_scale
+    else:
+        h2 = spectral.coupling_scale * omega * math.exp(-omega / spectral.cutoff)
+    gammas, populations = [], []
+    for t in (t1, t2):
+        n = 1.0 / math.expm1(omega / t)
+        down = beta_coupling**2 * 2.0 * math.pi * h2 * (n + 1.0)
+        up = beta_coupling**2 * 2.0 * math.pi * h2 * n
+        gammas.append(down + up)
+        populations.append(up / (down + up))
+    (g1, g2), (p1, p2), g = gammas, populations, alpha
+    prefactor = omega * 4.0 * g * g * g1 * g2 / ((g1 + g2) * (4.0 * g * g + g1 * g2))
+    return prefactor * (p1 - p2), prefactor, (g1, g2)

@@ -1,8 +1,10 @@
 import copy
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +24,10 @@ from lindloc.dynamics import evolve
 from lindloc.errors import ConfigError
 from lindloc.linalg import von_neumann_entropy
 from lindloc.liouvillian import build_modified_local, product_gibbs
-from lindloc.models import TwoQubitParams, two_qubit_model
+from lindloc.models import DEFAULT_SPECTRAL, TwoQubitParams, two_qubit_model
 from lindloc.thermo import ThermoReport, audit_trajectory
 
-from conftest import rand_density
+from conftest import rand_density, resonant_pair_current
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -612,8 +614,6 @@ def test_degenerate_steady_state_exits_one(tmp_path):
 
 
 def test_bad_log_level_exits_one(tmp_path):
-    import os
-
     env = dict(os.environ, LINDLOC_LOG="chatty")
     proc = subprocess.run(
         [sys.executable, "-m", "lindloc", "steady", str(write_yaml(tmp_path, base_dict()))],
@@ -636,3 +636,106 @@ def test_config_dataclass_round_trip_identity():
         data = base_dict(**copy.deepcopy(overrides))
         cfg = RunConfig.from_dict(copy.deepcopy(data))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# -- sweeps that reuse the generator's structure ------------------------------------
+
+
+def chain_sweep(parameter, values):
+    """A resonant 3-chain run sweeping one model parameter."""
+    params = {
+        "n": 3,
+        "energies": [1.0, 1.0, 1.0],
+        "temperatures": [2.0, 1.0, 0.5],
+        "alpha": 0.01,
+        "beta_coupling": 0.01,
+    }
+    return base_dict(
+        model={"builder": "qubit_chain", "params": params},
+        sweep={"parameter": parameter, "values": values},
+    )
+
+
+def counting_structures():
+    """Within this context, the mock counts the structures built."""
+    return mock.patch.object(liouvillian, "_structure", wraps=liouvillian._structure)
+
+
+# sweep.csv of chain_sweep over temperatures.0 = [0.5, 0.001, 1.0], as every
+# point built afresh writes it
+LOW_TEMPERATURE_SWEEP = [
+    "parameter,value,q_dot_b1,q_dot_b2,q_dot_b3,entropy_production,residual",
+    "model.params.temperatures.0,0.5,-7.163625555509903e-06,1.4327251111019802e-05,"
+    "-7.163625555509906e-06,1.432725111101981e-05,7.340069883550546e-20",
+    "model.params.temperatures.0,0.001,-1.4534335602787598e-05,1.796778447785083e-05,"
+    "-3.433448875063244e-06,0.014523234716059874,2.1186411593198187e-19",
+    "model.params.temperatures.0,1.0,8.370308047064791e-06,6.209128949110102e-06,"
+    "-1.457943699617486e-05,1.4579436996174861e-05,2.6467132623736716e-19",
+]
+
+
+def test_low_temperature_point_builds_its_own_structure(tmp_path):
+    """At T = 0.001 the first bath's absorption rate underflows to exactly 0,
+    so that point has one channel less than its neighbours: it and the point
+    after it build their own structure (see test_liouvillian's
+    test_structure_is_rebuilt_when_more_than_rates_change), and the file is
+    byte for byte the one fresh builds write."""
+    path = write_yaml(tmp_path, chain_sweep("model.params.temperatures.0", [0.5, 0.001, 1.0]))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "o")]) == 0
+    expected = "\r\n".join(LOW_TEMPERATURE_SWEEP) + "\r\n"
+    assert (tmp_path / "o" / "sweep.csv").read_bytes() == expected.encode()
+
+
+def test_zero_coupling_point_has_no_unique_steady_state(tmp_path, capsys):
+    """beta_coupling = 0 leaves no channel; that point fails as it always has."""
+    path = write_yaml(tmp_path, chain_sweep("model.params.beta_coupling", [0.01, 0.0]))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "lindloc: error: sweep.values[1] = 0.0: steady state is not unique: "
+        "null space has dimension 8\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "parameter, values",
+    [("model.params.energies.0", [1.0, 1.2, 0.9]), ("model.params.alpha", [0.01, 0.02, 0.005])],
+)
+def test_sweep_beyond_rates_builds_every_point(tmp_path, caplog, parameter, values):
+    cfg = RunConfig.from_dict(chain_sweep(parameter, values))
+    with counting_structures() as built, caplog.at_level("INFO", logger="lindloc"):
+        assert cli.cmd_sweep(cfg, tmp_path / "o") == 0
+    assert built.call_count == len(values)
+    assert "sweep: generator structure built at 3 of 3 points" in caplog.messages
+
+
+def test_temperature_sweep_logs_one_structure(tmp_path):
+    data = chain_sweep("model.params.temperatures.0", [0.5, 1.0, 1.5, 2.0])
+    data["output"] = {"formats": ["csv"]}
+    env = dict(os.environ, LINDLOC_LOG="info")
+    args = ["sweep", write_yaml(tmp_path, data), "--out", tmp_path / "o"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lindloc", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stdout == ""
+    assert proc.stderr.splitlines()[0] == (
+        "INFO lindloc: sweep: generator structure built at 1 of 4 points"
+    )
+
+
+def test_pair_sweep_matches_the_closed_form(tmp_path):
+    """lindloc sweep over t1 of the resonant pair, every point after the first
+    filling the first one's structure, against the closed form
+    Qdot_1 = -Qdot_2 (conftest.resonant_pair_current), t1 = t2 included."""
+    values = sorted(np.linspace(0.3, 3.0, 14).tolist() + [1.0])
+    cfg = RunConfig.from_dict(base_dict(sweep={"parameter": "model.params.t1", "values": values}))
+    with counting_structures() as built:
+        assert cli.cmd_sweep(cfg, tmp_path / "o") == 0
+    assert built.call_count == 1
+    _, rows = read_csv(tmp_path / "o" / "sweep.csv")
+    assert [float(r[1]) for r in rows] == values
+    for row in rows:
+        t1, q1, q2 = (float(x) for x in row[1:4])
+        closed, prefactor, _ = resonant_pair_current(1.0, 0.01, 0.01, t1, 1.0, DEFAULT_SPECTRAL)
+        assert abs(q1 - closed) <= 1e-12 * prefactor
+        assert abs(q1 + q2) <= 1e-12 * prefactor

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from lindloc.baths import BathSpec, SpectralModel
 from lindloc import liouvillian
+from lindloc.dynamics import steady_state
 from lindloc.errors import (
     DenseSpectrumError,
     DimensionMismatchError,
@@ -286,6 +289,114 @@ def test_memory_guard_refuses_an_eight_site_naive_chain(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**28
+
+
+# -- reused structure -------------------------------------------------------------------
+
+
+def explicit_pair(temperatures, beta_coupling, spectral):
+    """A pair whose H_s is not diagonal in the product basis, with a complex
+    bath operator on the first qubit."""
+    xy = np.kron(SIGMA_X, SIGMA_Y) + np.kron(SIGMA_Y, SIGMA_X)
+    coupled = np.kron(SIGMA_Z, SIGMA_Z) + 0.3 * xy
+    coupling = np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.1]])
+    return SystemSpec(
+        subsystems=[
+            Subsystem("q1", 0.5 * SIGMA_X + 0.2 * SIGMA_Y, 2),
+            Subsystem("q2", 0.5 * SIGMA_X, 2),
+        ],
+        interactions=[coupled],
+        alpha=0.01,
+        baths=[
+            BathSpec.from_temperature("b1", temperatures[0], spectral, coupling),
+            BathSpec.from_temperature("b2", temperatures[1], spectral, SIGMA_Z),
+        ],
+        beta_coupling=beta_coupling,
+    )
+
+
+def rate_point(energies):
+    """The model of a sweep point: a qubit chain with these energies, or the
+    explicit pair when energies is None, at the drawn rates."""
+    return st.builds(
+        lambda temperatures, beta_coupling, scale: (
+            explicit_pair(temperatures, beta_coupling, SpectralModel("flat", scale))
+            if energies is None
+            else qubit_chain_model(
+                len(energies),
+                energies,
+                temperatures[: len(energies)],
+                beta_coupling=beta_coupling,
+                spectral=SpectralModel("flat", scale),
+            )
+        ),
+        st.lists(st.floats(0.3, 3.0), min_size=4, max_size=4),
+        st.floats(0.002, 0.02),
+        st.floats(0.05, 0.5),
+    )
+
+
+# a chain of 2-4 qubits with energies 1.0 or 1.5, or the explicit pair (None)
+models = (
+    st.sampled_from([2, 3, 4, None])
+    .flatmap(
+        lambda n: st.none()
+        if n is None
+        else st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n)
+    )
+    .flatmap(lambda energies: st.tuples(rate_point(energies), rate_point(energies)))
+)
+
+
+@pytest.mark.parametrize("build", [build_modified_local, build_naive_local])
+@seed(20261019)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(points=models)
+def test_reused_structure_is_exact(build, points):
+    """A point that changes only temperatures, beta_coupling and the coupling
+    scale reuses the previous generator's structure, and is bit for bit the
+    generator a fresh build gives."""
+    before, after = points
+    previous = build(before)
+    steady_state(previous)  # builds the layout the next point then fills
+    reused, fresh = build(after, previous), build(after)
+    assert reused.structure is previous.structure
+    assert fresh.structure is not previous.structure
+    for a, b in zip(reused.blocks.indices, fresh.blocks.indices, strict=True):
+        assert np.array_equal(a, b)
+    for a, b in zip(reused.blocks.matrices, fresh.blocks.matrices, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for bath_a, bath_b in zip(reused.channels, fresh.channels, strict=True):
+        assert [ch.rate for ch in bath_a] == [ch.rate for ch in bath_b]
+        for a, b in zip(bath_a, bath_b, strict=True):
+            assert a.omega == b.omega and np.array_equal(a.op, b.op)
+    assert np.array_equal(reused.rate_operators, fresh.rate_operators)
+    assert np.array_equal(reused.log_product_gibbs, fresh.log_product_gibbs)
+    assert np.array_equal(steady_state(reused).rho_ss, steady_state(fresh).rho_ss)
+
+
+def test_structure_is_rebuilt_when_more_than_rates_change():
+    """Any change beyond the rates, or in which channels have a nonzero rate,
+    builds a new structure; a generator given its channels is never reused."""
+    base = qubit_chain_model(3, [1.0] * 3, [2.0, 1.0, 0.5])
+    previous = build_modified_local(base)
+    assert build_modified_local(base, previous).structure is previous.structure
+    assert build_naive_local(base, previous).structure is not previous.structure
+    changed = [
+        qubit_chain_model(3, [1.0, 1.2, 1.0], [2.0, 1.0, 0.5]),
+        qubit_chain_model(3, [1.0] * 3, [2.0, 1.0, 0.5], alpha=0.02),
+        qubit_chain_model(3, [1.0] * 3, [2.0, 1.0, 0.5], grouping_tol=1e-8),
+        qubit_chain_model(3, [1.0] * 3, [0.001, 1.0, 0.5]),  # absorption underflows to 0
+        qubit_chain_model(3, [1.0] * 3, [2.0, 1.0, 0.5], beta_coupling=0.0),
+        qubit_chain_model(3, [1.0] * 3, [2.0, 1.0, 0.5], spectral=SpectralModel("flat", 0.0)),
+    ]
+    for spec in changed:
+        assert build_modified_local(spec, previous).structure is not previous.structure
+    hand_built = liouvillian.Generator(
+        base, "modified", previous.h_free, previous.h_interaction, previous.channels,
+        previous.levels, None,
+    )
+    assert build_modified_local(base, hand_built).structure is not hand_built.structure
 
 
 # -- spectrum guardrails --------------------------------------------------------------

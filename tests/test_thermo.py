@@ -47,6 +47,7 @@ from conftest import (
     rand_density,
     rand_hermitian,
     rand_unitary,
+    resonant_pair_current,
     transpose_map,
 )
 
@@ -195,29 +196,11 @@ spectra = st.one_of(
 )
 def test_resonant_pair_matches_the_closed_form(omega, alpha, beta_coupling, t1, t2, spectral):
     """The resonant pair's steady heat current against the closed form of the
-    local master equation (Levy & Kosloff, EPL 107, 20004 (2014); Hofer et
-    al., NJP 19, 123037 (2017)): with g = alpha the filtered exchange
-    coupling, Gamma_i = gamma_i(omega) + gamma_i(-omega) and p_i =
-    gamma_i(-omega) / Gamma_i,
-
-        Qdot_1 = -Qdot_2 = omega 4 g^2 G1 G2 / ((G1 + G2)(4 g^2 + G1 G2)) (p_1 - p_2).
-
-    The rates are the golden rule's 2 pi h^2 (n + 1) and 2 pi h^2 n, written
-    out here. A detuned pair (e2 = 1.5 e1) carries no current."""
-    if spectral.kind == "flat":
-        h2 = spectral.coupling_scale
-    else:
-        h2 = spectral.coupling_scale * omega * math.exp(-omega / spectral.cutoff)
-    gammas, populations = [], []
-    for t in (t1, t2):
-        n = 1.0 / math.expm1(omega / t)
-        down = beta_coupling**2 * 2.0 * math.pi * h2 * (n + 1.0)
-        up = beta_coupling**2 * 2.0 * math.pi * h2 * n
-        gammas.append(down + up)
-        populations.append(up / (down + up))
-    (g1, g2), (p1, p2), g = gammas, populations, alpha
-    prefactor = omega * 4.0 * g * g * g1 * g2 / ((g1 + g2) * (4.0 * g * g + g1 * g2))
-    closed = prefactor * (p1 - p2)
+    local master equation (conftest.resonant_pair_current). A detuned pair
+    (e2 = 1.5 e1) carries no current."""
+    closed, prefactor, (g1, g2) = resonant_pair_current(
+        omega, alpha, beta_coupling, t1, t2, spectral
+    )
 
     def steady_report(e2):
         params = TwoQubitParams(
