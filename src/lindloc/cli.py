@@ -22,11 +22,12 @@ import numpy as np
 import yaml
 
 from .baths import BathSpec, SpectralModel
-from .dynamics import SolverConfig, Trajectory, evolve, steady_state
+from .dynamics import SolverConfig, Trajectory, evolve, steady_state, steady_states
 from .errors import ConfigError, LindlocError
-from .linalg import hermiticity_defect
+from .linalg import hermiticity_defect, run_length
 from .liouvillian import (
     Generator,
+    GeneratorStack,
     Subsystem,
     SystemSpec,
     build_modified_local,
@@ -34,7 +35,7 @@ from .liouvillian import (
     product_gibbs,
 )
 from .models import TwoQubitParams, qubit_chain_model, single_qubit_model, two_qubit_model
-from .thermo import audit, audit_trajectory
+from .thermo import audit, audit_states, audit_trajectory
 
 log = logging.getLogger("lindloc")
 
@@ -318,6 +319,12 @@ def _read_output(node, path: str = "output") -> OutputSection:
 
 def _read_sweep(node, path: str = "sweep") -> SweepSection:
     _, kwargs = _fields(node, path, ("parameter", "values"))
+    # a point reads only the model again: nothing else it computes could change
+    if not kwargs["parameter"].startswith("model."):
+        raise ConfigError(
+            f"{path}.parameter: expected a path into the model, 'model.<key>...', "
+            f"got {kwargs['parameter']!r}"
+        )
     if not kwargs["values"]:
         raise ConfigError(f"{path}.values: need at least one value")
     return SweepSection(**kwargs)
@@ -531,30 +538,91 @@ def _set_by_path(data: dict, dotted: str, value: float) -> None:
             node = node[key]
 
 
+class _Held(logging.Filter):
+    """Holds back every record the logger it is added to gets."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def filter(self, record) -> bool:
+        self.records.append(record)
+        return False
+
+
 def _sweep_point(config: RunConfig, k: int, value: float, previous: Generator | None):
-    """The generator with sweep.values[k] set in the model, built from the
-    previous point's where only rates changed, its steady state's residual
-    and its audit."""
-    data = replace(config, sweep=None).to_dict()
-    _set_by_path(data, config.sweep.parameter, value)
+    """The generator with sweep.values[k] set in the model, which alone is
+    read again, built from the previous point's where only rates changed,
+    and the log records of its build, held back until the point is solved
+    (a point that fails to build logs them at once)."""
+    model = copy.deepcopy(config.model)
+    _set_by_path({"model": model}, config.sweep.parameter, value)
+    held = _Held()
+    log.addFilter(held)
     try:
-        gen = make_generator(RunConfig.from_dict(data), previous)
-        result = steady_state(gen)
-        return gen, result.residual, audit(gen, result.rho_ss)
+        _, spec, _ = _read_model(model)
+        return make_generator(replace(config, model=model, spec=spec), previous), held.records
     except (LindlocError, ValueError) as exc:
-        raise ConfigError(f"sweep.values[{k}] = {value!r}: {exc}") from exc
+        failed = exc
+    finally:
+        log.removeFilter(held)
+    for record in held.records:
+        log.handle(record)
+    raise ConfigError(f"sweep.values[{k}] = {value!r}: {failed}") from failed
+
+
+def _solve_points(points: list[tuple]) -> list[tuple]:
+    """Each point's value, steady-state residual and audit, for consecutive
+    sweep points (k, value, generator, held records) whose generators share
+    a structure, solved and audited as stacks. The build records of the
+    points up to the first that fails are then logged, and that point
+    raises, named as _sweep_point names it."""
+    if not points:
+        return []
+    stack = GeneratorStack.of([gen for _, _, gen, _ in points])
+    try:
+        results, error = steady_states(stack)
+        reports, audit_error = audit_states(stack, [r.rho_ss for r in results])
+        error = audit_error or error
+    except (LindlocError, ValueError) as exc:
+        # what fails for the whole stack, such as the memory guard, fails its first point
+        results, reports, error = [], [], exc
+    for _, _, _, records in points[: len(reports) + 1]:
+        for record in records:
+            log.handle(record)
+    if error is not None:
+        k, value, _, _ = points[len(reports)]
+        raise ConfigError(f"sweep.values[{k}] = {value!r}: {error}") from error
+    return [(p[1], r.residual, rep) for p, r, rep in zip(points, results, reports)]
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
+    """Reads and fills the points in order, and solves and audits them in
+    chunks of consecutive points that share one generator structure, each
+    chunk's stacked arrays holding at most linalg.STACK_BYTES per row (see
+    Structure.point_bytes), so its memory is bounded like a run's. A point
+    that fails to read or fill is reported after the points before it are
+    solved, so the first failing point is the one named."""
     if config.sweep is None:
         raise ConfigError("sweep: section is required by the sweep command")
     parameter, values = config.sweep.parameter, config.sweep.values
-    points, gen, built = [], None, 0
+    points, chunk, gen, built = [], [], None, 0
     for k, value in enumerate(values):
         previous = gen
-        gen, residual, report = _sweep_point(config, k, value, previous)
+        try:
+            gen, records = _sweep_point(config, k, value, previous)
+        except ConfigError:
+            _solve_points(chunk)
+            raise
+        if chunk and (
+            gen.structure is not previous.structure
+            or len(chunk) == run_length(gen.structure.point_bytes)
+        ):
+            points += _solve_points(chunk)
+            chunk = []
         built += previous is None or gen.structure is not previous.structure
-        points.append((value, residual, report))
+        chunk.append((k, value, gen, records))
+    points += _solve_points(chunk)
     log.info("sweep: generator structure built at %d of %d points", built, len(values))
 
     def write_table(fh) -> None:

@@ -9,6 +9,9 @@ applied to the column-stacked state, so strides between recorded points are
 taken as matrix powers of S. Steady states are the null vector of the
 generator, and its singular values decide whether that vector is unique.
 
+steady_states solves the points of a sweep, generators that share one
+structure, as one stack (GeneratorStack); steady_state is the stack of one.
+
 Both work on Generator.blocks, the connected components of the nonzero
 pattern of L, so no d^2 x d^2 matrix is built: the RK4 polynomial of a
 block-diagonal L is block-diagonal, and the dense matrix is a unitary change
@@ -36,8 +39,8 @@ from .errors import (
     NonUniqueSteadyStateError,
     PositivityError,
 )
-from .linalg import max_abs, runs
-from .liouvillian import Generator, _require_memory
+from .linalg import runs
+from .liouvillian import Generator, GeneratorStack, _require_memory
 
 log = logging.getLogger("lindloc")
 
@@ -207,70 +210,105 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     return Trajectory(times=times, states=states)
 
 
-def steady_state(gen: Generator) -> SteadyStateResult:
-    """Null-space steady state of the generator.
+def steady_states(stack: GeneratorStack) -> tuple[list[SteadyStateResult], LindlocError | None]:
+    """Null-space steady states of generators that share one structure,
+    solved as one stack: the results of the leading generators that pass
+    every check, and the error of the first that fails one (None if none
+    does). steady_state is the stack of one.
 
-    The singular values of every stored block are pooled, those of a
-    conjugate-pair block twice, so the pool is the dense matrix's. Raises
-    NonUniqueSteadyStateError when more than one singular value is
-    numerically zero; logs a warning when the smallest two singular values
-    are separated by less than SEPARATION_FACTOR. rho_ss then solves the real
-    block holding the trace with its first row, that of entry (0, 0),
-    replaced by the trace: a redundant row, since the trace is a left null
-    vector (the "direct" method of QuTiP, Johansson, Nation & Nori, CPC 184,
-    1234 (2013)).
+    Each generator's singular values of every stored block are pooled,
+    those of a conjugate-pair block twice, so the pool is the dense matrix's;
+    one svd call takes a block index for all generators. A generator fails
+    with NonUniqueSteadyStateError when more than one singular value is
+    numerically zero; a warning is logged when its smallest two singular
+    values are separated by less than SEPARATION_FACTOR. rho_ss then solves
+    the real block holding the trace with its first row, that of entry
+    (0, 0), replaced by the trace: a redundant row, since the trace is a
+    left null vector (the "direct" method of QuTiP, Johansson, Nation & Nori,
+    CPC 184, 1234 (2013)). The candidate must be positive and L[rho_ss] must
+    vanish to 1e-8. A generator that fails a check solves a placeholder in
+    the later stacked steps, so later generators are still solved.
     """
-    view = gen.blocks
+    view, count = stack.view, len(stack)
     parts = []
-    for real, m in zip(view.real, view.matrices):
+    for real, m in zip(view.real, stack.blocks):
         s_k = np.linalg.svd(m, compute_uv=False)
         # a pair block's partner is its conjugate, with the same singular values
         parts += [s_k] if real else [s_k, s_k]
-    s = np.sort(np.concatenate(parts))[::-1]
-    s_max = float(s[0])
-    if s_max == 0.0:
-        raise NonUniqueSteadyStateError(len(s))
-    null_tol = NULL_SCALE * s_max
-    null_dim = int(np.count_nonzero(s <= null_tol))
-    if null_dim > 1:
-        raise NonUniqueSteadyStateError(null_dim)
-    if s[-1] > 0.0 and s[-2] / s[-1] < SEPARATION_FACTOR:
-        log.warning(
-            "steady state may be ill-conditioned: smallest singular values "
-            "%.3e and %.3e are separated by less than a factor %g",
-            s[-2],
-            s[-1],
-            SEPARATION_FACTOR,
-        )
+    s = np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]
+    null_dim = np.count_nonzero(s <= NULL_SCALE * s[:, :1], axis=1)
+    errors: list[LindlocError | None] = [None] * count
+    for p in np.flatnonzero((s[:, 0] == 0.0) | (null_dim > 1)):
+        errors[p] = NonUniqueSteadyStateError(int(null_dim[p]))
+    for s_p in s[: _leading(errors)]:
+        if s_p[-1] > 0.0 and s_p[-2] / s_p[-1] < SEPARATION_FACTOR:
+            log.warning(
+                "steady state may be ill-conditioned: smallest singular values "
+                "%.3e and %.3e are separated by less than a factor %g",
+                s_p[-2],
+                s_p[-1],
+                SEPARATION_FACTOR,
+            )
 
     zero = view.zero
-    a = view.matrices[zero].copy()
+    a = stack.blocks[zero].copy()
     # the trace is the sum of the populations' coordinates, at i + d i
-    a[0] = view.indices[zero] % (gen.dimension + 1) == 0
-    rhs = np.zeros(a.shape[0])
+    a[:, 0] = view.indices[zero] % (view.dimension + 1) == 0
+    a[[e is not None for e in errors]] = np.eye(a.shape[-1])
+    rhs = np.zeros(a.shape[-1])
     rhs[0] = 1.0
-    try:
-        coordinates = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        raise LindlocError(
-            "null vector is traceless; no normalizable steady state in this direction"
-        ) from None
-    x, z = view.zeros()
-    x[view.slices[zero]] = coordinates
+    x, z = view.zeros(count)
+    x[:, view.slices[zero]] = _solve_each(a, rhs, errors)
     rho = view.to_state(x, z)
 
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -1e-9:
-        raise PositivityError(
-            f"steady-state candidate has eigenvalue {lo:.3e} below -1e-9"
+    lo = np.linalg.eigvalsh(rho).min(axis=1)
+    for p in np.flatnonzero(lo < -1e-9):
+        errors[p] = errors[p] or PositivityError(
+            f"steady-state candidate has eigenvalue {lo[p]:.3e} below -1e-9"
         )
+    residual = np.abs(stack.terms(rho)[1]).max(axis=(1, 2))
+    for p in np.flatnonzero(residual > 1e-8):
+        errors[p] = errors[p] or LindlocError(
+            f"steady-state residual {residual[p]:.3e} exceeds 1e-8; generator may be defective"
+        )
+    done = _leading(errors)
+    results = [
+        SteadyStateResult(rho[p], float(residual[p]), int(null_dim[p]), s[p]) for p in range(done)
+    ]
+    return results, errors[done] if done < count else None
 
-    residual = max_abs(gen.apply(rho))
-    if residual > 1e-8:
-        raise LindlocError(
-            f"steady-state residual {residual:.3e} exceeds 1e-8; generator may be defective"
-        )
-    return SteadyStateResult(rho_ss=rho, residual=residual, null_dim=null_dim, singular_values=s)
+
+def _leading(errors: list) -> int:
+    """How many entries lead the list before the first error (not None)."""
+    return next((p for p, e in enumerate(errors) if e is not None), len(errors))
+
+
+def _solve_each(a: np.ndarray, rhs: np.ndarray, errors: list) -> np.ndarray:
+    """The solution of each system of a stack; a singular one records the
+    error for its generator and solves as the identity."""
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty(a.shape[:-1])
+    for p, a_p in enumerate(a):
+        try:
+            out[p] = np.linalg.solve(a_p, rhs)
+        except np.linalg.LinAlgError:
+            errors[p] = errors[p] or LindlocError(
+                "null vector is traceless; no normalizable steady state in this direction"
+            )
+            out[p] = rhs
+    return out
+
+
+def steady_state(gen: Generator) -> SteadyStateResult:
+    """Null-space steady state of the generator: steady_states of gen alone,
+    raising its error."""
+    results, error = steady_states(gen.stack)
+    if error is not None:
+        raise error
+    return results[0]
 
 
 def relaxation_time(gen: Generator) -> float:

@@ -28,10 +28,16 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 STACK_BYTES = 1 << 16
 
 
+def run_length(nbytes: int) -> int:
+    """How many items of nbytes each a run holds: STACK_BYTES of them, and at
+    least one."""
+    return max(1, STACK_BYTES // nbytes)
+
+
 def runs(count: int, d: int) -> list[slice]:
     """Consecutive slices over a stack of `count` complex d x d matrices, each
-    slice covering at most STACK_BYTES of matrices, and at least one."""
-    size = max(1, STACK_BYTES // (16 * d * d))
+    of at most run_length(16 d^2) matrices."""
+    size = run_length(16 * d * d)
     return [slice(k, k + size) for k in range(0, count, size)]
 
 

@@ -151,10 +151,12 @@ class Channel:
     rate: float
 
 
-def _dissipator_g(bath: list[Channel], products: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """G = -K_i/2 of one bath's D_i, K_i = sum gamma A†A over its channels,
-    given the A†A of each."""
-    return sum((-0.5 * ch.rate * p for ch, p in zip(bath, products)), np.zeros_like(like))
+def _dissipator_g(rates: np.ndarray, products: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """G = -K_i/2 of one bath's D_i under each generator, K_i = sum gamma A†A
+    over its channels, given their rates under each, (P, channels), and the
+    A†A of each; like is a (P, d, d) array."""
+    terms = (-0.5 * r[:, None, None] * p for r, p in zip(rates.T, products))
+    return sum(terms, np.zeros_like(like))
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -404,10 +406,12 @@ class BlockView:
         entries = np.concatenate(pair) if pair else np.empty(0, dtype=np.intp)
         return _Layout(diag, at[diag], low, tau[low], at[low], at[tau[low]], entries, tau[entries])
 
-    def zeros(self) -> tuple[np.ndarray, np.ndarray]:
-        """The real coordinates and the pair entries of the zero matrix."""
+    def zeros(self, *stack: int) -> tuple[np.ndarray, np.ndarray]:
+        """The real coordinates and the pair entries of the zero matrix, or of
+        a stack of shape `stack` of them."""
         s = self._layout
-        return np.zeros(s.diag.size + 2 * s.low.size), np.zeros(s.entries.size, dtype=complex)
+        x = np.zeros((*stack, s.diag.size + 2 * s.low.size))
+        return x, np.zeros((*stack, s.entries.size), dtype=complex)
 
     def to_vector(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The real coordinates and the pair entries of rho's Hermitian part."""
@@ -516,6 +520,13 @@ class Structure:
     def terms_plan(self) -> tuple[np.ndarray, ...]:
         return self.plan(self.product.parts == INTERACTION)
 
+    @property
+    def point_bytes(self) -> int:
+        """Bytes of the largest row that a generator of this structure adds
+        to a GeneratorStack's arrays: its product triplets' values, or a
+        complex d x d matrix if that is larger."""
+        return 16 * max(self.dimension**2, self.product.rows.size)
+
     @cached_property
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Each product triplet's distinct (row, col), and the row of each."""
@@ -603,14 +614,14 @@ class Structure:
 class Generator:
     """A built local generator: Hamiltonian pieces plus per-bath jump channels.
 
-    Its Structure says where each value of L goes, and the generator fills
-    it with its own values; given no structure, it builds one from its
-    channels' operators. L's parts are one cached list of (part, G): -i H_s,
-    -i V and bath i's -K_i/2. The blocks read L with their sum, G = -i H_eff, in the Bohr
-    blocks of `levels` (H_s's eigensystem and frequencies); every other use
-    reads one cached product-basis pass whose triplets carry their part.
-    L_p, the partial generator fixing the product of local Gibbs states,
-    leaves out V.
+    Its Structure says where each value of L goes; given no structure, it
+    builds one from its channels' operators. The values are filled by
+    GeneratorStack, of which this generator alone is the stack of one
+    (Generator.stack): L's parts, -i H_s, -i V and bath i's -K_i/2; the
+    blocks, which read L with their sum, G = -i H_eff, in the Bohr blocks of
+    `levels` (H_s's eigensystem and frequencies); and one product-basis pass
+    whose triplets carry their part, which every other use reads. L_p, the
+    partial generator fixing the product of local Gibbs states, leaves out V.
     """
 
     def __init__(
@@ -650,66 +661,26 @@ class Generator:
         """H_s plus the (filtered or full) interaction term."""
         return self.h_free + self.h_interaction
 
-    def _source(self, g: np.ndarray, pattern: _Triplets | _BlockPattern) -> np.ndarray:
-        """The values a pattern's triplets take theirs from (see _Triplets),
-        given the stack of G's in the pattern's basis."""
-        v = g[pattern.pos]
-        rates = np.array([ch.rate for bath in self.channels for ch in bath])
-        return np.concatenate((v, v.conj(), rates[pattern.channel] * pattern.outer))
-
     @cached_property
-    def _terms(self) -> list[tuple[int, np.ndarray]]:
-        """(part, G) of each part of L: -i H_s, -i V and bath i's -K_i/2."""
-        products = self.structure.products
-        return [(FREE, -1j * self.h_free), (INTERACTION, -1j * self.h_interaction)] + [
-            (BATH + b, _dissipator_g(bath, products[b], self.h_free))
-            for b, bath in enumerate(self.channels)
-        ]
+    def stack(self) -> GeneratorStack:
+        """This generator alone as a stack of one, which fills its values."""
+        return GeneratorStack.of([self])
 
-    @cached_property
+    @property
     def _product(self) -> tuple[np.ndarray, ...]:
         """The (row, col, value, part) triplets of L in the product basis."""
         p = self.structure.product
-        values = self._source(np.array([g for _, g in self._terms]), p)
-        return p.rows, p.cols, values[p.source], p.parts
-
-    def _plan(self, pattern: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        """A plan (Structure.plan) with the triplets' values: each matrix's
-        diagonal, and the keys, columns and values of the other triplets."""
-        n = self.dimension**2
-        on, keys_on, keys, cols = pattern
-        vals = self._product[2]
-        return _scatter(keys_on, vals[on], 2 * n).reshape(2, n), keys, cols, vals[~on]
-
-    def _act(self, rho: np.ndarray, plan: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The two matrices of a plan's action on a matrix or a (T, d, d) stack."""
-        d, n = self.dimension, self.dimension**2
-        if rho.shape[-2:] != (d, d):
-            raise DimensionMismatchError(
-                f"state shape {rho.shape} does not match generator dimension {d}"
-            )
-        diagonal, keys, cols, vals = plan
-        flat = rho.swapaxes(-1, -2).reshape(-1, n)  # column-stacked
-        keys = keys + 2 * n * np.arange(len(flat))[:, None]
-        w = np.take(flat, cols, axis=1) * vals
-        out = _scatter(keys.ravel(), w.ravel(), 2 * n * len(flat)).reshape(-1, 2, n)
-        out += flat[:, None, :] * diagonal
-        out = out.reshape(*rho.shape[:-2], 2, d, d).swapaxes(-1, -2)
-        return out[..., 0, :, :], out[..., 1, :, :]
-
-    @cached_property
-    def _terms_plan(self) -> tuple[np.ndarray, ...]:
-        return self._plan(self.structure.terms_plan)
+        return p.rows, p.cols, self.stack.product_values[0], p.parts
 
     def dissipator(self, bath_index: int, rho: np.ndarray) -> np.ndarray:
         """beta^2-scaled dissipator of one bath applied to a matrix."""
         s = self.structure
-        return self._act(rho, self._plan(s.plan(s.product.parts != BATH + bath_index)))[0]
+        pattern = s.plan(s.product.parts != BATH + bath_index)
+        return _act(rho, _fill_plan(pattern, self.stack.product_values, self.dimension**2))[0]
 
     def terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The partial L_p[rho] and the full L[rho], of one matrix or a stack."""
-        partial, commutator = self._act(rho, self._terms_plan)
-        return partial, partial + commutator
+        return self.stack.terms(rho)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Full generator action on a matrix (need not be a state)."""
@@ -719,22 +690,12 @@ class Generator:
         """Generator action without the interaction commutator."""
         return self.terms(rho)[0]
 
-    @cached_property
+    @property
     def rate_operators(self) -> np.ndarray:
         """Heisenberg-picture operators of the rates linear in rho, stacked:
         D_i†[H_s] for each bath, then L†[H_s], then L_p†[ln rho_G], so that
-        tr(op rho) is Qdot_i, Edot and tr(L_p[rho] ln rho_G) in turn. A triplet
-        (r, c, v) adds v X_r to entry c of L†[X]^T, column-stacked as X^T is."""
-        d, n, count = self.dimension, self.dimension**2, BATH + len(self.channels)
-        rows, cols, vals, part = self._product
-        keys = part * n + cols
-
-        def adjoint(x):  # the adjoint of every part, one bincount
-            return _scatter(keys, vals * x.ravel()[rows], count * n).reshape(count, d, d)
-
-        h, g = adjoint(self.h_free), adjoint(self.log_product_gibbs)
-        spohn = np.delete(g, INTERACTION, axis=0).sum(axis=0)
-        return np.concatenate((h[BATH:], h.sum(axis=0)[None], spohn[None]))
+        tr(op rho) is Qdot_i, Edot and tr(L_p[rho] ln rho_G) in turn."""
+        return self.stack.rate_operators[0]
 
     def _dense(self, partial: bool) -> np.ndarray:
         """Column-stacked matrix of L, or of L_p if partial, in the product basis,
@@ -754,30 +715,11 @@ class Generator:
     def partial_superop(self) -> np.ndarray:
         return self._dense(partial=True)
 
-    def _block_g(self, basis: np.ndarray | None) -> np.ndarray:
-        """The blocks' G = -i H_eff, H_eff = H - i sum_i K_i/2, in `basis`
-        (the product basis if None), as a stack of one."""
-        g = (-1j * self.hamiltonian + sum(t for part, t in self._terms if part >= BATH))[None]
-        return g if basis is None else basis.conj().T @ g @ basis
-
-    @cached_property
+    @property
     def blocks(self) -> BlockView:
         """L as a direct sum over the connected components of its pattern (see
-        Structure.blocks), filled by one bincount."""
-        s = self.structure.blocks
-        words = self._source(self._block_g(s.basis), s).view(np.float64)
-        flat = np.bincount(s.keys, s.factor * words[s.gather], s.size)
-        return BlockView(
-            s.basis,
-            self.dimension,
-            s.indices,
-            tuple(
-                flat[offset : offset + count]
-                .view(np.float64 if real else np.complex128)
-                .reshape(rows, rows)
-                for offset, count, rows, real in s.shapes
-            ),
-        )
+        Structure.blocks)."""
+        return self.stack.view
 
     def stability_norm(self) -> float:
         """||L||_inf in the product basis, from the cached triplets with
@@ -786,23 +728,192 @@ class Generator:
         entries = _scatter(at, self._product[2], rows.size)
         return float(np.bincount(rows, np.abs(entries), self.dimension**2).max())
 
-    @cached_property
+    @property
     def log_product_gibbs(self) -> np.ndarray:
         """ln of the product of local Gibbs states, from the exponent directly."""
-        spec = self.spec
-        x = np.zeros_like(self.h_free)
-        for k, (sub, bath) in enumerate(zip(spec.subsystems, spec.baths)):
-            x = x - bath.beta * embed(sub.hamiltonian, k, spec.dims)
-        # subtract ln(partition function) so that exp(result) has unit trace
-        w = np.linalg.eigvalsh(x)
-        shift = w.max()
-        ln_z = shift + np.log(np.exp(w - shift).sum())
-        return x - ln_z * np.eye(spec.dimension, dtype=complex)
+        return self.stack.log_product_gibbs[0]
 
     def min_rate(self) -> float:
         """Smallest scaled channel rate; +inf when there are no channels."""
         rates = [ch.rate for channels in self.channels for ch in channels]
         return min(rates) if rates else float("inf")
+
+
+def _act(rho: np.ndarray, plan: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The two matrices of a plan's action (_fill_plan) on a matrix or a
+    (T, d, d) stack, each matrix under the plan's values for it, or under
+    its one set of values for all."""
+    diagonal, keys, cols, vals = plan
+    n = diagonal.shape[-1]
+    d = isqrt(n)
+    if rho.shape[-2:] != (d, d):
+        raise DimensionMismatchError(
+            f"state shape {rho.shape} does not match generator dimension {d}"
+        )
+    flat = rho.swapaxes(-1, -2).reshape(-1, n)  # column-stacked
+    keys = keys + 2 * n * np.arange(len(flat))[:, None]
+    w = np.take(flat, cols, axis=1) * vals
+    out = _scatter(keys.ravel(), w.ravel(), 2 * n * len(flat)).reshape(-1, 2, n)
+    out += flat[:, None, :] * diagonal
+    out = out.reshape(*rho.shape[:-2], 2, d, d).swapaxes(-1, -2)
+    return out[..., 0, :, :], out[..., 1, :, :]
+
+
+def _fill_plan(pattern: tuple, values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """A plan (Structure.plan) on d^2 = n entries with each generator's
+    values of the product triplets, (P, triplets): each matrix's diagonal,
+    (P, 2, n), and the keys, columns and values, (P, ...), of the others."""
+    on, keys_on, keys, cols = pattern
+    count = len(values)
+    diagonal = _scatter(_offsets(keys_on, 2 * n, count), values[:, on].ravel(), 2 * n * count)
+    return diagonal.reshape(count, 2, n), keys, cols, values[:, ~on]
+
+
+def _offsets(keys: np.ndarray, size: int, count: int) -> np.ndarray:
+    """keys of `count` generators, each one's shifted by size past the last's."""
+    return (keys + size * np.arange(count)[:, None]).ravel()
+
+
+class GeneratorStack:
+    """Generators of one Structure, typically the points of a sweep, whose
+    values are filled and held stacked along a leading axis, one row per
+    generator, so that a step over all of them is one numpy call: each
+    gather and bincount of the fill takes every generator's values at once,
+    with its keys shifted per generator. A generator alone is the stack of
+    one (Generator.stack), which fills that generator's values.
+
+    A stack is made from what sets its generators' values, each channel's
+    scaled rate (P, channels) and each bath's inverse temperature
+    (P, baths), and keeps no reference to the generators, so a generator's
+    cached stack of one makes no reference cycle."""
+
+    def __init__(
+        self, structure: Structure, spec: SystemSpec, rates: np.ndarray, betas: np.ndarray
+    ):
+        self.structure, self.spec = structure, spec
+        self.rates, self.betas = rates, betas
+
+    @classmethod
+    def of(cls, gens: list[Generator]) -> GeneratorStack:
+        """The stack of generators that share one structure."""
+        rates = [[ch.rate for bath in g.channels for ch in bath] for g in gens]
+        rates = np.array(rates).reshape(len(gens), -1)
+        betas = np.array([[b.beta for b in g.spec.baths] for g in gens])
+        return cls(gens[0].structure, gens[0].spec, rates, betas)
+
+    def rows(self, index: slice) -> GeneratorStack:
+        """The stack of the generators at `index`, filled anew."""
+        return GeneratorStack(self.structure, self.spec, self.rates[index], self.betas[index])
+
+    def __len__(self) -> int:
+        return len(self.rates)
+
+    @property
+    def dimension(self) -> int:
+        return self.structure.dimension
+
+    def _source(self, g: np.ndarray, pattern: _Triplets | _BlockPattern) -> np.ndarray:
+        """The values a pattern's triplets take theirs from (see _Triplets),
+        for each generator, given its stack of G's in the pattern's basis,
+        (P, G's, d, d)."""
+        t, i, k = pattern.pos
+        v = g[:, t, i, k]
+        jumps = self.rates[:, pattern.channel] * pattern.outer
+        return np.concatenate((v, v.conj(), jumps), axis=1)
+
+    @cached_property
+    def _terms(self) -> np.ndarray:
+        """G of each part of L, -i H_s, -i V and bath i's -K_i/2, for each
+        generator, (P, parts, d, d)."""
+        s = self.structure
+        d, ends = s.dimension, np.cumsum([len(jumps) for jumps in s.jumps])
+        g = np.empty((len(self), BATH + len(s.jumps), d, d), dtype=complex)
+        g[:, FREE] = -1j * s.h_free
+        g[:, INTERACTION] = -1j * s.h_interaction
+        for b, (end, products) in enumerate(zip(ends, s.products)):
+            rates = self.rates[:, end - len(products) : end]
+            g[:, BATH + b] = _dissipator_g(rates, products, g[:, FREE])
+        return g
+
+    @cached_property
+    def product_values(self) -> np.ndarray:
+        """The values of the product triplets (Structure.product), (P, triplets)."""
+        p = self.structure.product
+        return self._source(self._terms, p)[:, p.source]
+
+    @cached_property
+    def _terms_plan(self) -> tuple[np.ndarray, ...]:
+        s = self.structure
+        return _fill_plan(s.terms_plan, self.product_values, s.dimension**2)
+
+    def terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """L_p[rho] and L[rho] of a matrix or a (T, d, d) stack, each matrix
+        under its own generator when there are T of them, else under the one."""
+        partial, commutator = _act(rho, self._terms_plan)
+        return partial, partial + commutator
+
+    @cached_property
+    def log_product_gibbs(self) -> np.ndarray:
+        """ln of each generator's product of local Gibbs states, (P, d, d),
+        from the exponent directly."""
+        spec = self.spec
+        d = spec.dimension
+        x = np.zeros((len(self), d, d), dtype=complex)
+        for k, sub in enumerate(spec.subsystems):
+            x = x - self.betas[:, k, None, None] * embed(sub.hamiltonian, k, spec.dims)
+        # subtract ln(partition function) so that exp(result) has unit trace
+        w = np.linalg.eigvalsh(x)
+        shift = w.max(axis=1)
+        ln_z = shift + np.log(np.exp(w - shift[:, None]).sum(axis=1))
+        return x - ln_z[:, None, None] * np.eye(d, dtype=complex)
+
+    @cached_property
+    def rate_operators(self) -> np.ndarray:
+        """Generator.rate_operators of each generator, (P, rates, d, d). A
+        triplet (r, c, v) adds v X_r to entry c of L†[X]^T, column-stacked as
+        X^T is."""
+        s = self.structure
+        d, n, count = s.dimension, s.dimension**2, BATH + len(s.jumps)
+        p, vals = s.product, self.product_values
+        keys = _offsets(p.parts * n + p.cols, count * n, len(self))
+
+        def adjoint(x):  # the adjoint of every part of each generator, one bincount
+            w = vals * x.reshape(len(x), n)[:, p.rows]
+            return _scatter(keys, w.ravel(), len(self) * count * n).reshape(-1, count, d, d)
+
+        h, g = adjoint(s.h_free[None]), adjoint(self.log_product_gibbs)
+        spohn = np.delete(g, INTERACTION, axis=1).sum(axis=1)
+        return np.concatenate((h[:, BATH:], h.sum(axis=1)[:, None], spohn[:, None]), axis=1)
+
+    def _block_g(self, basis: np.ndarray | None) -> np.ndarray:
+        """The blocks' G = -i H_eff, H_eff = H - i sum_i K_i/2, of each
+        generator in `basis` (the product basis if None), (P, 1, d, d)."""
+        s, parts = self.structure, self._terms[:, BATH:].swapaxes(0, 1)
+        g = (-1j * (s.h_free + s.h_interaction) + sum(parts))[:, None]
+        return g if basis is None else basis.conj().T @ g @ basis
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The matrices of each block index (see Structure.blocks), (P, m, m),
+        filled by one bincount."""
+        s = self.structure.blocks
+        words = np.ascontiguousarray(self._source(self._block_g(s.basis), s)).view(np.float64)
+        keys = _offsets(s.keys, s.size, len(self))
+        flat = np.bincount(keys, (s.factor * words[:, s.gather]).ravel(), len(self) * s.size)
+        flat = flat.reshape(len(self), s.size)
+        return tuple(
+            flat[:, offset : offset + count]
+            .view(np.float64 if real else np.complex128)
+            .reshape(-1, rows, rows)
+            for offset, count, rows, real in s.shapes
+        )
+
+    @cached_property
+    def view(self) -> BlockView:
+        """The first generator's blocks, whose layout every generator shares."""
+        s = self.structure.blocks
+        matrices = tuple(m[0] for m in self.blocks)
+        return BlockView(s.basis, self.structure.dimension, s.indices, matrices)
 
 
 def _reusable(previous: Generator | None, spec: SystemSpec, kind: str) -> bool:

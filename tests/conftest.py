@@ -39,7 +39,8 @@ def block_entries(gen):
     """The triplets that gen.blocks are filled from: L with one G = -i H_eff,
     in the blocks' basis."""
     basis, pattern = gen.structure.block_triplets()
-    values = gen._source(gen._block_g(basis), pattern)[pattern.source]
+    stack = gen.stack
+    values = stack._source(stack._block_g(basis), pattern)[0, pattern.source]
     return pattern.rows, pattern.cols, values, pattern.parts
 
 

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import lindloc.cli as cli
-from lindloc import liouvillian
+from lindloc import linalg, liouvillian
 from lindloc.cli import (
     RunConfig,
     _set_by_path,
@@ -276,6 +276,18 @@ def test_sweep_validation():
     data = base_dict(sweep={"values": [1.0]})
     with pytest.raises(ConfigError, match=r"sweep\.parameter"):
         RunConfig.from_dict(data)
+
+
+def test_sweep_outside_the_model_is_refused_at_load(tmp_path):
+    """A sweep point reads only the model again, so a parameter elsewhere
+    (which used to write identical rows) is refused before any point runs."""
+    data = base_dict(sweep={"parameter": "solver.dt", "values": [0.01, 0.02]})
+    with pytest.raises(ConfigError, match=r"^sweep\.parameter: .*'solver\.dt'"):
+        RunConfig.from_dict(data)
+    proc = run_cli("sweep", write_yaml(tmp_path, data), "--out", tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("lindloc: error: sweep.parameter: ")
+    assert not (tmp_path / "out").exists()
 
 
 # -- command functions ---------------------------------------------------------------
@@ -694,6 +706,100 @@ def test_zero_coupling_point_has_no_unique_steady_state(tmp_path, capsys):
         "lindloc: error: sweep.values[1] = 0.0: steady state is not unique: "
         "null space has dimension 8\n"
     )
+
+
+def test_error_precedence_is_sweep_order(tmp_path, capsys):
+    """values[1] fails to solve and values[2] fails to read: the point read
+    after a failing one is not reported, though points are solved in chunks."""
+    path = write_yaml(tmp_path, chain_sweep("model.params.beta_coupling", [0.01, 0.0, -0.01]))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "lindloc: error: sweep.values[1] = 0.0: steady state is not unique: "
+        "null space has dimension 8\n"
+    )
+
+
+def test_build_warnings_stop_at_the_failing_point(tmp_path):
+    """Build-time warnings of a chunk's points are held until it is solved,
+    and those after the first failing point are never logged: stderr is the
+    point-by-point sweep's, byte for byte."""
+    data = chain_sweep("model.params.beta_coupling", [0.01, 0.011, 1e-9, 0.012, 0.013])
+    data["model"]["params"]["energies"] = [1.0, 1.02, 1.0]
+    proc = run_cli("sweep", write_yaml(tmp_path, data), "--out", tmp_path / "o")
+    assert proc.returncode == 1
+    thin = "WARNING lindloc: Bohr spectrum margin is thin: min(frequency, spacing)/coupling = "
+    assert proc.stderr == (
+        f"{thin}2\n{thin}1.82\n{thin}2\n"
+        "lindloc: error: sweep.values[2] = 1e-09: steady state is not unique: "
+        "null space has dimension 12\n"
+    )
+
+
+def test_memory_guard_names_the_first_sweep_point(tmp_path, monkeypatch, capsys):
+    """What fails for a whole chunk, such as the memory guard on its blocks,
+    is reported at the chunk's first point, as the parent did point by point."""
+    monkeypatch.setattr(liouvillian, "PHYSICAL_MEMORY", 10_000)
+    path = write_yaml(tmp_path, chain_sweep("model.params.temperatures.0", [0.5, 1.0]))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "lindloc: error: sweep.values[0] = 0.5: 4 generator blocks of up to 20 rows "
+        "would need 2.22e-05 GB, more than the 1e-05 GB of physical memory\n"
+    )
+
+
+def test_sweep_point_reads_only_the_model(tmp_path):
+    values = [0.5, 1.0, 1.5]
+    cfg = RunConfig.from_dict(chain_sweep("model.params.temperatures.0", values))
+    with (
+        mock.patch.object(RunConfig, "from_dict", wraps=RunConfig.from_dict) as whole,
+        mock.patch.object(cli, "_read_model", wraps=cli._read_model) as model,
+    ):
+        assert cli.cmd_sweep(cfg, tmp_path / "o") == 0
+    assert whole.call_count == 0
+    assert model.call_count == len(values)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_chunks_do_not_change_the_table(tmp_path, size):
+    """Points are solved in chunks whose stacked arrays hold at most
+    STACK_BYTES per row; chunks of one or two points write the bytes that
+    one chunk of five writes."""
+    values = [0.5, 0.8, 1.1, 1.4, 1.7]
+    cfg = RunConfig.from_dict(chain_sweep("model.params.temperatures.0", values))
+    point = make_generator(cfg).structure.point_bytes
+    with mock.patch.object(linalg, "STACK_BYTES", 5 * point):
+        assert cli.cmd_sweep(cfg, tmp_path / "whole") == 0
+    with (
+        mock.patch.object(linalg, "STACK_BYTES", size * point),
+        mock.patch.object(cli, "steady_states", wraps=cli.steady_states) as solved,
+    ):
+        assert cli.cmd_sweep(cfg, tmp_path / "chunked") == 0
+    assert [len(call.args[0]) for call in solved.call_args_list] == (
+        [1] * 5 if size == 1 else [2, 2, 1]
+    )
+    for name in ("sweep.csv", "sweep_report.txt"):
+        chunked = (tmp_path / "chunked" / name).read_bytes()
+        assert chunked == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_run_path_does_not_import_scipy(tmp_path):
+    """steady and sweep on the bundled configs import no scipy, whose import
+    alone takes longer than a steady_chain5 job's whole set-up."""
+    configs = sorted(str(p) for p in CONFIG_DIR.glob("*.yaml"))
+    script = f"""
+import sys
+import lindloc.cli as cli
+for k, path in enumerate({configs!r}):
+    assert cli.main(["steady", path, "--out", {str(tmp_path)!r} + f"/steady{{k}}"]) == 0
+sweep = {str(CONFIG_DIR / "sweep_t1.yaml")!r}
+assert cli.main(["sweep", sweep, "--out", {str(tmp_path)!r} + "/sweep"]) == 0
+print([name for name in sys.modules if name.split(".")[0] == "scipy"])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

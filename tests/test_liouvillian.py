@@ -1,6 +1,9 @@
+import gc
 import logging
 import math
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lindloc.baths import BathSpec, SpectralModel
-from lindloc import liouvillian
-from lindloc.dynamics import steady_state
+from lindloc import linalg, liouvillian
+from lindloc.dynamics import steady_state, steady_states
 from lindloc.errors import (
     DenseSpectrumError,
     DimensionMismatchError,
@@ -18,6 +21,7 @@ from lindloc.errors import (
 )
 from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, embed, kron
 from lindloc.liouvillian import (
+    GeneratorStack,
     Subsystem,
     SystemSpec,
     build_modified_local,
@@ -33,7 +37,9 @@ from lindloc.models import (
     two_qubit_model,
 )
 
-from conftest import assert_block_matches, rand_complex, rand_density
+from lindloc.thermo import audit, audit_states
+
+from conftest import assert_block_matches, rand_complex, rand_density, rand_hermitian
 
 FLAT_UNIT = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
 
@@ -265,6 +271,29 @@ def test_stability_norm_is_dense_inf_norm():
             assert gen.stability_norm() == pytest.approx(inf_norm(gen.superop), rel=1e-15)
 
 
+def test_stability_norm_is_the_row_sum_not_the_column_sum():
+    """A pair with random Hermitian Hamiltonians, interaction and bath
+    operators, whose largest absolute row and column sums of L differ (on
+    qubit chains they agree): the RK4 guard reads the row sum."""
+    rng = np.random.default_rng(1)
+    flat = SpectralModel("flat", 0.5)
+    spec = SystemSpec(
+        subsystems=[Subsystem(q, rand_hermitian(rng, 2), 2) for q in ("q1", "q2")],
+        interactions=[rand_hermitian(rng, 4)],
+        alpha=0.05,
+        baths=[
+            BathSpec.from_temperature("b1", 1.0, flat, rand_hermitian(rng, 2)),
+            BathSpec.from_temperature("b2", 0.5, flat, rand_hermitian(rng, 2)),
+        ],
+        beta_coupling=0.3,
+    )
+    for gen in (build_modified_local(spec), build_naive_local(spec)):
+        dense = np.abs(gen.superop)
+        rows, cols = dense.sum(axis=1).max(), dense.sum(axis=0).max()
+        assert abs(rows - cols) > 0.005 * rows
+        assert gen.stability_norm() == pytest.approx(rows, rel=1e-15, abs=0.0)
+
+
 def test_min_rate_and_norm():
     gen = default_two_qubit()
     n2 = 1.0 / math.expm1(1.0)
@@ -336,16 +365,13 @@ def rate_point(energies):
     )
 
 
-# a chain of 2-4 qubits with energies 1.0 or 1.5, or the explicit pair (None)
-models = (
-    st.sampled_from([2, 3, 4, None])
-    .flatmap(
-        lambda n: st.none()
-        if n is None
-        else st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n)
-    )
-    .flatmap(lambda energies: st.tuples(rate_point(energies), rate_point(energies)))
+# the energies of a chain of 2-4 qubits, 1.0 or 1.5 each, or the explicit pair (None)
+energy_lists = st.sampled_from([2, 3, 4, None]).flatmap(
+    lambda n: st.none()
+    if n is None
+    else st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n)
 )
+models = energy_lists.flatmap(lambda e: st.tuples(rate_point(e), rate_point(e)))
 
 
 @pytest.mark.parametrize("build", [build_modified_local, build_naive_local])
@@ -373,6 +399,56 @@ def test_reused_structure_is_exact(build, points):
     assert np.array_equal(reused.rate_operators, fresh.rate_operators)
     assert np.array_equal(reused.log_product_gibbs, fresh.log_product_gibbs)
     assert np.array_equal(steady_state(reused).rho_ss, steady_state(fresh).rho_ss)
+
+
+# 2-12 rate points of one such model
+sweeps = energy_lists.flatmap(lambda e: st.lists(rate_point(e), min_size=2, max_size=12))
+
+
+@pytest.mark.parametrize("build", [build_modified_local, build_naive_local])
+@seed(20261020)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(points=sweeps, size=st.integers(1, 3))
+def test_stacked_points_match_point_by_point(build, points, size):
+    """Sweep points solved and audited as stacks, in the runs of at most
+    `size` generators that linalg.runs gives with STACK_BYTES made small,
+    are bit for bit what steady_state and audit give each point alone."""
+    gens, previous = [], None
+    for spec in points:
+        previous = build(spec, previous)
+        gens.append(previous)
+    d = previous.dimension
+    with mock.patch.object(linalg, "STACK_BYTES", size * 16 * d * d):
+        runs = linalg.runs(len(gens), d)
+    for run in runs:
+        assert 1 <= len(gens[run]) <= size
+        assert all(g.structure is gens[0].structure for g in gens[run])
+        stack = GeneratorStack.of(gens[run])
+        results, error = steady_states(stack)
+        assert error is None
+        reports, error = audit_states(stack, [r.rho_ss for r in results])
+        assert error is None
+        for gen, result, report in zip(gens[run], results, reports, strict=True):
+            alone = steady_state(gen)
+            assert np.array_equal(result.rho_ss, alone.rho_ss)
+            assert result.residual == alone.residual and result.null_dim == alone.null_dim
+            assert report == audit(gen, alone.rho_ss)
+
+
+def test_a_used_generator_is_freed_by_reference_counting():
+    """A generator caches its stack of one, which keeps no reference back to
+    it, so a built, solved and audited generator goes when its last
+    reference does, not at the cycle collector's next pass: a sweep or a
+    benchmark loop builds thousands."""
+    gen = build_modified_local(qubit_chain_model(3, [1.0, 1.5, 1.0], [2.0, 1.0, 0.5]))
+    audit(gen, steady_state(gen).rho_ss)
+    freed = weakref.ref(gen)
+    gc.disable()
+    try:
+        del gen
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_structure_is_rebuilt_when_more_than_rates_change():
