@@ -7,14 +7,7 @@ thermodynamics along the way.
 """
 
 from .baths import BathSpec, SpectralModel, bose_einstein, rate
-from .dynamics import (
-    SolverConfig,
-    SteadyStateResult,
-    Trajectory,
-    evolve,
-    relaxation_time,
-    steady_state,
-)
+from .dynamics import SolverConfig, SteadyStateResult, Trajectory, evolve, steady_state
 from .errors import (
     AmbiguousSpectrumError,
     ConfigError,
@@ -37,7 +30,6 @@ from .linalg import (
     embed,
     hermitian_eig,
     kron,
-    partial_trace,
     von_neumann_entropy,
 )
 from .liouvillian import (
@@ -66,13 +58,6 @@ from .spectral import (
     secular_filter,
     sparse_spectrum_diagnostics,
 )
-from .thermo import (
-    ThermoReport,
-    audit,
-    audit_trajectory,
-    entropy_rate,
-    heat_current,
-    internal_energy_rate,
-)
+from .thermo import ThermoReport, audit, audit_trajectory
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .errors import ConfigError, LindlocError
 from .linalg import hermiticity_defect, run_length
 from .liouvillian import (
     Generator,
-    GeneratorStack,
     Subsystem,
     SystemSpec,
     build_modified_local,
@@ -579,7 +578,7 @@ def _solve_points(points: list[tuple]) -> list[tuple]:
     raises, named as _sweep_point names it."""
     if not points:
         return []
-    stack = GeneratorStack.of([gen for _, _, gen, _ in points])
+    stack = Generator.stack([gen for _, _, gen, _ in points])
     try:
         results, error = steady_states(stack)
         reports, audit_error = audit_states(stack, [r.rho_ss for r in results])

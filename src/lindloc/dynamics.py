@@ -10,7 +10,8 @@ taken as matrix powers of S. Steady states are the null vector of the
 generator, and its singular values decide whether that vector is unique.
 
 steady_states solves the points of a sweep, generators that share one
-structure, as one stack (GeneratorStack); steady_state is the stack of one.
+structure, as one stacked Generator (Generator.stack); steady_state solves
+a generator of one row.
 
 Both work on Generator.blocks, the connected components of the nonzero
 pattern of L, so no d^2 x d^2 matrix is built: the RK4 polynomial of a
@@ -40,7 +41,7 @@ from .errors import (
     PositivityError,
 )
 from .linalg import runs
-from .liouvillian import Generator, GeneratorStack, _require_memory
+from .liouvillian import Generator, _require_memory, _require_one_row
 
 log = logging.getLogger("lindloc")
 
@@ -146,6 +147,7 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     step and stride matrices, real for a self-conjugate block; blocks where
     rho0 is exactly zero are never stepped (a diagonal rho0 steps one block).
     """
+    _require_one_row(gen, "evolve")
     d = gen.dimension
     rho0 = np.array(rho0, dtype=complex)
     if rho0.shape != (d, d):
@@ -210,11 +212,10 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     return Trajectory(times=times, states=states)
 
 
-def steady_states(stack: GeneratorStack) -> tuple[list[SteadyStateResult], LindlocError | None]:
-    """Null-space steady states of generators that share one structure,
-    solved as one stack: the results of the leading generators that pass
-    every check, and the error of the first that fails one (None if none
-    does). steady_state is the stack of one.
+def steady_states(gen: Generator) -> tuple[list[SteadyStateResult], LindlocError | None]:
+    """Null-space steady states of each row of a stacked generator, solved
+    as one stack: the results of the leading rows that pass every check,
+    and the error of the first that fails one (None if none does).
 
     Each generator's singular values of every stored block are pooled,
     those of a conjugate-pair block twice, so the pool is the dense matrix's;
@@ -229,9 +230,9 @@ def steady_states(stack: GeneratorStack) -> tuple[list[SteadyStateResult], Lindl
     vanish to 1e-8. A generator that fails a check solves a placeholder in
     the later stacked steps, so later generators are still solved.
     """
-    view, count = stack.view, len(stack)
+    view, count = gen.blocks, len(gen)
     parts = []
-    for real, m in zip(view.real, stack.blocks):
+    for real, m in zip(view.real, gen.block_matrices):
         s_k = np.linalg.svd(m, compute_uv=False)
         # a pair block's partner is its conjugate, with the same singular values
         parts += [s_k] if real else [s_k, s_k]
@@ -251,7 +252,7 @@ def steady_states(stack: GeneratorStack) -> tuple[list[SteadyStateResult], Lindl
             )
 
     zero = view.zero
-    a = stack.blocks[zero].copy()
+    a = gen.block_matrices[zero].copy()
     # the trace is the sum of the populations' coordinates, at i + d i
     a[:, 0] = view.indices[zero] % (view.dimension + 1) == 0
     a[[e is not None for e in errors]] = np.eye(a.shape[-1])
@@ -266,7 +267,7 @@ def steady_states(stack: GeneratorStack) -> tuple[list[SteadyStateResult], Lindl
         errors[p] = errors[p] or PositivityError(
             f"steady-state candidate has eigenvalue {lo[p]:.3e} below -1e-9"
         )
-    residual = np.abs(stack.terms(rho)[1]).max(axis=(1, 2))
+    residual = np.abs(gen.terms(rho)[1]).max(axis=(1, 2))
     for p in np.flatnonzero(residual > 1e-8):
         errors[p] = errors[p] or LindlocError(
             f"steady-state residual {residual[p]:.3e} exceeds 1e-8; generator may be defective"
@@ -303,15 +304,10 @@ def _solve_each(a: np.ndarray, rhs: np.ndarray, errors: list) -> np.ndarray:
 
 
 def steady_state(gen: Generator) -> SteadyStateResult:
-    """Null-space steady state of the generator: steady_states of gen alone,
-    raising its error."""
-    results, error = steady_states(gen.stack)
+    """Null-space steady state of a generator of one row: its
+    steady_states, raising its error."""
+    _require_one_row(gen, "steady_state")
+    results, error = steady_states(gen)
     if error is not None:
         raise error
     return results[0]
-
-
-def relaxation_time(gen: Generator) -> float:
-    """Crude relaxation timescale: inverse of the smallest scaled channel rate."""
-    r = gen.min_rate()
-    return 1.0 / r if np.isfinite(r) and r > 0.0 else float("inf")

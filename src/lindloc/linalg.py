@@ -103,45 +103,12 @@ def embed(op: np.ndarray, index: int, dims: list[int]) -> np.ndarray:
     return out.reshape(b * d * a, b * d * a)
 
 
-def partial_trace(rho: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    """Trace out all tensor factors not listed in `keep`.
-
-    The result is ordered by the kept factors in their original order, and
-    satisfies trace(result) == trace(rho).
-    """
-    dims = list(dims)
-    n = len(dims)
-    full = prod(dims)
-    if rho.shape != (full, full):
-        raise DimensionMismatchError(
-            f"state has shape {rho.shape} but factor dimensions {dims} imply {full}"
-        )
-    keep = sorted(set(keep))
-    if not keep:
-        raise DimensionMismatchError("keep must name at least one factor")
-    for k in keep:
-        if not 0 <= k < n:
-            raise DimensionMismatchError(f"keep names factor {k}, valid range 0..{n - 1}")
-
-    t = rho.reshape(dims + dims)
-    removed = 0
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + n - removed)
-        removed += 1
-    d_keep = prod(dims[k] for k in keep)
-    return t.reshape(d_keep, d_keep)
-
-
 @dataclass(frozen=True)
 class HermitianEigenSystem:
     """Eigenvalues (ascending, real) and matching orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v, w = self.eigenvectors, self.eigenvalues
-        return (v * w) @ v.conj().T
 
 
 def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> HermitianEigenSystem:

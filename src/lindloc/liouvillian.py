@@ -15,7 +15,8 @@ L is written down once, as (row, col, value) triplets (_triplets): its
 action, adjoint, dense form and norm are read from them, and the blocks are
 the connected components of their pattern. Where the triplets go is a
 Structure, which generators that differ only in rates share; a Generator
-fills it with its values. The modified generator is
+fills it with its values, one row per generator, so the points of a sweep
+that share a structure are filled as one stack. The modified generator is
 covariant under the free evolution, so in the H_s eigenbasis each component
 lies inside one Bohr block (E_k - E_l = E_i - E_j); the naive generator of a
 qubit chain conserves parity and splits into two halves in the product basis.
@@ -140,15 +141,6 @@ class SystemSpec:
         for term in self.interactions:
             h = h + term
         return h
-
-
-@dataclass(frozen=True)
-class Channel:
-    """One jump operator with its (beta^2-scaled) rate."""
-
-    omega: float
-    op: np.ndarray
-    rate: float
 
 
 def _dissipator_g(rates: np.ndarray, products: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -472,8 +464,7 @@ class Structure:
     triplets and in the blocks. A Generator fills it with its values, so
     generators that differ only in rates share one structure (see
     _reusable). `silent` holds each bath's Bohr frequencies whose rate is
-    zero, or None when the channels were given rather than found from a
-    spec's baths."""
+    zero, or None for a structure made by hand, which no build reuses."""
 
     kind: str
     h_free: np.ndarray
@@ -507,23 +498,20 @@ class Structure:
         nonzero += [(p != 0).any(axis=0) for p in self.products]
         return _triplets(np.array(nonzero), *self._stack())
 
-    def plan(self, second: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Where the product triplets go as Generator._act applies them into
-        two matrices, the second taking those where `second` is True: which
-        are diagonal and their keys, and the keys and columns of the others."""
-        n = self.dimension**2
-        rows, cols = self.product.rows, self.product.cols
-        keys, on = rows + n * second, rows == cols
-        return on, keys[on], keys[~on], cols[~on]
-
     @cached_property
     def terms_plan(self) -> tuple[np.ndarray, ...]:
-        return self.plan(self.product.parts == INTERACTION)
+        """Where the product triplets go as _act applies them into two
+        matrices, L_p[rho] and the interaction's -i[V, rho]: which are
+        diagonal and their keys, and the keys and columns of the others."""
+        n = self.dimension**2
+        rows, cols = self.product.rows, self.product.cols
+        keys, on = rows + n * (self.product.parts == INTERACTION), rows == cols
+        return on, keys[on], keys[~on], cols[~on]
 
     @property
     def point_bytes(self) -> int:
         """Bytes of the largest row that a generator of this structure adds
-        to a GeneratorStack's arrays: its product triplets' values, or a
+        to a stacked Generator's arrays: its product triplets' values, or a
         complex d x d matrix if that is larger."""
         return 16 * max(self.dimension**2, self.product.rows.size)
 
@@ -611,134 +599,6 @@ class Structure:
         )
 
 
-class Generator:
-    """A built local generator: Hamiltonian pieces plus per-bath jump channels.
-
-    Its Structure says where each value of L goes; given no structure, it
-    builds one from its channels' operators. The values are filled by
-    GeneratorStack, of which this generator alone is the stack of one
-    (Generator.stack): L's parts, -i H_s, -i V and bath i's -K_i/2; the
-    blocks, which read L with their sum, G = -i H_eff, in the Bohr blocks of
-    `levels` (H_s's eigensystem and frequencies); and one product-basis pass
-    whose triplets carry their part, which every other use reads. L_p, the
-    partial generator fixing the product of local Gibbs states, leaves out V.
-    """
-
-    def __init__(
-        self,
-        spec: SystemSpec,
-        kind: str,
-        h_free: np.ndarray,
-        h_interaction: np.ndarray,
-        channels: list[list[Channel]],
-        levels: EnergyLevels,
-        diagnostics: SpectrumDiagnostics | None,
-        structure: Structure | None = None,
-    ):
-        self.spec = spec
-        self.kind = kind
-        self.h_free = h_free
-        self.h_interaction = h_interaction  # already scaled by alpha
-        self.channels = channels
-        self.levels = levels
-        self.diagnostics = diagnostics
-        if structure is None:
-            jumps = [[(ch.omega, ch.op) for ch in bath] for bath in channels]
-            structure = Structure(kind, h_free, h_interaction, levels, jumps)
-        self.structure = structure
-
-    @property
-    def eig(self) -> HermitianEigenSystem:
-        """The H_s eigensystem the levels were grouped from."""
-        return self.levels.eig
-
-    @property
-    def dimension(self) -> int:
-        return self.h_free.shape[0]
-
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        """H_s plus the (filtered or full) interaction term."""
-        return self.h_free + self.h_interaction
-
-    @cached_property
-    def stack(self) -> GeneratorStack:
-        """This generator alone as a stack of one, which fills its values."""
-        return GeneratorStack.of([self])
-
-    @property
-    def _product(self) -> tuple[np.ndarray, ...]:
-        """The (row, col, value, part) triplets of L in the product basis."""
-        p = self.structure.product
-        return p.rows, p.cols, self.stack.product_values[0], p.parts
-
-    def dissipator(self, bath_index: int, rho: np.ndarray) -> np.ndarray:
-        """beta^2-scaled dissipator of one bath applied to a matrix."""
-        s = self.structure
-        pattern = s.plan(s.product.parts != BATH + bath_index)
-        return _act(rho, _fill_plan(pattern, self.stack.product_values, self.dimension**2))[0]
-
-    def terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The partial L_p[rho] and the full L[rho], of one matrix or a stack."""
-        return self.stack.terms(rho)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Full generator action on a matrix (need not be a state)."""
-        return self.terms(rho)[1]
-
-    def apply_partial(self, rho: np.ndarray) -> np.ndarray:
-        """Generator action without the interaction commutator."""
-        return self.terms(rho)[0]
-
-    @property
-    def rate_operators(self) -> np.ndarray:
-        """Heisenberg-picture operators of the rates linear in rho, stacked:
-        D_i†[H_s] for each bath, then L†[H_s], then L_p†[ln rho_G], so that
-        tr(op rho) is Qdot_i, Edot and tr(L_p[rho] ln rho_G) in turn."""
-        return self.stack.rate_operators[0]
-
-    def _dense(self, partial: bool) -> np.ndarray:
-        """Column-stacked matrix of L, or of L_p if partial, in the product basis,
-        scattered from the triplets on each call."""
-        n = self.dimension**2
-        # the matrix and one real bincount buffer
-        _require_memory(24 * n * n, f"the dense {n} x {n} superoperator")
-        rows, cols, vals, part = self._product
-        keep = part != INTERACTION if partial else slice(None)
-        return _scatter((rows * n + cols)[keep], vals[keep], n * n).reshape(n, n)
-
-    @property
-    def superop(self) -> np.ndarray:
-        return self._dense(partial=False)
-
-    @property
-    def partial_superop(self) -> np.ndarray:
-        return self._dense(partial=True)
-
-    @property
-    def blocks(self) -> BlockView:
-        """L as a direct sum over the connected components of its pattern (see
-        Structure.blocks)."""
-        return self.stack.view
-
-    def stability_norm(self) -> float:
-        """||L||_inf in the product basis, from the cached triplets with
-        repeats added first, without the dense matrix."""
-        at, rows = self.structure.distinct
-        entries = _scatter(at, self._product[2], rows.size)
-        return float(np.bincount(rows, np.abs(entries), self.dimension**2).max())
-
-    @property
-    def log_product_gibbs(self) -> np.ndarray:
-        """ln of the product of local Gibbs states, from the exponent directly."""
-        return self.stack.log_product_gibbs[0]
-
-    def min_rate(self) -> float:
-        """Smallest scaled channel rate; +inf when there are no channels."""
-        rates = [ch.rate for channels in self.channels for ch in channels]
-        return min(rates) if rates else float("inf")
-
-
 def _act(rho: np.ndarray, plan: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The two matrices of a plan's action (_fill_plan) on a matrix or a
     (T, d, d) stack, each matrix under the plan's values for it, or under
@@ -760,7 +620,7 @@ def _act(rho: np.ndarray, plan: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fill_plan(pattern: tuple, values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """A plan (Structure.plan) on d^2 = n entries with each generator's
+    """A plan (Structure.terms_plan) on d^2 = n entries with each row's
     values of the product triplets, (P, triplets): each matrix's diagonal,
     (P, 2, n), and the keys, columns and values, (P, ...), of the others."""
     on, keys_on, keys, cols = pattern
@@ -770,43 +630,76 @@ def _fill_plan(pattern: tuple, values: np.ndarray, n: int) -> tuple[np.ndarray, 
 
 
 def _offsets(keys: np.ndarray, size: int, count: int) -> np.ndarray:
-    """keys of `count` generators, each one's shifted by size past the last's."""
+    """keys of `count` rows, each one's shifted by size past the last's."""
     return (keys + size * np.arange(count)[:, None]).ravel()
 
 
-class GeneratorStack:
-    """Generators of one Structure, typically the points of a sweep, whose
-    values are filled and held stacked along a leading axis, one row per
-    generator, so that a step over all of them is one numpy call: each
-    gather and bincount of the fill takes every generator's values at once,
-    with its keys shifted per generator. A generator alone is the stack of
-    one (Generator.stack), which fills that generator's values.
+class Generator:
+    """A built local generator, or a stack of generators that share one
+    Structure (typically the points of a sweep), one row per generator.
 
-    A stack is made from what sets its generators' values, each channel's
-    scaled rate (P, channels) and each bath's inverse temperature
-    (P, baths), and keeps no reference to the generators, so a generator's
-    cached stack of one makes no reference cycle."""
+    The Structure says where each value of L goes; a generator holds what
+    sets the values, each channel's scaled rate in the order of
+    structure.jumps, (P, channels), and each bath's inverse temperature,
+    (P, baths), and fills them stacked along a leading axis, so that a step
+    over every row is one numpy call: each gather and bincount takes every
+    row's values at once, with its keys shifted per row. L's parts are
+    -i H_s, -i V and bath i's -K_i/2; the block matrices read L with their
+    sum, G = -i H_eff, in the Bohr blocks of `levels` (H_s's eigensystem and
+    frequencies); and one product-basis pass, whose triplets carry their
+    part, serves every other use. L_p, the partial generator fixing the
+    product of local Gibbs states, leaves out V. A build gives one row;
+    `blocks`, the dense matrices and `stability_norm` read row 0.
+    """
 
     def __init__(
-        self, structure: Structure, spec: SystemSpec, rates: np.ndarray, betas: np.ndarray
+        self,
+        structure: Structure,
+        spec: SystemSpec,
+        rates: np.ndarray,
+        betas: np.ndarray,
+        diagnostics: SpectrumDiagnostics | None = None,
     ):
         self.structure, self.spec = structure, spec
         self.rates, self.betas = rates, betas
+        self.diagnostics = diagnostics
 
     @classmethod
-    def of(cls, gens: list[Generator]) -> GeneratorStack:
-        """The stack of generators that share one structure."""
-        rates = [[ch.rate for bath in g.channels for ch in bath] for g in gens]
-        rates = np.array(rates).reshape(len(gens), -1)
-        betas = np.array([[b.beta for b in g.spec.baths] for g in gens])
-        return cls(gens[0].structure, gens[0].spec, rates, betas)
+    def stack(cls, gens: list[Generator]) -> Generator:
+        """The rows of generators that share one structure, joined."""
+        rates = np.concatenate([g.rates for g in gens])
+        betas = np.concatenate([g.betas for g in gens])
+        return cls(gens[0].structure, gens[0].spec, rates, betas, gens[0].diagnostics)
 
-    def rows(self, index: slice) -> GeneratorStack:
-        """The stack of the generators at `index`, filled anew."""
-        return GeneratorStack(self.structure, self.spec, self.rates[index], self.betas[index])
+    def rows(self, index: slice) -> Generator:
+        """The generator of the rows at `index`, filled anew."""
+        rates, betas = self.rates[index], self.betas[index]
+        return Generator(self.structure, self.spec, rates, betas, self.diagnostics)
 
     def __len__(self) -> int:
         return len(self.rates)
+
+    @property
+    def kind(self) -> str:
+        return self.structure.kind
+
+    @property
+    def levels(self) -> EnergyLevels:
+        return self.structure.levels
+
+    @property
+    def eig(self) -> HermitianEigenSystem:
+        """The H_s eigensystem the levels were grouped from."""
+        return self.structure.levels.eig
+
+    @property
+    def h_free(self) -> np.ndarray:
+        return self.structure.h_free
+
+    @property
+    def h_interaction(self) -> np.ndarray:
+        """The (filtered or full) interaction, already scaled by alpha."""
+        return self.structure.h_interaction
 
     @property
     def dimension(self) -> int:
@@ -814,7 +707,7 @@ class GeneratorStack:
 
     def _source(self, g: np.ndarray, pattern: _Triplets | _BlockPattern) -> np.ndarray:
         """The values a pattern's triplets take theirs from (see _Triplets),
-        for each generator, given its stack of G's in the pattern's basis,
+        for each row, given its stack of G's in the pattern's basis,
         (P, G's, d, d)."""
         t, i, k = pattern.pos
         v = g[:, t, i, k]
@@ -824,7 +717,7 @@ class GeneratorStack:
     @cached_property
     def _terms(self) -> np.ndarray:
         """G of each part of L, -i H_s, -i V and bath i's -K_i/2, for each
-        generator, (P, parts, d, d)."""
+        row, (P, parts, d, d)."""
         s = self.structure
         d, ends = s.dimension, np.cumsum([len(jumps) for jumps in s.jumps])
         g = np.empty((len(self), BATH + len(s.jumps), d, d), dtype=complex)
@@ -848,14 +741,22 @@ class GeneratorStack:
 
     def terms(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """L_p[rho] and L[rho] of a matrix or a (T, d, d) stack, each matrix
-        under its own generator when there are T of them, else under the one."""
+        under its own row when there are T of them, else under the one."""
         partial, commutator = _act(rho, self._terms_plan)
         return partial, partial + commutator
 
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Full generator action on a matrix (need not be a state)."""
+        return self.terms(rho)[1]
+
+    def apply_partial(self, rho: np.ndarray) -> np.ndarray:
+        """Generator action without the interaction commutator."""
+        return self.terms(rho)[0]
+
     @cached_property
     def log_product_gibbs(self) -> np.ndarray:
-        """ln of each generator's product of local Gibbs states, (P, d, d),
-        from the exponent directly."""
+        """ln of each row's product of local Gibbs states, (P, d, d), from
+        the exponent directly."""
         spec = self.spec
         d = spec.dimension
         x = np.zeros((len(self), d, d), dtype=complex)
@@ -869,15 +770,17 @@ class GeneratorStack:
 
     @cached_property
     def rate_operators(self) -> np.ndarray:
-        """Generator.rate_operators of each generator, (P, rates, d, d). A
-        triplet (r, c, v) adds v X_r to entry c of L†[X]^T, column-stacked as
-        X^T is."""
+        """Heisenberg-picture operators of the rates linear in rho, for each
+        row, (P, rates, d, d): D_i†[H_s] for each bath, then L†[H_s], then
+        L_p†[ln rho_G], so that tr(op rho) is Qdot_i, Edot and
+        tr(L_p[rho] ln rho_G) in turn. A triplet (r, c, v) adds v X_r to
+        entry c of L†[X]^T, column-stacked as X^T is."""
         s = self.structure
         d, n, count = s.dimension, s.dimension**2, BATH + len(s.jumps)
         p, vals = s.product, self.product_values
         keys = _offsets(p.parts * n + p.cols, count * n, len(self))
 
-        def adjoint(x):  # the adjoint of every part of each generator, one bincount
+        def adjoint(x):  # the adjoint of every part of each row, one bincount
             w = vals * x.reshape(len(x), n)[:, p.rows]
             return _scatter(keys, w.ravel(), len(self) * count * n).reshape(-1, count, d, d)
 
@@ -885,15 +788,40 @@ class GeneratorStack:
         spohn = np.delete(g, INTERACTION, axis=1).sum(axis=1)
         return np.concatenate((h[:, BATH:], h.sum(axis=1)[:, None], spohn[:, None]), axis=1)
 
+    def _dense(self, partial: bool) -> np.ndarray:
+        """Column-stacked matrix of L, or of L_p if partial, in the product
+        basis, scattered from row 0's triplets on each call."""
+        n = self.dimension**2
+        # the matrix and one real bincount buffer
+        _require_memory(24 * n * n, f"the dense {n} x {n} superoperator")
+        p, vals = self.structure.product, self.product_values[0]
+        keep = p.parts != INTERACTION if partial else slice(None)
+        return _scatter((p.rows * n + p.cols)[keep], vals[keep], n * n).reshape(n, n)
+
+    @property
+    def superop(self) -> np.ndarray:
+        return self._dense(partial=False)
+
+    @property
+    def partial_superop(self) -> np.ndarray:
+        return self._dense(partial=True)
+
+    def stability_norm(self) -> float:
+        """||L||_inf in the product basis, from row 0's triplets with repeats
+        added first, without the dense matrix."""
+        at, rows = self.structure.distinct
+        entries = _scatter(at, self.product_values[0], rows.size)
+        return float(np.bincount(rows, np.abs(entries), self.dimension**2).max())
+
     def _block_g(self, basis: np.ndarray | None) -> np.ndarray:
-        """The blocks' G = -i H_eff, H_eff = H - i sum_i K_i/2, of each
-        generator in `basis` (the product basis if None), (P, 1, d, d)."""
+        """The blocks' G = -i H_eff, H_eff = H - i sum_i K_i/2, of each row
+        in `basis` (the product basis if None), (P, 1, d, d)."""
         s, parts = self.structure, self._terms[:, BATH:].swapaxes(0, 1)
         g = (-1j * (s.h_free + s.h_interaction) + sum(parts))[:, None]
         return g if basis is None else basis.conj().T @ g @ basis
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, ...]:
+    def block_matrices(self) -> tuple[np.ndarray, ...]:
         """The matrices of each block index (see Structure.blocks), (P, m, m),
         filled by one bincount."""
         s = self.structure.blocks
@@ -909,11 +837,20 @@ class GeneratorStack:
         )
 
     @cached_property
-    def view(self) -> BlockView:
-        """The first generator's blocks, whose layout every generator shares."""
+    def blocks(self) -> BlockView:
+        """Row 0's L as a direct sum over the connected components of its
+        pattern (see Structure.blocks), whose layout every row shares."""
         s = self.structure.blocks
-        matrices = tuple(m[0] for m in self.blocks)
-        return BlockView(s.basis, self.structure.dimension, s.indices, matrices)
+        matrices = tuple(m[0] for m in self.block_matrices)
+        return BlockView(s.basis, self.dimension, s.indices, matrices)
+
+
+def _require_one_row(gen: Generator, caller: str) -> None:
+    """Refuse a stack of generators where `caller` takes one generator."""
+    if len(gen) != 1:
+        raise DimensionMismatchError(
+            f"{caller} takes one generator, got a stack of {len(gen)} rows"
+        )
 
 
 def _reusable(previous: Generator | None, spec: SystemSpec, kind: str) -> bool:
@@ -991,13 +928,13 @@ def _build(spec: SystemSpec, kind: str, previous: Generator | None) -> Generator
 
     structure = reused or _structure(spec, kind, h_free, levels)
     beta2 = spec.beta_coupling**2
-    channels = [
-        [Channel(omega=omega, op=op, rate=beta2 * rate(omega, bath)) for omega, op in jumps]
+    rates = [
+        beta2 * rate(omega, bath)
         for jumps, bath in zip(structure.jumps, spec.baths)
+        for omega, _ in jumps
     ]
-    return Generator(
-        spec, kind, h_free, structure.h_interaction, channels, levels, diagnostics, structure
-    )
+    betas = [b.beta for b in spec.baths]
+    return Generator(structure, spec, np.array([rates]), np.array([betas]), diagnostics)
 
 
 def build_modified_local(spec: SystemSpec, previous: Generator | None = None) -> Generator:

@@ -11,16 +11,16 @@ Qdot_i is non-negative for the filtered generator by Spohn's inequality
 applied to the partial generator, whose fixed point is the product of local
 Gibbs states. The audit reports violations; it never raises on them.
 
-The audit is one pass over a (T, d, d) stack of states, under one generator
-for all of them (audit() is the T = 1 case, audit_trajectory takes runs of
-records) or one generator per state of a GeneratorStack (audit_states, the
-points of a sweep). It reads L from the generator's triplets, as the solver's
-blocks do. Rates linear in rho are traces in the Heisenberg picture,
-tr(X L[rho]) = tr(L†[X] rho), against Generator.rate_operators: D_i†[H_s],
-L†[H_s] and L_p†[ln rho_G], built once per generator. dS/dt and the Spohn
-left-hand side take L[rho] and L_p[rho] from GeneratorStack.terms, a gather
-and bincount of the triplets. One stacked eigh per state serves positivity,
-ln rho and S.
+The audit is one pass over a (T, d, d) stack of states, under a generator of
+one row for all of them (audit() is the T = 1 case, audit_trajectory takes
+runs of records) or under row t of a stacked Generator for state t
+(audit_states, the points of a sweep). It reads L from the generator's
+triplets, as the solver's blocks do. Rates linear in rho are traces in the
+Heisenberg picture, tr(X L[rho]) = tr(L†[X] rho), against
+Generator.rate_operators: D_i†[H_s], L†[H_s] and L_p†[ln rho_G], built once
+per row. dS/dt and the Spohn left-hand side take L[rho] and L_p[rho] from
+Generator.terms, a gather and bincount of the triplets. One stacked eigh per
+state serves positivity, ln rho and S.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, LindlocError, NonFiniteError, PositivityError
 from .linalg import runs
-from .liouvillian import Generator, GeneratorStack
+from .liouvillian import Generator, _require_one_row
 
 # Mixing weight for the log of nearly singular states: ln is taken at
 # (1 - eps) rho + eps I/d when rho has an eigenvalue below LOG_FLOOR.
@@ -85,7 +85,7 @@ def _log_and_entropy(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v @ v_dag, entropy
 
 
-def _checked_stack(gen: Generator | GeneratorStack, states: np.ndarray) -> np.ndarray:
+def _checked_stack(gen: Generator, states: np.ndarray) -> np.ndarray:
     """states as a (T, d, d) array of finite entries, or raise."""
     d = gen.dimension
     states = np.asarray(states)
@@ -98,32 +98,31 @@ def _checked_stack(gen: Generator | GeneratorStack, states: np.ndarray) -> np.nd
     return states
 
 
-def _audit_stack(stack: GeneratorStack, states: np.ndarray) -> list[ThermoReport]:
-    """Both laws at every state of a checked (T, d, d) stack, under the
-    stack's generator of each state, or its one generator for all; one eigh
-    per state."""
-    n = len(stack.spec.baths)
+def _audit_stack(gen: Generator, states: np.ndarray) -> list[ThermoReport]:
+    """Both laws at every state of a checked (T, d, d) stack, under gen's
+    row of each state, or its one row for all; one eigh per state."""
+    n = len(gen.spec.baths)
 
     ln_rho, entropy = _log_and_entropy(states)
     # einsum and matmul sum in an order that depends on how many states they
     # take at once, so the rates take each generator's states together, as
     # an audit of one generator always has
-    groups = len(stack)
+    groups = len(gen)
     # columns: Qdot_i per bath, Edot, the Spohn right-hand side
     linear = np.concatenate(
         [
             np.einsum("kij,tji->tk", ops, rho)
-            for ops, rho in zip(stack.rate_operators, np.split(states, groups))
+            for ops, rho in zip(gen.rate_operators, np.split(states, groups))
         ]
     ).real
     q = linear[:, :n]
     e_dot = linear[:, -2]
     spohn_rhs = -linear[:, -1]
-    l_partial, l_full = stack.terms(states)
+    l_partial, l_full = gen.terms(states)
     s_dot = -_trace(l_full, ln_rho)
     spohn_lhs = -_trace(l_partial, ln_rho)
 
-    sum_beta_q = np.concatenate([q_g @ b for q_g, b in zip(np.split(q, groups), stack.betas)])
+    sum_beta_q = np.concatenate([q_g @ b for q_g, b in zip(np.split(q, groups), gen.betas)])
     entropy_production = s_dot - sum_beta_q
     columns = zip(
         q.tolist(),
@@ -141,68 +140,53 @@ def _audit_stack(stack: GeneratorStack, states: np.ndarray) -> list[ThermoReport
 
 
 def audit(gen: Generator, rho: np.ndarray) -> ThermoReport:
-    """Evaluate both laws at one state; violations are reported, not raised."""
-    return _audit_stack(gen.stack, _checked_stack(gen, np.asarray(rho)[None]))[0]
+    """Evaluate both laws at one state under a generator of one row;
+    violations are reported, not raised."""
+    _require_one_row(gen, "audit")
+    return _audit_stack(gen, _checked_stack(gen, np.asarray(rho)[None]))[0]
 
 
 def audit_states(
-    stack: GeneratorStack, states: list[np.ndarray]
+    gen: Generator, states: list[np.ndarray]
 ) -> tuple[list[ThermoReport], LindlocError | None]:
-    """Both laws at each of T states under the stack's generator t, in one
-    pass: the reports of the leading states that audit does not refuse, and
-    the error of the first it refuses (None if none). T may be less than the
-    stack's length."""
+    """Both laws at each of T states under row t of a stacked generator, in
+    one pass: the reports of the leading states that audit does not refuse,
+    and the error of the first it refuses (None if none). T may be less
+    than the number of rows."""
     if not states:
         return [], None
-    if len(states) < len(stack):
-        stack = stack.rows(slice(len(states)))
+    if len(states) < len(gen):
+        gen = gen.rows(slice(len(states)))
     # the rates sum a state's entries in its memory order, which np.stack
     # keeps (np.array would make every state row-major)
     try:
-        return _audit_stack(stack, _checked_stack(stack, np.stack(states))), None
+        return _audit_stack(gen, _checked_stack(gen, np.stack(states))), None
     except LindlocError:
         pass
     reports = []
     for p, rho in enumerate(states):
         try:
-            state = _checked_stack(stack, np.asarray(rho)[None])
-            reports += _audit_stack(stack.rows(slice(p, p + 1)), state)
+            state = _checked_stack(gen, np.asarray(rho)[None])
+            reports += _audit_stack(gen.rows(slice(p, p + 1)), state)
         except LindlocError as exc:
             return reports, exc
     return reports, None
 
 
 def audit_trajectory(gen: Generator, trajectory) -> list[ThermoReport]:
-    """Audit every recorded state and attach the reports to the trajectory.
+    """Audit every recorded state under a generator of one row and attach
+    the reports to the trajectory.
 
     The stacked pass takes the states in runs (linalg.runs), which bounds
     its temporaries whatever the trajectory's length.
     """
+    _require_one_row(gen, "audit_trajectory")
     states = _checked_stack(gen, trajectory.states)
     reports = [
-        rep
-        for run in runs(len(states), gen.dimension)
-        for rep in _audit_stack(gen.stack, states[run])
+        rep for run in runs(len(states), gen.dimension) for rep in _audit_stack(gen, states[run])
     ]
     trajectory.reports = reports
     return reports
-
-
-def heat_current(gen: Generator, rho: np.ndarray, bath_index: int) -> float:
-    """Heat flowing from bath `bath_index` into the system."""
-    if not 0 <= bath_index < len(gen.channels):
-        raise IndexError(f"bath index {bath_index} out of range")
-    return audit(gen, rho).q_dot[bath_index]
-
-
-def internal_energy_rate(gen: Generator, rho: np.ndarray) -> float:
-    """d/dt tr(H_s rho) under the full generator."""
-    return audit(gen, rho).e_dot
-
-
-def entropy_rate(gen: Generator, rho: np.ndarray) -> float:
-    """dS/dt = -tr(L[rho] ln rho)."""
-    return audit(gen, rho).s_dot
 
 
 __all__ = [
@@ -210,7 +194,4 @@ __all__ = [
     "audit",
     "audit_states",
     "audit_trajectory",
-    "entropy_rate",
-    "heat_current",
-    "internal_energy_rate",
 ]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lindloc import liouvillian
+
 
 @pytest.fixture
 def rng():
@@ -39,9 +41,26 @@ def block_entries(gen):
     """The triplets that gen.blocks are filled from: L with one G = -i H_eff,
     in the blocks' basis."""
     basis, pattern = gen.structure.block_triplets()
-    stack = gen.stack
-    values = stack._source(stack._block_g(basis), pattern)[0, pattern.source]
+    values = gen._source(gen._block_g(basis), pattern)[0, pattern.source]
     return pattern.rows, pattern.cols, values, pattern.parts
+
+
+def channel_rates(gen):
+    """Each channel's scaled rate by (bath, omega), read from the structure's
+    jumps, in whose order gen.rates holds them, and the generator's row 0."""
+    keys = [(b, omega) for b, jumps in enumerate(gen.structure.jumps) for omega, _ in jumps]
+    return dict(zip(keys, gen.rates[0].tolist(), strict=True))
+
+
+def dissipator(gen, bath, rho):
+    """D_i[rho] of bath i alone, summed from the product-basis triplets of its
+    part, BATH + i, of row 0 (column-stacked: entry (i, j) at i + d j)."""
+    p = gen.structure.product
+    keep = p.parts == liouvillian.BATH + bath
+    flat = rho.flatten(order="F")
+    out = np.zeros(flat.size, dtype=complex)
+    np.add.at(out, p.rows[keep], gen.product_values[0][keep] * flat[p.cols[keep]])
+    return out.reshape(rho.shape, order="F")
 
 
 def transpose_map(d):

@@ -33,7 +33,7 @@ from lindloc.models import (
 from lindloc.spectral import decompose_operator, default_grouping_tol, group_levels
 from lindloc.thermo import audit, audit_trajectory
 
-from conftest import rand_hermitian, rand_pure
+from conftest import channel_rates, rand_hermitian, rand_pure
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -132,7 +132,7 @@ def test_criterion_06_second_law_along_trajectories(capsys):
         for spec in bundled_fixtures():
             gen = build_modified_local(spec)
             rho0 = rand_pure(rng, spec.dimension)
-            t_max = 20.0 / gen.min_rate()
+            t_max = 20.0 / gen.rates.min()
             n_steps = max(1, round(t_max / 0.01))
             cfg = SolverConfig(dt=0.01, t_max=t_max, record_stride=max(1, n_steps // 20))
             traj = evolve(gen, rho0, cfg)
@@ -169,9 +169,9 @@ def test_criterion_07_two_qubit_heat_transport(capsys):
 def test_criterion_08_single_qubit_relaxation(capsys):
     with criterion(capsys, "C08 qubit relaxation follows the two-level closed form"):
         gen = build_modified_local(single_qubit_model())
-        rates = {ch.omega: ch.rate for ch in gen.channels[0]}
-        gamma = rates[1.0] + rates[-1.0]
-        p_ss = rates[-1.0] / gamma
+        rates = channel_rates(gen)
+        gamma = rates[(0, 1.0)] + rates[(0, -1.0)]
+        p_ss = rates[(0, -1.0)] / gamma
 
         rho0 = np.diag([0.0, 1.0]).astype(complex)  # fully de-excited
         cfg = SolverConfig(dt=0.05, t_max=1e5, record_stride=40000)
@@ -210,7 +210,7 @@ def test_criterion_10_steady_state_agrees_with_dynamics(capsys):
         for spec in bundled_fixtures():
             gen = build_modified_local(spec)
             rho_ss = steady_state(gen).rho_ss
-            t_max = 50.0 / gen.min_rate()
+            t_max = 50.0 / gen.rates.min()
             rho0 = np.eye(spec.dimension, dtype=complex) / spec.dimension
             traj = evolve(gen, rho0, SolverConfig(dt=0.01, t_max=t_max, record_stride=10**9))
             assert np.abs(traj.states[-1] - rho_ss).max() <= 1e-6

@@ -13,7 +13,6 @@ from lindloc.dynamics import (
     SolverConfig,
     SteadyStateResult,
     evolve,
-    relaxation_time,
     rk4_step_matrix,
     steady_state,
 )
@@ -27,8 +26,8 @@ from lindloc.errors import (
 from lindloc.baths import BathSpec, SpectralModel
 from lindloc.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from lindloc.liouvillian import (
-    Channel,
     Generator,
+    Structure,
     Subsystem,
     SystemSpec,
     build_modified_local,
@@ -45,7 +44,13 @@ from lindloc.models import (
 )
 from lindloc.thermo import audit
 
-from conftest import assert_blocks_are_the_matrix, block_entries, rand_complex, rand_density
+from conftest import (
+    assert_blocks_are_the_matrix,
+    block_entries,
+    channel_rates,
+    rand_complex,
+    rand_density,
+)
 
 
 # -- step matrix ------------------------------------------------------------------
@@ -114,8 +119,8 @@ def test_recorded_times_with_stride_and_partial_tail():
 
 def test_evolution_matches_two_level_closed_form():
     gen = build_modified_local(single_qubit_model())
-    rates = {ch.omega: ch.rate for ch in gen.channels[0]}
-    down, up = rates[1.0], rates[-1.0]
+    rates = channel_rates(gen)
+    down, up = rates[(0, 1.0)], rates[(0, -1.0)]
     gamma = down + up
     p_ss = up / gamma
 
@@ -201,16 +206,9 @@ def test_initial_state_validation():
 def test_unphysical_generator_detected_mid_run():
     spec = single_qubit_model()
     base = build_modified_local(spec)
-    bad = Channel(omega=1.0, op=SIGMA_MINUS, rate=-0.05)
-    gen = Generator(
-        spec=spec,
-        kind="modified",
-        h_free=base.h_free,
-        h_interaction=base.h_interaction,
-        channels=[[bad]],
-        levels=base.levels,
-        diagnostics=None,
-    )
+    # one channel, lowering, with a negative rate
+    bad = Structure("modified", base.h_free, base.h_interaction, base.levels, [[(1.0, SIGMA_MINUS)]])
+    gen = Generator(bad, spec, rates=np.array([[-0.05]]), betas=base.betas)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(IntegrationError, match="t = "):
         evolve(gen, rho0, SolverConfig(dt=0.05, t_max=20.0, record_stride=10))
@@ -250,7 +248,7 @@ def test_steady_state_is_deterministic():
 def test_steady_state_agrees_with_long_evolution():
     gen = build_modified_local(two_qubit_model(TwoQubitParams()))
     res = steady_state(gen)
-    horizon = 50.0 * relaxation_time(gen)
+    horizon = 50.0 / gen.rates.min()
     traj = evolve(
         gen, mixed_state(4), SolverConfig(dt=0.02, t_max=horizon, record_stride=10**9)
     )
@@ -303,20 +301,6 @@ def test_one_dimensional_system_has_no_unique_steady_state():
             with pytest.raises(NonUniqueSteadyStateError) as exc:
                 steady_state(gen)
             assert exc.value.null_dim == 1
-
-
-def test_relaxation_time():
-    gen = build_modified_local(single_qubit_model())
-    assert relaxation_time(gen) == pytest.approx(1.0 / gen.min_rate(), rel=1e-15)
-    silent = SpectralModel(kind="flat", coupling_scale=0.0)
-    lone = SystemSpec(
-        subsystems=[Subsystem("q1", 0.5 * SIGMA_Z, 2)],
-        interactions=[],
-        alpha=0.0,
-        baths=[BathSpec.from_temperature("b1", 1.0, silent, SIGMA_X)],
-        beta_coupling=0.01,
-    )
-    assert relaxation_time(build_modified_local(lone)) == float("inf")
 
 
 # -- blocks against the dense path ---------------------------------------------------

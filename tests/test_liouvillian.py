@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lindloc.baths import BathSpec, SpectralModel
 from lindloc import linalg, liouvillian
-from lindloc.dynamics import steady_state, steady_states
+from lindloc.dynamics import SolverConfig, evolve, steady_state, steady_states
 from lindloc.errors import (
     DenseSpectrumError,
     DimensionMismatchError,
@@ -21,7 +21,8 @@ from lindloc.errors import (
 )
 from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, embed, kron
 from lindloc.liouvillian import (
-    GeneratorStack,
+    Generator,
+    Structure,
     Subsystem,
     SystemSpec,
     build_modified_local,
@@ -37,9 +38,16 @@ from lindloc.models import (
     two_qubit_model,
 )
 
-from lindloc.thermo import audit, audit_states
+from lindloc.thermo import audit, audit_states, audit_trajectory
 
-from conftest import assert_block_matches, rand_complex, rand_density, rand_hermitian
+from conftest import (
+    assert_block_matches,
+    channel_rates,
+    dissipator,
+    rand_complex,
+    rand_density,
+    rand_hermitian,
+)
 
 FLAT_UNIT = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
 
@@ -71,7 +79,7 @@ def test_two_qubit_channel_table():
     gen = default_two_qubit()
     assert gen.kind == "modified"
     assert gen.dimension == 4
-    assert len(gen.channels) == 2
+    assert len(gen.structure.jumps) == 2
 
     # flat coupling 1/(2 pi) makes the golden-rule prefactor exactly 1,
     # so each scaled rate is beta_coupling^2 times an occupation factor
@@ -83,17 +91,14 @@ def test_two_qubit_channel_table():
         (1, -1.0): 1e-4 * n2,
         (1, 1.0): 1e-4 * (n2 + 1.0),
     }
-    seen = {}
-    for i, channels in enumerate(gen.channels):
-        for ch in channels:
-            seen[(i, ch.omega)] = ch.rate
-            assert ch.rate > 0.0
+    seen = channel_rates(gen)
+    assert all(r > 0.0 for r in seen.values())
     assert seen.keys() == expected.keys()
     for key, val in expected.items():
         assert seen[key] == pytest.approx(val, rel=1e-14)
 
     # frequency +1 lowers the local energy, which raises in this basis ordering
-    by_omega = {ch.omega: ch.op for ch in gen.channels[0]}
+    by_omega = dict(gen.structure.jumps[0])
     assert np.array_equal(by_omega[1.0], embed(SIGMA_MINUS, 0, [2, 2]))
     assert np.array_equal(by_omega[-1.0], embed(SIGMA_PLUS, 0, [2, 2]))
 
@@ -102,7 +107,6 @@ def test_resonant_interaction_is_exchange_term():
     gen = default_two_qubit()
     expected = 0.01 * (kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS))
     assert np.abs(gen.h_interaction - expected).max() <= 1e-15
-    assert np.array_equal(gen.hamiltonian, gen.h_free + gen.h_interaction)
 
 
 def test_detuned_interaction_filters_to_zero():
@@ -172,8 +176,8 @@ def test_dissipator_acts_locally(rng):
         )
     )
     ra, rb = rand_density(rng, 2), rand_density(rng, 2)
-    got = gen.dissipator(0, kron(ra, rb))
-    want = kron(single.dissipator(0, ra), rb)
+    got = dissipator(gen, 0, kron(ra, rb))
+    want = kron(dissipator(single, 0, ra), rb)
     assert np.allclose(got, want, atol=1e-16)
     assert abs(np.trace(got)) <= 1e-18
 
@@ -210,9 +214,10 @@ def test_product_gibbs_single_qubit_population():
 def test_beta_coupling_scales_rates_quadratically():
     weak = build_modified_local(two_qubit_model(TwoQubitParams(beta_coupling=0.01)))
     strong = build_modified_local(two_qubit_model(TwoQubitParams(beta_coupling=0.02)))
-    for cw, cs in zip(weak.channels, strong.channels):
-        for a, b in zip(cw, cs):
-            assert b.rate == pytest.approx(4.0 * a.rate, rel=1e-14)
+    weak, strong = channel_rates(weak), channel_rates(strong)
+    assert weak.keys() == strong.keys()
+    for key, rate in weak.items():
+        assert strong[key] == pytest.approx(4.0 * rate, rel=1e-14)
 
 
 # -- Bohr blocks ----------------------------------------------------------------------
@@ -297,7 +302,7 @@ def test_stability_norm_is_the_row_sum_not_the_column_sum():
 def test_min_rate_and_norm():
     gen = default_two_qubit()
     n2 = 1.0 / math.expm1(1.0)
-    assert gen.min_rate() == pytest.approx(1e-4 * n2, rel=1e-14)
+    assert min(channel_rates(gen).values()) == pytest.approx(1e-4 * n2, rel=1e-14)
     assert inf_norm(gen.superop) > 0.0
 
 
@@ -392,10 +397,10 @@ def test_reused_structure_is_exact(build, points):
         assert np.array_equal(a, b)
     for a, b in zip(reused.blocks.matrices, fresh.blocks.matrices, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    for bath_a, bath_b in zip(reused.channels, fresh.channels, strict=True):
-        assert [ch.rate for ch in bath_a] == [ch.rate for ch in bath_b]
-        for a, b in zip(bath_a, bath_b, strict=True):
-            assert a.omega == b.omega and np.array_equal(a.op, b.op)
+    assert channel_rates(reused) == channel_rates(fresh)
+    for bath_a, bath_b in zip(reused.structure.jumps, fresh.structure.jumps, strict=True):
+        for (omega_a, a), (omega_b, b) in zip(bath_a, bath_b, strict=True):
+            assert omega_a == omega_b and np.array_equal(a, b)
     assert np.array_equal(reused.rate_operators, fresh.rate_operators)
     assert np.array_equal(reused.log_product_gibbs, fresh.log_product_gibbs)
     assert np.array_equal(steady_state(reused).rho_ss, steady_state(fresh).rho_ss)
@@ -423,7 +428,7 @@ def test_stacked_points_match_point_by_point(build, points, size):
     for run in runs:
         assert 1 <= len(gens[run]) <= size
         assert all(g.structure is gens[0].structure for g in gens[run])
-        stack = GeneratorStack.of(gens[run])
+        stack = Generator.stack(gens[run])
         results, error = steady_states(stack)
         assert error is None
         reports, error = audit_states(stack, [r.rho_ss for r in results])
@@ -435,11 +440,33 @@ def test_stacked_points_match_point_by_point(build, points, size):
             assert report == audit(gen, alone.rho_ss)
 
 
+def test_single_generator_entry_points_refuse_a_stack():
+    """evolve, steady_state, audit and audit_trajectory take a generator of
+    one row; a stack of two is refused, not solved or audited as its row 0."""
+    gen = default_two_qubit()
+    stack = Generator.stack([gen, gen])
+    assert len(stack) == 2
+    rho = np.eye(4, dtype=complex) / 4
+    cfg = SolverConfig(dt=0.02, t_max=0.1)
+    traj = evolve(gen, rho, cfg)
+    calls = {
+        "evolve": lambda: evolve(stack, rho, cfg),
+        "steady_state": lambda: steady_state(stack),
+        "audit": lambda: audit(stack, rho),
+        "audit_trajectory": lambda: audit_trajectory(stack, traj),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DimensionMismatchError, match=f"^{name} takes one generator"):
+            call()
+    assert traj.reports is None
+
+
 def test_a_used_generator_is_freed_by_reference_counting():
-    """A generator caches its stack of one, which keeps no reference back to
-    it, so a built, solved and audited generator goes when its last
-    reference does, not at the cycle collector's next pass: a sweep or a
-    benchmark loop builds thousands."""
+    """What a generator caches as it is solved and audited (its values, block
+    matrices and BlockView) keeps no reference back to it, so a built, solved
+    and audited generator goes when its last reference does, not at the
+    cycle collector's next pass: a sweep or a benchmark loop builds
+    thousands."""
     gen = build_modified_local(qubit_chain_model(3, [1.0, 1.5, 1.0], [2.0, 1.0, 0.5]))
     audit(gen, steady_state(gen).rho_ss)
     freed = weakref.ref(gen)
@@ -453,7 +480,7 @@ def test_a_used_generator_is_freed_by_reference_counting():
 
 def test_structure_is_rebuilt_when_more_than_rates_change():
     """Any change beyond the rates, or in which channels have a nonzero rate,
-    builds a new structure; a generator given its channels is never reused."""
+    builds a new structure; a structure made by hand is never reused."""
     base = qubit_chain_model(3, [1.0] * 3, [2.0, 1.0, 0.5])
     previous = build_modified_local(base)
     assert build_modified_local(base, previous).structure is previous.structure
@@ -468,11 +495,10 @@ def test_structure_is_rebuilt_when_more_than_rates_change():
     ]
     for spec in changed:
         assert build_modified_local(spec, previous).structure is not previous.structure
-    hand_built = liouvillian.Generator(
-        base, "modified", previous.h_free, previous.h_interaction, previous.channels,
-        previous.levels, None,
-    )
-    assert build_modified_local(base, hand_built).structure is not hand_built.structure
+    s = previous.structure
+    hand_made = Structure("modified", s.h_free, s.h_interaction, s.levels, s.jumps)
+    hand_built = Generator(hand_made, base, previous.rates, previous.betas)
+    assert build_modified_local(base, hand_built).structure is not hand_made
 
 
 # -- spectrum guardrails --------------------------------------------------------------
@@ -554,5 +580,5 @@ def test_silent_bath_drops_channels():
         beta_coupling=0.01,
     )
     gen = build_modified_local(spec)
-    assert gen.channels == [[]]
-    assert gen.min_rate() == float("inf")
+    assert gen.structure.jumps == [[]]
+    assert channel_rates(gen) == {}
