@@ -13,6 +13,7 @@ import csv
 import logging
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -106,11 +107,16 @@ def _section(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# a YAML 1.2 float; PyYAML reads YAML 1.1, where 1e-9 and 1e3 are strings
+_YAML_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
+
+
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    number = float(value) if isinstance(value, str) and _YAML_FLOAT.fullmatch(value) else value
+    if isinstance(number, bool) or not isinstance(number, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
-        number = float(value)
+        number = float(number)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
@@ -537,16 +543,21 @@ def _set_by_path(data: dict, dotted: str, value: float) -> None:
             node = node[key]
 
 
-class _Held(logging.Filter):
-    """Holds back every record the logger it is added to gets."""
+@contextmanager
+def _held():
+    """Holds back, in the list it yields, every record the package logger
+    gets within (a filter that returns None drops the record)."""
+    records: list[logging.LogRecord] = []
+    log.addFilter(records.append)
+    try:
+        yield records
+    finally:
+        log.removeFilter(records.append)
 
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
 
-    def filter(self, record) -> bool:
-        self.records.append(record)
-        return False
+def _point_error(k: int, value: float, exc: Exception) -> ConfigError:
+    """The error of sweep point k, named by its value."""
+    return ConfigError(f"sweep.values[{k}] = {value!r}: {exc}")
 
 
 def _sweep_point(config: RunConfig, k: int, value: float, previous: Generator | None):
@@ -556,43 +567,47 @@ def _sweep_point(config: RunConfig, k: int, value: float, previous: Generator | 
     (a point that fails to build logs them at once)."""
     model = copy.deepcopy(config.model)
     _set_by_path({"model": model}, config.sweep.parameter, value)
-    held = _Held()
-    log.addFilter(held)
-    try:
-        _, spec, _ = _read_model(model)
-        return make_generator(replace(config, model=model, spec=spec), previous), held.records
-    except (LindlocError, ValueError) as exc:
-        failed = exc
-    finally:
-        log.removeFilter(held)
-    for record in held.records:
+    with _held() as records:
+        try:
+            _, spec, _ = _read_model(model)
+            return make_generator(replace(config, model=model, spec=spec), previous), records
+        except (LindlocError, ValueError) as exc:
+            failed = exc
+    for record in records:
         log.handle(record)
-    raise ConfigError(f"sweep.values[{k}] = {value!r}: {failed}") from failed
+    raise _point_error(k, value, failed) from failed
 
 
 def _solve_points(points: list[tuple]) -> list[tuple]:
     """Each point's value, steady-state residual and audit, for consecutive
-    sweep points (k, value, generator, held records) whose generators share
-    a structure, solved and audited as stacks. The build records of the
-    points up to the first that fails are then logged, and that point
-    raises, named as _sweep_point names it."""
+    sweep points (k, value, generator, held build records) that share a
+    structure, solved and audited as one stack. If the stack fails, its log
+    records are dropped and the points run one by one, each logging its
+    build records first, up to the first that fails, which raises, named as
+    _sweep_point names it."""
     if not points:
         return []
     stack = Generator.stack([gen for _, _, gen, _ in points])
     try:
-        results, error = steady_states(stack)
-        reports, audit_error = audit_states(stack, [r.rho_ss for r in results])
-        error = audit_error or error
-    except (LindlocError, ValueError) as exc:
-        # what fails for the whole stack, such as the memory guard, fails its first point
-        results, reports, error = [], [], exc
-    for _, _, _, records in points[: len(reports) + 1]:
+        with _held() as held:
+            results = steady_states(stack)
+            reports = audit_states(stack, [r.rho_ss for r in results])
+    except (LindlocError, ValueError):
+        pass  # the stack's records are dropped with it
+    else:
+        for record in held + [r for *_, records in points for r in records]:
+            log.handle(record)
+        return [(p[1], r.residual, rep) for p, r, rep in zip(points, results, reports)]
+    solved = []
+    for k, value, gen, records in points:
         for record in records:
             log.handle(record)
-    if error is not None:
-        k, value, _, _ = points[len(reports)]
-        raise ConfigError(f"sweep.values[{k}] = {value!r}: {error}") from error
-    return [(p[1], r.residual, rep) for p, r, rep in zip(points, results, reports)]
+        try:
+            result = steady_state(gen)
+            solved.append((value, result.residual, audit(gen, result.rho_ss)))
+        except (LindlocError, ValueError) as exc:
+            raise _point_error(k, value, exc) from exc
+    return solved
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path) -> int:

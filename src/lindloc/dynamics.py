@@ -10,8 +10,8 @@ taken as matrix powers of S. Steady states are the null vector of the
 generator, and its singular values decide whether that vector is unique.
 
 steady_states solves the points of a sweep, generators that share one
-structure, as one stacked Generator (Generator.stack); steady_state solves
-a generator of one row.
+structure, as one stacked Generator (Generator.stack), and raises if any of
+them fails a check; steady_state solves a generator of one row.
 
 Both work on Generator.blocks, the connected components of the nonzero
 pattern of L, so no d^2 x d^2 matrix is built: the RK4 polynomial of a
@@ -212,10 +212,9 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     return Trajectory(times=times, states=states)
 
 
-def steady_states(gen: Generator) -> tuple[list[SteadyStateResult], LindlocError | None]:
+def steady_states(gen: Generator) -> list[SteadyStateResult]:
     """Null-space steady states of each row of a stacked generator, solved
-    as one stack: the results of the leading rows that pass every check,
-    and the error of the first that fails one (None if none does).
+    as one stack, one result per row; if a row fails a check, raises.
 
     Each generator's singular values of every stored block are pooled,
     those of a conjugate-pair block twice, so the pool is the dense matrix's;
@@ -227,8 +226,9 @@ def steady_states(gen: Generator) -> tuple[list[SteadyStateResult], LindlocError
     (0, 0), replaced by the trace: a redundant row, since the trace is a
     left null vector (the "direct" method of QuTiP, Johansson, Nation & Nori,
     CPC 184, 1234 (2013)). The candidate must be positive and L[rho_ss] must
-    vanish to 1e-8. A generator that fails a check solves a placeholder in
-    the later stacked steps, so later generators are still solved.
+    vanish to 1e-8. The checks run in that order over the whole stack, each
+    raising for the first row that fails it, so a generator of one row gets
+    the error of its first failed check.
     """
     view, count = gen.blocks, len(gen)
     parts = []
@@ -238,10 +238,10 @@ def steady_states(gen: Generator) -> tuple[list[SteadyStateResult], LindlocError
         parts += [s_k] if real else [s_k, s_k]
     s = np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]
     null_dim = np.count_nonzero(s <= NULL_SCALE * s[:, :1], axis=1)
-    errors: list[LindlocError | None] = [None] * count
-    for p in np.flatnonzero((s[:, 0] == 0.0) | (null_dim > 1)):
-        errors[p] = NonUniqueSteadyStateError(int(null_dim[p]))
-    for s_p in s[: _leading(errors)]:
+    failed = (s[:, 0] == 0.0) | (null_dim > 1)
+    if failed.any():
+        raise NonUniqueSteadyStateError(int(null_dim[np.argmax(failed)]))
+    for s_p in s:
         if s_p[-1] > 0.0 and s_p[-2] / s_p[-1] < SEPARATION_FACTOR:
             log.warning(
                 "steady state may be ill-conditioned: smallest singular values "
@@ -255,59 +255,33 @@ def steady_states(gen: Generator) -> tuple[list[SteadyStateResult], LindlocError
     a = gen.block_matrices[zero].copy()
     # the trace is the sum of the populations' coordinates, at i + d i
     a[:, 0] = view.indices[zero] % (view.dimension + 1) == 0
-    a[[e is not None for e in errors]] = np.eye(a.shape[-1])
     rhs = np.zeros(a.shape[-1])
     rhs[0] = 1.0
     x, z = view.zeros(count)
-    x[:, view.slices[zero]] = _solve_each(a, rhs, errors)
+    try:
+        x[:, view.slices[zero]] = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise LindlocError(
+            "null vector is traceless; no normalizable steady state in this direction"
+        ) from None
     rho = view.to_state(x, z)
 
     lo = np.linalg.eigvalsh(rho).min(axis=1)
-    for p in np.flatnonzero(lo < -1e-9):
-        errors[p] = errors[p] or PositivityError(
-            f"steady-state candidate has eigenvalue {lo[p]:.3e} below -1e-9"
-        )
+    p = np.argmax(lo < -1e-9)  # the first row that fails, if one does
+    if lo[p] < -1e-9:
+        raise PositivityError(f"steady-state candidate has eigenvalue {lo[p]:.3e} below -1e-9")
     residual = np.abs(gen.terms(rho)[1]).max(axis=(1, 2))
-    for p in np.flatnonzero(residual > 1e-8):
-        errors[p] = errors[p] or LindlocError(
+    p = np.argmax(residual > 1e-8)
+    if residual[p] > 1e-8:
+        raise LindlocError(
             f"steady-state residual {residual[p]:.3e} exceeds 1e-8; generator may be defective"
         )
-    done = _leading(errors)
-    results = [
-        SteadyStateResult(rho[p], float(residual[p]), int(null_dim[p]), s[p]) for p in range(done)
+    return [
+        SteadyStateResult(rho[p], float(residual[p]), int(null_dim[p]), s[p]) for p in range(count)
     ]
-    return results, errors[done] if done < count else None
-
-
-def _leading(errors: list) -> int:
-    """How many entries lead the list before the first error (not None)."""
-    return next((p for p, e in enumerate(errors) if e is not None), len(errors))
-
-
-def _solve_each(a: np.ndarray, rhs: np.ndarray, errors: list) -> np.ndarray:
-    """The solution of each system of a stack; a singular one records the
-    error for its generator and solves as the identity."""
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.empty(a.shape[:-1])
-    for p, a_p in enumerate(a):
-        try:
-            out[p] = np.linalg.solve(a_p, rhs)
-        except np.linalg.LinAlgError:
-            errors[p] = errors[p] or LindlocError(
-                "null vector is traceless; no normalizable steady state in this direction"
-            )
-            out[p] = rhs
-    return out
 
 
 def steady_state(gen: Generator) -> SteadyStateResult:
-    """Null-space steady state of a generator of one row: its
-    steady_states, raising its error."""
+    """Null-space steady state of a generator of one row (see steady_states)."""
     _require_one_row(gen, "steady_state")
-    results, error = steady_states(gen)
-    if error is not None:
-        raise error
-    return results[0]
+    return steady_states(gen)[0]

@@ -671,11 +671,6 @@ class Generator:
         betas = np.concatenate([g.betas for g in gens])
         return cls(gens[0].structure, gens[0].spec, rates, betas, gens[0].diagnostics)
 
-    def rows(self, index: slice) -> Generator:
-        """The generator of the rows at `index`, filled anew."""
-        rates, betas = self.rates[index], self.betas[index]
-        return Generator(self.structure, self.spec, rates, betas, self.diagnostics)
-
     def __len__(self) -> int:
         return len(self.rates)
 

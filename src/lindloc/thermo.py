@@ -14,7 +14,8 @@ Gibbs states. The audit reports violations; it never raises on them.
 The audit is one pass over a (T, d, d) stack of states, under a generator of
 one row for all of them (audit() is the T = 1 case, audit_trajectory takes
 runs of records) or under row t of a stacked Generator for state t
-(audit_states, the points of a sweep). It reads L from the generator's
+(audit_states, the points of a sweep, exactly one state per row; a state
+it refuses fails the whole stack). It reads L from the generator's
 triplets, as the solver's blocks do. Rates linear in rho are traces in the
 Heisenberg picture, tr(X L[rho]) = tr(L†[X] rho), against
 Generator.rate_operators: D_i†[H_s], L†[H_s] and L_p†[ln rho_G], built once
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LindlocError, NonFiniteError, PositivityError
+from .errors import DimensionMismatchError, NonFiniteError, PositivityError
 from .linalg import runs
 from .liouvillian import Generator, _require_one_row
 
@@ -146,31 +147,17 @@ def audit(gen: Generator, rho: np.ndarray) -> ThermoReport:
     return _audit_stack(gen, _checked_stack(gen, np.asarray(rho)[None]))[0]
 
 
-def audit_states(
-    gen: Generator, states: list[np.ndarray]
-) -> tuple[list[ThermoReport], LindlocError | None]:
-    """Both laws at each of T states under row t of a stacked generator, in
-    one pass: the reports of the leading states that audit does not refuse,
-    and the error of the first it refuses (None if none). T may be less
-    than the number of rows."""
-    if not states:
-        return [], None
-    if len(states) < len(gen):
-        gen = gen.rows(slice(len(states)))
+def audit_states(gen: Generator, states: list[np.ndarray]) -> list[ThermoReport]:
+    """Both laws at state t under row t of a stacked generator, for each of
+    its rows, in one pass; raises as audit does if any state is refused."""
+    if len(states) != len(gen):
+        raise DimensionMismatchError(
+            f"audit_states takes one state per generator row, got {len(states)} states "
+            f"for {len(gen)} rows"
+        )
     # the rates sum a state's entries in its memory order, which np.stack
     # keeps (np.array would make every state row-major)
-    try:
-        return _audit_stack(gen, _checked_stack(gen, np.stack(states))), None
-    except LindlocError:
-        pass
-    reports = []
-    for p, rho in enumerate(states):
-        try:
-            state = _checked_stack(gen, np.asarray(rho)[None])
-            reports += _audit_stack(gen.rows(slice(p, p + 1)), state)
-        except LindlocError as exc:
-            return reports, exc
-    return reports, None
+    return _audit_stack(gen, _checked_stack(gen, np.stack(states)))
 
 
 def audit_trajectory(gen: Generator, trajectory) -> list[ThermoReport]:

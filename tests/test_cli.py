@@ -1,6 +1,8 @@
 import copy
 import csv
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 import yaml
 
 import lindloc.cli as cli
-from lindloc import linalg, liouvillian
+from lindloc import dynamics, linalg, liouvillian
 from lindloc.cli import (
     RunConfig,
     _set_by_path,
@@ -21,7 +23,7 @@ from lindloc.cli import (
     make_generator,
 )
 from lindloc.dynamics import evolve
-from lindloc.errors import ConfigError
+from lindloc.errors import ConfigError, LindlocError
 from lindloc.linalg import von_neumann_entropy
 from lindloc.liouvillian import build_modified_local, product_gibbs
 from lindloc.models import DEFAULT_SPECTRAL, TwoQubitParams, two_qubit_model
@@ -133,11 +135,29 @@ def test_type_errors_name_the_path():
     data["model"]["initial_state"] = "vacuum"
     with pytest.raises(ConfigError, match="initial_state"):
         RunConfig.from_dict(data)
-    for bad in (float("inf"), 10**400):
+    for bad in (float("inf"), float("nan"), 10**400, "1e999"):
         data = base_dict()
         data["solver"]["dt"] = bad
         with pytest.raises(ConfigError, match=r"solver\.dt: expected a finite number"):
             RunConfig.from_dict(data)
+    for bad in (".nan", ".inf", "1e", "e3", "1.5e3x", "0x10", " 1.0"):
+        data = base_dict()
+        data["solver"]["dt"] = bad
+        message = rf"^solver\.dt: expected a number, got '{re.escape(bad)}'$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(data)
+    # YAML 1.1 reads numbers without a dot or a signed exponent as strings;
+    # number fields read them as the YAML 1.2 floats they are, string fields
+    # keep them
+    text = yaml.safe_dump(base_dict()).replace("dt: 0.02", "dt: 2e-2")
+    data = yaml.safe_load(text.replace("alpha: 0.01", "alpha: 1e-2\n    grouping_tol: 1E-9"))
+    assert data["solver"]["dt"] == "2e-2" and data["model"]["params"]["grouping_tol"] == "1E-9"
+    expected = base_dict()
+    expected["model"]["params"]["grouping_tol"] = 1e-9
+    assert RunConfig.from_dict(data) == RunConfig.from_dict(expected)
+    data = explicit_dict()
+    data["model"]["explicit"]["subsystems"][0]["label"] = "1e3"
+    assert RunConfig.from_dict(data).spec.subsystems[0].label == "1e3"
     # physical checks run at load too, named by the section they were built from
     data = base_dict()
     data["model"]["params"]["t1"] = -2.0
@@ -745,6 +765,35 @@ def test_memory_guard_names_the_first_sweep_point(tmp_path, monkeypatch, capsys)
         "lindloc: error: sweep.values[0] = 0.5: 4 generator blocks of up to 20 rows "
         "would need 2.22e-05 GB, more than the 1e-05 GB of physical memory\n"
     )
+
+
+def test_a_failed_stack_logs_nothing_of_its_own(tmp_path, monkeypatch, caplog):
+    """A chunk whose stacked solve or audit fails is run again point by
+    point, and the stack's own records are dropped: with every point warning
+    as it is solved and the stacked audit refused, each warning is logged
+    once, in point order, and the table is the stack's."""
+    values = [0.5, 0.8, 1.1, 1.4, 1.7]
+    path = write_yaml(tmp_path, chain_sweep("model.params.temperatures.0", values))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "stacked")]) == 0
+    monkeypatch.setattr(dynamics, "SEPARATION_FACTOR", math.inf)
+    cfg = load_config(path)
+    with caplog.at_level("WARNING", logger="lindloc"):
+        for k, value in enumerate(values):
+            dynamics.steady_state(cli._sweep_point(cfg, k, value, None)[0])
+    expected = caplog.messages
+    assert len(set(expected)) == len(values)
+    assert all(m.startswith("steady state may be ill-conditioned") for m in expected)
+    caplog.clear()
+
+    def refused(*args):
+        raise LindlocError("refused")
+
+    monkeypatch.setattr(cli, "audit_states", refused)
+    with caplog.at_level("WARNING", logger="lindloc"):
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "points")]) == 0
+    assert caplog.messages == expected
+    stacked = (tmp_path / "stacked" / "sweep.csv").read_bytes()
+    assert (tmp_path / "points" / "sweep.csv").read_bytes() == stacked
 
 
 def test_sweep_point_reads_only_the_model(tmp_path):

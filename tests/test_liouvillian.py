@@ -429,10 +429,8 @@ def test_stacked_points_match_point_by_point(build, points, size):
         assert 1 <= len(gens[run]) <= size
         assert all(g.structure is gens[0].structure for g in gens[run])
         stack = Generator.stack(gens[run])
-        results, error = steady_states(stack)
-        assert error is None
-        reports, error = audit_states(stack, [r.rho_ss for r in results])
-        assert error is None
+        results = steady_states(stack)
+        reports = audit_states(stack, [r.rho_ss for r in results])
         for gen, result, report in zip(gens[run], results, reports, strict=True):
             alone = steady_state(gen)
             assert np.array_equal(result.rho_ss, alone.rho_ss)
@@ -582,3 +580,17 @@ def test_silent_bath_drops_channels():
     gen = build_modified_local(spec)
     assert gen.structure.jumps == [[]]
     assert channel_rates(gen) == {}
+
+
+def test_audit_states_takes_one_state_per_row():
+    """audit_states audits state t under row t; more or fewer states than
+    rows are refused, not split unevenly or audited under the leading rows."""
+    gen = default_two_qubit()
+    stack = Generator.stack([gen, gen])
+    rho = np.eye(4, dtype=complex) / 4
+    assert audit_states(stack, [rho, rho]) == [audit(gen, rho)] * 2
+    for states in ([rho], [rho] * 3, []):
+        with pytest.raises(
+            DimensionMismatchError, match=f"got {len(states)} states for 2 rows"
+        ):
+            audit_states(stack, states)
