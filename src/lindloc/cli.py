@@ -169,7 +169,7 @@ def _fields(node, path: str, keys: tuple[str, ...], optional: tuple[str, ...] = 
     ``keys``; a key in neither SCALARS nor PARTS is passed on unread."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
-    unknown = sorted(set(node) - set(keys))
+    unknown = sorted(set(node) - set(keys), key=str)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
     checked, built = {}, {}
@@ -394,37 +394,33 @@ def _write_outputs(config: RunConfig, out_dir: Path, **formats) -> None:
                 log.info("wrote %s", out_dir / name)
 
 
-def _csv(fh, header: list[str], rows: list[list]) -> None:
-    csv.writer(fh).writerows([header, *rows])
+def _csv(fh, columns: list[tuple[str, list]]) -> None:
+    """A table of (name, values) columns: the names, then one row per value."""
+    names, values = zip(*columns)
+    writer = csv.writer(fh)
+    writer.writerow(names)
+    writer.writerows(zip(*values, strict=True))
 
 
 def _lines(fh, lines: list[str]) -> None:
     fh.write("\n".join(lines) + "\n")
 
 
-def _trajectory_rows(gen: Generator, traj: Trajectory) -> tuple[list[str], list[list]]:
-    d = gen.dimension
+def _trajectory_columns(gen: Generator, traj: Trajectory, reports: list) -> list[tuple]:
     basis = gen.eig.eigenvectors
-    labels = [b.label for b in gen.spec.baths]
-    header = (
-        ["t"]
-        + [f"pop_{k}" for k in range(d)]
-        + ["S", "e_dot"]
-        + [f"q_dot_{lab}" for lab in labels]
-        + ["first_law_residual", "entropy_production", "second_law_ok"]
-    )
     # the diagonal of U† rho U for every record
     pops = np.einsum("ik,tij,jk->tk", basis.conj(), traj.states, basis).real
-    rows = []
-    for t, p, rep in zip(traj.times.tolist(), pops.tolist(), traj.reports):
-        rows.append(
-            [t]
-            + p
-            + [rep.entropy, rep.e_dot]
-            + list(rep.q_dot)
-            + [rep.first_law_residual, rep.entropy_production, int(rep.second_law_ok)]
-        )
-    return header, rows
+    q_dot = zip(*(rep.q_dot for rep in reports))
+    return [
+        ("t", traj.times.tolist()),
+        *((f"pop_{k}", p) for k, p in enumerate(pops.T.tolist())),
+        ("S", [rep.entropy for rep in reports]),
+        ("e_dot", [rep.e_dot for rep in reports]),
+        *((f"q_dot_{b.label}", q) for b, q in zip(gen.spec.baths, q_dot)),
+        ("first_law_residual", [rep.first_law_residual for rep in reports]),
+        ("entropy_production", [rep.entropy_production for rep in reports]),
+        ("second_law_ok", [int(rep.second_law_ok) for rep in reports]),
+    ]
 
 
 def _report_head(command: str, gen: Generator, *lines: str) -> list[str]:
@@ -446,21 +442,21 @@ def _report_head(command: str, gen: Generator, *lines: str) -> list[str]:
 
 
 def _evolve_audited(gen: Generator, rho0: np.ndarray, solver: SolverConfig):
-    """The trajectory from rho0 audited at every record (``traj.reports``), its
-    min entropy production, max |first-law residual| and first second-law
+    """The trajectory from rho0, the audit report of each record, their min
+    entropy production, max |first-law residual| and first second-law
     violation time (None if there is none)."""
     traj = evolve(gen, rho0, solver)
     reports = audit_trajectory(gen, traj)
     min_ep = min(r.entropy_production for r in reports)
     max_res = max(abs(r.first_law_residual) for r in reports)
     violations = (float(t) for t, r in zip(traj.times, reports) if not r.second_law_ok)
-    return traj, min_ep, max_res, next(violations, None)
+    return traj, reports, min_ep, max_res, next(violations, None)
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     gen = make_generator(config)
     rho0 = initial_state(config, gen)
-    traj, min_ep, max_res, violation = _evolve_audited(gen, rho0, config.solver)
+    traj, reports, min_ep, max_res, violation = _evolve_audited(gen, rho0, config.solver)
 
     def write_report(fh) -> None:
         records = f"records: {len(traj)} over t in [0, {float(traj.times[-1])!r}]"
@@ -471,7 +467,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
             "second law: " + ("ok" if violation is None else f"violated at t = {violation!r}"),
         ])
 
-    tables = {"trajectory.csv": lambda fh: _csv(fh, *_trajectory_rows(gen, traj))}
+    tables = {"trajectory.csv": lambda fh: _csv(fh, _trajectory_columns(gen, traj, reports))}
     _write_outputs(config, out_dir, csv=tables, report={"report.txt": write_report})
     if config.generator == "modified" and violation is not None:
         log.error("second law violated by the modified generator at t = %r", violation)
@@ -486,17 +482,15 @@ def cmd_steady(config: RunConfig, out_dir: Path) -> int:
     labels = [b.label for b in gen.spec.baths]
 
     def write_summary(fh) -> None:
-        header = (
-            ["residual", "null_dim"]
-            + [f"q_dot_{lab}" for lab in labels]
-            + ["e_dot", "s_dot", "first_law_residual", "entropy_production"]
-        )
-        row = (
-            [result.residual, result.null_dim]
-            + list(report.q_dot)
-            + [report.e_dot, report.s_dot, report.first_law_residual, report.entropy_production]
-        )
-        _csv(fh, header, [row])
+        _csv(fh, [
+            ("residual", [result.residual]),
+            ("null_dim", [result.null_dim]),
+            *((f"q_dot_{lab}", [q]) for lab, q in zip(labels, report.q_dot)),
+            ("e_dot", [report.e_dot]),
+            ("s_dot", [report.s_dot]),
+            ("first_law_residual", [report.first_law_residual]),
+            ("entropy_production", [report.entropy_production]),
+        ])
 
     def write_report(fh) -> None:
         _lines(fh, [
@@ -640,16 +634,15 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     log.info("sweep: generator structure built at %d of %d points", built, len(values))
 
     def write_table(fh) -> None:
-        header = (
-            ["parameter", "value"]
-            + [f"q_dot_{bath.label}" for bath in config.spec.baths]
-            + ["entropy_production", "residual"]
-        )
-        rows = [
-            [parameter, value] + list(rep.q_dot) + [rep.entropy_production, residual]
-            for value, residual, rep in points
-        ]
-        _csv(fh, header, rows)
+        values, residuals, reports = zip(*points)
+        q_dot = zip(*(rep.q_dot for rep in reports))
+        _csv(fh, [
+            ("parameter", [parameter] * len(points)),
+            ("value", values),
+            *((f"q_dot_{b.label}", q) for b, q in zip(config.spec.baths, q_dot)),
+            ("entropy_production", [rep.entropy_production for rep in reports]),
+            ("residual", residuals),
+        ])
 
     def write_report(fh) -> None:
         lines = [f"lindloc sweep over {parameter}", f"points: {len(values)}"]
@@ -669,24 +662,18 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
 def cmd_compare(config: RunConfig, out_dir: Path) -> int:
     gen_mod = build_modified_local(config.spec)
     rho0 = initial_state(config, gen_mod)
-    traj_mod, ep_mod, res_mod, violation = _evolve_audited(gen_mod, rho0, config.solver)
+    traj_mod, mod, ep_mod, res_mod, violation = _evolve_audited(gen_mod, rho0, config.solver)
     gen_naive = build_naive_local(config.spec)
-    traj_naive, ep_naive, res_naive, _ = _evolve_audited(gen_naive, rho0, config.solver)
+    _, naive, ep_naive, res_naive, _ = _evolve_audited(gen_naive, rho0, config.solver)
 
     def write_table(fh) -> None:
-        header = [
-            "t",
-            "entropy_production_modified",
-            "entropy_production_naive",
-            "first_law_residual_modified",
-            "first_law_residual_naive",
-        ]
-        rows = [
-            [float(t), rm.entropy_production, rn.entropy_production,
-             rm.first_law_residual, rn.first_law_residual]
-            for t, rm, rn in zip(traj_mod.times, traj_mod.reports, traj_naive.reports)
-        ]
-        _csv(fh, header, rows)
+        _csv(fh, [
+            ("t", traj_mod.times.tolist()),
+            ("entropy_production_modified", [r.entropy_production for r in mod]),
+            ("entropy_production_naive", [r.entropy_production for r in naive]),
+            ("first_law_residual_modified", [r.first_law_residual for r in mod]),
+            ("first_law_residual_naive", [r.first_law_residual for r in naive]),
+        ])
 
     def write_report(fh) -> None:
         _lines(fh, [

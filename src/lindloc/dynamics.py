@@ -13,15 +13,16 @@ steady_states solves the points of a sweep, generators that share one
 structure, as one stacked Generator (Generator.stack), and raises if any of
 them fails a check; steady_state solves a generator of one row.
 
-Both work on Generator.blocks, the connected components of the nonzero
-pattern of L, so no d^2 x d^2 matrix is built: the RK4 polynomial of a
-block-diagonal L is block-diagonal, and the dense matrix is a unitary change
-of basis of the block-diagonal one, so it has the same singular values.
-L preserves Hermiticity, so only one block of each conjugate pair is stored,
-stepped and factored, and a self-conjugate block is a real matrix in
-Hermitian coordinates (see BlockView). Only the Hermitian part of a state is
-carried: its conjugate-pair entries are stepped once and its real
-coordinates with real matrices.
+Both take the layout of L's blocks, the connected components of its
+nonzero pattern, from Structure.blocks and their matrices from
+Generator.block_matrices, so no d^2 x d^2 matrix is built: the RK4
+polynomial of a block-diagonal L is block-diagonal, and the dense matrix is
+a unitary change of basis of the block-diagonal one, so it has the same
+singular values. L preserves Hermiticity, so only one block of each
+conjugate pair is stored, stepped and factored, and a self-conjugate block
+is a real matrix in Hermitian coordinates (see BlockView). Only the
+Hermitian part of a state is carried: its conjugate-pair entries are
+stepped once and its real coordinates with real matrices.
 """
 
 from __future__ import annotations
@@ -78,11 +79,10 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """Recorded times and states, one (T, d, d) array whose rows are the
-    (d, d) states; thermodynamic reports are attached separately."""
+    (d, d) states; audit_trajectory gives their thermodynamic reports."""
 
     times: np.ndarray
     states: np.ndarray
-    reports: list | None = None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -143,7 +143,7 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     one pass after stepping; violations raise IntegrationError with the first
     offending time. rho0 may carry an anti-Hermitian part up to 1e-9; only
     its Hermitian part is stepped and recorded, so every record is exactly
-    Hermitian. Each stored block of gen.blocks is stepped with its own RK4
+    Hermitian. Each stored block of L is stepped with its own RK4
     step and stride matrices, real for a self-conjugate block; blocks where
     rho0 is exactly zero are never stepped (a diagonal rho0 steps one block).
     """
@@ -178,12 +178,12 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     # the recorded states, their d^2 real words of block coordinates, steps and times
     _require_memory((records + 1) * (24 * d * d + 32), f"{records} records of a {d} x {d} state")
 
-    view = gen.blocks
+    view = gen.structure.blocks
     x, z = view.to_vector(rho0)
     # a block that starts at exactly zero stays exactly zero
     live = [
-        (v, block, m)
-        for v, block, m in zip((x if r else z for r in view.real), view.slices, view.matrices)
+        (v, block, m[0])
+        for v, block, m in zip((x if r else z for r in view.real), view.slices, gen.block_matrices)
         if v[block].any()
     ]
     step_matrices = [rk4_step_matrix(m, config.dt) for _, _, m in live]
@@ -230,7 +230,7 @@ def steady_states(gen: Generator) -> list[SteadyStateResult]:
     raising for the first row that fails it, so a generator of one row gets
     the error of its first failed check.
     """
-    view, count = gen.blocks, len(gen)
+    view, count = gen.structure.blocks, len(gen)
     parts = []
     for real, m in zip(view.real, gen.block_matrices):
         s_k = np.linalg.svd(m, compute_uv=False)
@@ -253,8 +253,7 @@ def steady_states(gen: Generator) -> list[SteadyStateResult]:
 
     zero = view.zero
     a = gen.block_matrices[zero].copy()
-    # the trace is the sum of the populations' coordinates, at i + d i
-    a[:, 0] = view.indices[zero] % (view.dimension + 1) == 0
+    a[:, 0] = view.trace_row
     rhs = np.zeros(a.shape[-1])
     rhs[0] = 1.0
     x, z = view.zeros(count)

@@ -338,7 +338,8 @@ class _Layout(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class BlockView:
-    """A Hermiticity-preserving generator written as a direct sum of blocks.
+    """A Hermiticity-preserving generator's layout as a direct sum of blocks,
+    and where its values go in them.
 
     Blocks act on the column-stacked entries of a matrix written in `basis`
     (the product basis when basis is None). L[rho†] = L[rho]†, so the
@@ -346,28 +347,34 @@ class BlockView:
     with conjugated entries. One block of each pair of distinct blocks is
     kept, the one with the lower smallest index, as a complex matrix on its
     entries indices[k] (ascending); its partner holds the conjugates at
-    tau(indices[k]) and is not stored. A block that tau maps onto itself is
-    kept as a real matrix on the Hermitian coordinates of its entries: at
-    index p = (a, b), rho_p if a = b, sqrt2 Re rho_ab if a > b and
-    sqrt2 Im rho_ba if a < b, the coefficients of |a><a|,
+    tau(indices[k]) and is not stored. A block that tau maps onto itself
+    (`real`) is kept as a real matrix on the Hermitian coordinates of its
+    entries: at index p = (a, b), rho_p if a = b, sqrt2 Re rho_ab if a > b
+    and sqrt2 Im rho_ba if a < b, the coefficients of |a><a|,
     (|a><b| + |b><a|)/sqrt2 and i(|a><b| - |b><a|)/sqrt2 (a > b). That change
     of basis is unitary, so a real block has the singular values of the
     complex one.
 
-    A Hermitian state travels as two vectors: the real blocks' coordinates
-    (float64) and the kept pair blocks' entries (complex), one block after
-    another in each.
+    A generator's matrices (Generator.block_matrices) are `size` float64
+    words, block k's from offsets[k] on; one bincount fills them, adding
+    factor times the word `gather` of the source (pos, channel and outer,
+    see _Triplets) at each key. A Hermitian state travels as two vectors: the
+    real blocks' coordinates (float64) and the kept pair blocks' entries
+    (complex), one block after another in each.
     """
 
     basis: np.ndarray | None
     dimension: int
     indices: tuple[np.ndarray, ...]
-    matrices: tuple[np.ndarray, ...]
-
-    @cached_property
-    def real(self) -> tuple[bool, ...]:
-        """Which blocks are self-conjugate, held in Hermitian coordinates."""
-        return tuple(m.dtype == np.float64 for m in self.matrices)
+    real: tuple[bool, ...]
+    offsets: tuple[int, ...]
+    pos: tuple[np.ndarray, ...]
+    channel: np.ndarray
+    outer: np.ndarray
+    keys: np.ndarray
+    gather: np.ndarray
+    factor: np.ndarray
+    size: int
 
     @cached_property
     def slices(self) -> tuple[slice, ...]:
@@ -383,6 +390,12 @@ class BlockView:
         """The block holding entry (0, 0), and with a unique steady state every
         population: a second block with populations would have its own trace."""
         return next(k for k, idx in enumerate(self.indices) if idx[0] == 0)
+
+    @cached_property
+    def trace_row(self) -> np.ndarray:
+        """The trace as a row on the zero block's coordinates: the sum of the
+        populations', those at i + d i."""
+        return self.indices[self.zero] % (self.dimension + 1) == 0
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -436,24 +449,6 @@ class BlockView:
             return rho
         rho = u @ rho @ u.conj().T
         return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-
-
-class _BlockPattern(NamedTuple):
-    """Where L's values go in its blocks: the triplets' source (pos, channel
-    and outer, see _Triplets), and one bincount that adds factor times the
-    float64 word `gather` of the source at each `key` of `size` words; block
-    k holds words shapes[k] = (offset, count, rows, real)."""
-
-    basis: np.ndarray | None
-    pos: tuple[np.ndarray, ...]
-    channel: np.ndarray
-    outer: np.ndarray
-    keys: np.ndarray
-    gather: np.ndarray
-    factor: np.ndarray
-    size: int
-    indices: tuple[np.ndarray, ...]
-    shapes: tuple[tuple[int, int, int, bool], ...]
 
 
 @dataclass(eq=False)
@@ -543,7 +538,7 @@ class Structure:
         return basis, _triplets(nonzero[None], ops, bath, freq)
 
     @cached_property
-    def blocks(self) -> _BlockPattern:
+    def blocks(self) -> BlockView:
         """L's blocks, the connected components of the block triplets'
         pattern: one complex block per conjugate pair and one real block per
         self-conjugate component (see BlockView)."""
@@ -585,8 +580,12 @@ class Structure:
         # a triplet's value is two float64 words of the source: real, imaginary
         word = 2 * tr.source
         indices = np.split(order, start[1:])
-        return _BlockPattern(
+        return BlockView(
             basis,
+            d,
+            tuple(indices[k] for k in kept),
+            tuple(real[kept].tolist()),
+            tuple(offset[kept].tolist()),
             tr.pos,
             tr.channel,
             tr.outer,
@@ -594,8 +593,6 @@ class Structure:
             np.concatenate((word[self_conjugate][k] + part, word[pair], word[pair] + 1)),
             np.concatenate((factor, np.ones(2 * pair.size))),
             int(words.sum()),
-            tuple(indices[k] for k in kept),
-            tuple((offset[k], words[k], sizes[k], real[k]) for k in kept),
         )
 
 
@@ -648,8 +645,8 @@ class Generator:
     sum, G = -i H_eff, in the Bohr blocks of `levels` (H_s's eigensystem and
     frequencies); and one product-basis pass, whose triplets carry their
     part, serves every other use. L_p, the partial generator fixing the
-    product of local Gibbs states, leaves out V. A build gives one row;
-    `blocks`, the dense matrices and `stability_norm` read row 0.
+    product of local Gibbs states, leaves out V. A build gives one row; the
+    dense matrices and `stability_norm` read row 0.
     """
 
     def __init__(
@@ -700,7 +697,7 @@ class Generator:
     def dimension(self) -> int:
         return self.structure.dimension
 
-    def _source(self, g: np.ndarray, pattern: _Triplets | _BlockPattern) -> np.ndarray:
+    def _source(self, g: np.ndarray, pattern: _Triplets | BlockView) -> np.ndarray:
         """The values a pattern's triplets take theirs from (see _Triplets),
         for each row, given its stack of G's in the pattern's basis,
         (P, G's, d, d)."""
@@ -817,27 +814,19 @@ class Generator:
 
     @cached_property
     def block_matrices(self) -> tuple[np.ndarray, ...]:
-        """The matrices of each block index (see Structure.blocks), (P, m, m),
-        filled by one bincount."""
+        """The matrices of each block of structure.blocks, (P, m, m), filled
+        by one bincount."""
         s = self.structure.blocks
         words = np.ascontiguousarray(self._source(self._block_g(s.basis), s)).view(np.float64)
         keys = _offsets(s.keys, s.size, len(self))
         flat = np.bincount(keys, (s.factor * words[:, s.gather]).ravel(), len(self) * s.size)
         flat = flat.reshape(len(self), s.size)
         return tuple(
-            flat[:, offset : offset + count]
+            flat[:, offset : offset + (1 if real else 2) * idx.size**2]
             .view(np.float64 if real else np.complex128)
-            .reshape(-1, rows, rows)
-            for offset, count, rows, real in s.shapes
+            .reshape(-1, idx.size, idx.size)
+            for idx, real, offset in zip(s.indices, s.real, s.offsets)
         )
-
-    @cached_property
-    def blocks(self) -> BlockView:
-        """Row 0's L as a direct sum over the connected components of its
-        pattern (see Structure.blocks), whose layout every row shares."""
-        s = self.structure.blocks
-        matrices = tuple(m[0] for m in self.block_matrices)
-        return BlockView(s.basis, self.dimension, s.indices, matrices)
 
 
 def _require_one_row(gen: Generator, caller: str) -> None:

@@ -60,7 +60,9 @@ def single_qubit_model(
     return _chain([energy], [temperature], 0.0, beta_coupling, spectral, grouping_tol)
 
 
-MAX_CHAIN_LENGTH = 8  # keeps the superoperator at or below 65536 rows
+# at most 256 levels: the d x d operators and the triplets that a build forms
+# before the memory guard of Structure.blocks are not guarded themselves
+MAX_CHAIN_LENGTH = 8
 
 
 def qubit_chain_model(

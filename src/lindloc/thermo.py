@@ -161,19 +161,16 @@ def audit_states(gen: Generator, states: list[np.ndarray]) -> list[ThermoReport]
 
 
 def audit_trajectory(gen: Generator, trajectory) -> list[ThermoReport]:
-    """Audit every recorded state under a generator of one row and attach
-    the reports to the trajectory.
+    """The report of every recorded state under a generator of one row.
 
     The stacked pass takes the states in runs (linalg.runs), which bounds
     its temporaries whatever the trajectory's length.
     """
     _require_one_row(gen, "audit_trajectory")
     states = _checked_stack(gen, trajectory.states)
-    reports = [
+    return [
         rep for run in runs(len(states), gen.dimension) for rep in _audit_stack(gen, states[run])
     ]
-    trajectory.reports = reports
-    return reports
 
 
 __all__ = [

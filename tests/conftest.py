@@ -38,8 +38,8 @@ def rand_unitary(rng, d):
 
 
 def block_entries(gen):
-    """The triplets that gen.blocks are filled from: L with one G = -i H_eff,
-    in the blocks' basis."""
+    """The triplets that gen.block_matrices are filled from: L with one
+    G = -i H_eff, in the blocks' basis."""
     basis, pattern = gen.structure.block_triplets()
     values = gen._source(gen._block_g(basis), pattern)[0, pattern.source]
     return pattern.rows, pattern.cols, values, pattern.parts
@@ -108,10 +108,16 @@ def assert_block_matches(m, real, piece, d, idx, scale):
         assert np.abs(m - piece).max() <= 1e-18
 
 
-def assert_blocks_are_the_matrix(view, dense):
-    """Blocks are the matching pieces of the dense matrix (in the blocks'
-    basis), which is zero between them; a pair block's partner, never stored,
-    holds the conjugates at the transposed entries."""
+def row_blocks(gen):
+    """Row 0's matrix of each block of gen.structure.blocks."""
+    return tuple(m[0] for m in gen.block_matrices)
+
+
+def assert_blocks_are_the_matrix(gen, dense):
+    """Row 0's blocks are the matching pieces of the dense matrix (in the
+    blocks' basis), which is zero between them; a pair block's partner, never
+    stored, holds the conjugates at the transposed entries."""
+    view = gen.structure.blocks
     d = math.isqrt(dense.shape[0])
     tau = transpose_map(d)
     label = np.full(d * d, -1)
@@ -121,7 +127,7 @@ def assert_blocks_are_the_matrix(view, dense):
             label[tau[idx]] = len(view.indices) + k
     assert (label >= 0).all()  # every index or its tau-image is covered
     assert np.abs(dense[label[:, None] != label[None, :]]).max() == 0.0
-    for idx, m, real in zip(view.indices, view.matrices, view.real):
+    for idx, m, real in zip(view.indices, row_blocks(gen), view.real):
         assert_block_matches(m, real, dense[np.ix_(idx, idx)], d, idx, np.abs(dense).max())
         if not real:
             assert np.abs(dense[np.ix_(tau[idx], tau[idx])] - m.conj()).max() <= 1e-18

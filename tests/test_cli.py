@@ -97,6 +97,16 @@ def test_unknown_keys_are_rejected():
         RunConfig.from_dict(data)
 
 
+def test_unknown_keys_of_mixed_types_exit_cleanly(tmp_path, capsys):
+    """Unknown keys that are not all strings are named in the order of their
+    text, with an error line and exit 1, not a TypeError out of main."""
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(base_dict()) + "1: x\nfoo: y\n", encoding="utf-8")
+    assert cli.main(["steady", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "lindloc: error: config: unknown key(s) 1, 'foo'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_required_key_names_the_path():
     data = base_dict()
     del data["model"]["params"]["t1"]
@@ -331,9 +341,7 @@ def fake_reports(n, ok):
 
 def patched_audit(ok):
     def _fake(gen, traj):
-        reports = fake_reports(len(traj), ok)
-        traj.reports = reports
-        return reports
+        return fake_reports(len(traj), ok)
 
     return _fake
 
@@ -409,9 +417,9 @@ def test_only_requested_formats_are_written(tmp_path, command):
 
 def test_unrequested_file_is_not_built(tmp_path, monkeypatch):
     def fail(*args):
-        raise AssertionError("trajectory rows built for a report-only run")
+        raise AssertionError("trajectory columns built for a report-only run")
 
-    monkeypatch.setattr(cli, "_trajectory_rows", fail)
+    monkeypatch.setattr(cli, "_trajectory_columns", fail)
     data = base_dict(output={"formats": ["report"]})
     assert cli.cmd_simulate(RunConfig.from_dict(data), tmp_path / "o") == 0
     assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.txt"]
@@ -465,8 +473,8 @@ def test_trajectory_rows_match_per_record_formulas():
     cfg = RunConfig.from_dict(base_dict())
     gen = make_generator(cfg)
     traj = evolve(gen, rand_density(np.random.default_rng(7), 4), cfg.solver)
-    audit_trajectory(gen, traj)
-    header, rows = cli._trajectory_rows(gen, traj)
+    header, columns = zip(*cli._trajectory_columns(gen, traj, audit_trajectory(gen, traj)))
+    rows = list(zip(*columns))
     u = gen.eig.eigenvectors
     pops = slice(header.index("pop_0"), header.index("pop_3") + 1)
     for rho, row in zip(traj.states, rows, strict=True):
@@ -484,7 +492,16 @@ def test_steady_end_to_end(tmp_path):
     assert (tmp_path / "out" / "rho_ss_imag.csv").exists()
 
     header, rows = read_csv(tmp_path / "out" / "steady_summary.csv")
-    assert header[:2] == ["residual", "null_dim"]
+    assert header == [
+        "residual",
+        "null_dim",
+        "q_dot_b1",
+        "q_dot_b2",
+        "e_dot",
+        "s_dot",
+        "first_law_residual",
+        "entropy_production",
+    ]
     assert len(rows) == 1
     by_col = dict(zip(header, rows[0]))
     assert float(by_col["q_dot_b1"]) == pytest.approx(1.5356402288472635e-05, rel=1e-6)
@@ -519,7 +536,13 @@ def test_compare_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
     header, rows = read_csv(tmp_path / "out" / "compare.csv")
-    assert header[0] == "t"
+    assert header == [
+        "t",
+        "entropy_production_modified",
+        "entropy_production_naive",
+        "first_law_residual_modified",
+        "first_law_residual_naive",
+    ]
     mod_res = max(abs(float(r[3])) for r in rows)
     naive_res = max(abs(float(r[4])) for r in rows)
     assert mod_res <= 1e-10

@@ -50,6 +50,7 @@ from conftest import (
     channel_rates,
     rand_complex,
     rand_density,
+    row_blocks,
 )
 
 
@@ -114,7 +115,6 @@ def test_recorded_times_with_stride_and_partial_tail():
     # 3 steps of 0.3, recorded every 2 steps, with a short tail record
     assert np.allclose(traj.times, [0.0, 0.6, 0.9], atol=1e-15)
     assert len(traj) == 3
-    assert traj.reports is None
 
 
 def test_evolution_matches_two_level_closed_form():
@@ -297,7 +297,7 @@ def test_one_dimensional_system_has_no_unique_steady_state():
             gen = build(one_dimensional(h))
             rows = block_entries(gen)[0]
             assert rows.size == (0 if h == 0.0 else 2)  # -i h and its conjugate
-            assert gen.blocks.matrices == (np.zeros((1, 1)),)
+            assert row_blocks(gen) == (np.zeros((1, 1)),)
             with pytest.raises(NonUniqueSteadyStateError) as exc:
                 steady_state(gen)
             assert exc.value.null_dim == 1
@@ -313,8 +313,8 @@ def no_dense():
 
 
 def dense_in_basis(gen):
-    """The dense superoperator in the basis of gen.blocks."""
-    u = gen.blocks.basis
+    """The dense superoperator in the basis of gen's blocks."""
+    u = gen.structure.blocks.basis
     if u is None:
         return gen.superop
     w = np.kron(u.T, u.conj().T)  # vec(U† X U) = (U^T kron U†) vec(X)
@@ -372,9 +372,9 @@ def test_block_path_matches_dense_path(chain, build, state_seed):
     with no_dense():
         a = steady_state(gen)
         traj = evolve(gen, rho0, cfg)
-    assert len(gen.blocks.matrices) > 1
+    assert len(gen.block_matrices) > 1
 
-    assert_blocks_are_the_matrix(gen.blocks, dense_in_basis(gen))
+    assert_blocks_are_the_matrix(gen, dense_in_basis(gen))
     assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
     s_dense = np.linalg.svd(gen.superop, compute_uv=False)
     assert a.singular_values.shape == s_dense.shape
@@ -401,15 +401,15 @@ def test_untouched_blocks_are_not_stepped(monkeypatch):
     cfg = SolverConfig(dt=0.01, t_max=2.0, record_stride=50)
     for build in (build_modified_local, build_naive_local):
         gen = build(spec)
-        view = gen.blocks
+        view, matrices = gen.structure.blocks, row_blocks(gen)
         rho0 = product_gibbs(spec)  # diagonal: only the population block is nonzero
         stepped.clear()
         traj = evolve(gen, rho0, cfg)
-        assert stepped == [(view.matrices[view.zero].shape[0], np.float64)]
-        assert len(view.matrices) > 1
+        assert stepped == [(matrices[view.zero].shape[0], np.float64)]
+        assert len(matrices) > 1
 
         # every stored block stepped, untouched ones included
-        strides = [np.linalg.matrix_power(rk4_step_matrix(m, cfg.dt), 50) for m in view.matrices]
+        strides = [np.linalg.matrix_power(rk4_step_matrix(m, cfg.dt), 50) for m in matrices]
         x, z = view.to_vector(rho0)
         states = [rho0]
         for _ in range(4):
@@ -430,15 +430,15 @@ def test_one_step_matrix_per_stored_block(monkeypatch):
     rho0 = rand_density(np.random.default_rng(3), spec.dimension)
     for build in (build_modified_local, build_naive_local):
         gen = build(spec)
-        view = gen.blocks
+        view, matrices = gen.structure.blocks, row_blocks(gen)
         stepped.clear()
         evolve(gen, rho0, SolverConfig(dt=0.01, t_max=0.5, record_stride=10))
-        assert stepped == [(m.shape[0], m.dtype) for m in view.matrices]
+        assert stepped == [(m.shape[0], m.dtype) for m in matrices]
         assert all(dtype == np.float64 for (_, dtype), real in zip(stepped, view.real) if real)
         # a pair block's rows stand for its partner's entries too
-        rows = sum(m.shape[0] * (1 if real else 2) for m, real in zip(view.matrices, view.real))
+        rows = sum(m.shape[0] * (1 if real else 2) for m, real in zip(matrices, view.real))
         assert rows == spec.dimension**2
-    assert not all(build_modified_local(spec).blocks.real)
+    assert not all(build_modified_local(spec).structure.blocks.real)
 
 
 def test_anti_hermitian_part_of_rho0_is_not_carried():

@@ -1,8 +1,12 @@
+import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import yaml
 
+import lindloc
 from lindloc.cli import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -39,3 +43,61 @@ def test_config_schema_example_loads():
     config = RunConfig.from_dict(data)
     assert config.spec.grouping_tol == 1e-9
     assert config.sweep.values == [0.5, 1.0, 2.0]
+
+
+# a dotted name in a backticked span: identifiers joined by dots, from the
+# first that no identifier or dot precedes
+DOTTED = re.compile(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+FILE_SUFFIXES = {"csv", "txt", "json", "yaml", "yml", "md", "py", "toml"}
+
+
+def lindloc_roots() -> dict[str, list]:
+    """What a dotted name's first part can stand for: lindloc, each of its
+    modules, and each name that a module defines at its top level."""
+    roots = {"lindloc": [lindloc]}
+    for info in pkgutil.iter_modules(lindloc.__path__):
+        module = importlib.import_module(f"lindloc.{info.name}")
+        roots.setdefault(info.name, []).append(module)
+        for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                targets = []
+            for name in targets:
+                roots.setdefault(name, []).append(getattr(module, name))
+    return roots
+
+
+def resolves(obj, path: list[str]) -> bool:
+    """Whether the attributes of path lead on from obj; a dataclass field
+    without a default, which is no class attribute, ends a path."""
+    head, *rest = path
+    if hasattr(obj, head):
+        return not rest or resolves(getattr(obj, head), rest)
+    return not rest and head in getattr(obj, "__dataclass_fields__", {})
+
+
+def test_dotted_names_resolve():
+    """Every backticked dotted name whose first part is lindloc, a lindloc
+    module or a name that one defines, such as `Generator.terms` or
+    `linalg.run_length`, resolves. File names and config paths start with
+    no such name and are skipped."""
+    roots = lindloc_roots()
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    names = {
+        name
+        for span in spans
+        for name in DOTTED.findall(span)
+        if name.split(".")[0] in roots and name.rsplit(".", 1)[1] not in FILE_SUFFIXES
+    }
+    assert len(names) >= 10
+    unresolved = [
+        name
+        for name in sorted(names)
+        if not any(resolves(obj, name.split(".")[1:]) for obj in roots[name.split(".")[0]])
+    ]
+    assert unresolved == []
