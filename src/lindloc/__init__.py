@@ -50,7 +50,6 @@ from .models import (
     two_qubit_model,
 )
 from .spectral import (
-    BohrDecomposition,
     EnergyLevels,
     SpectrumDiagnostics,
     decompose_operator,

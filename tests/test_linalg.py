@@ -81,6 +81,10 @@ def test_eig_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NonHermitianError, match="asymmetry"):
         hermitian_eig(m)
+    with pytest.raises(
+        DimensionMismatchError, match=r"^eigensolver input must be square, got shape \(2, 3\)$"
+    ):
+        hermitian_eig(np.zeros((2, 3), dtype=complex))
     assert hermiticity_defect(m) == 1.0
 
 

@@ -2,7 +2,9 @@ import gc
 import logging
 import math
 import tracemalloc
+import warnings
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -71,6 +73,10 @@ def test_unvectorize_validation():
         unvectorize(np.zeros(5))
     with pytest.raises(DimensionMismatchError):
         unvectorize(np.zeros((2, 2)))
+    with pytest.raises(
+        DimensionMismatchError, match=r"state shape \(3, 3\) does not match generator dimension 4"
+    ):
+        default_two_qubit().apply(np.eye(3, dtype=complex))
 
 
 # -- generator structure -----------------------------------------------------------
@@ -169,7 +175,7 @@ def test_dissipator_acts_locally(rng):
     gen = default_two_qubit()
     single = build_modified_local(
         SystemSpec(
-            subsystems=[Subsystem("q1", 0.5 * SIGMA_Z, 2)],
+            subsystems=[Subsystem("q1", 0.5 * SIGMA_Z)],
             interactions=[],
             alpha=0.0,
             baths=[BathSpec.from_temperature("b1", 2.0, FLAT_UNIT, SIGMA_X)],
@@ -284,7 +290,7 @@ def test_stability_norm_is_the_row_sum_not_the_column_sum():
     rng = np.random.default_rng(1)
     flat = SpectralModel("flat", 0.5)
     spec = SystemSpec(
-        subsystems=[Subsystem(q, rand_hermitian(rng, 2), 2) for q in ("q1", "q2")],
+        subsystems=[Subsystem(q, rand_hermitian(rng, 2)) for q in ("q1", "q2")],
         interactions=[rand_hermitian(rng, 4)],
         alpha=0.05,
         baths=[
@@ -326,6 +332,73 @@ def test_memory_guard_refuses_an_eight_site_naive_chain(monkeypatch):
     assert peak < 2**28
 
 
+def test_memory_guard_refuses_twenty_explicit_subsystems(monkeypatch):
+    """A product space of 2**20 levels is refused before its first d x d
+    operator: H_s, its eigenvectors, the interaction, the frequency labels,
+    three temporaries and 40 possible channels, of 17.6 TB each."""
+    monkeypatch.setattr(liouvillian, "PHYSICAL_MEMORY", 8 * 2**30)
+    spec = SystemSpec([q(f"q{k}") for k in range(20)], [], 0.0, [b(f"b{k}") for k in range(20)], 0.01)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            LindlocError,
+            match=r"^a generator build of dimension 1048576 would need 8\.27e\+05 GB, "
+            r"more than the 8\.59 GB of physical memory$",
+        ):
+            build_modified_local(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# -- scaled rates -----------------------------------------------------------------------
+
+# parameters whose scaled rates are finite, a change of rates alone that
+# makes bath b1's not, and how: beta_coupling**2 overflows, 2 pi h2 is inf,
+# and n is inf where beta * omega underflows to 0
+NON_FINITE_RATES = [
+    (TwoQubitParams(e1=1e160, e2=1e160), {"beta_coupling": 1e155}, "overflows"),
+    (
+        TwoQubitParams(),
+        {"spectral": SpectralModel("flat", 1e308)},
+        r"at omega = -1\.0 is inf, not a finite number",
+    ),
+    (
+        TwoQubitParams(e1=1e-30, e2=1e-30, alpha=0.0, beta_coupling=1e-40, t1=1.0, t2=1.0),
+        {"t1": 1e300},
+        r"at omega = -1e-30 is inf, not a finite number",
+    ),
+]
+
+
+@pytest.mark.parametrize("params, change, message", NON_FINITE_RATES)
+def test_non_finite_scaled_rates_are_refused(params, change, message):
+    """A new build and one that would reuse a structure refuse the rate,
+    naming the bath, before a non-finite value reaches numpy."""
+    bad = two_qubit_model(replace(params, **change))
+    pattern = rf"^bath 'b1': scaled rate beta_coupling\*\*2 \* gamma\(omega\) {message}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        previous = build_modified_local(two_qubit_model(params))
+        for build in (build_modified_local, build_naive_local):
+            for lender in (None, previous):
+                with pytest.raises(LindlocError, match=pattern):
+                    build(bad, lender)
+
+
+def test_each_scaled_rate_is_evaluated_once_per_build():
+    """A new build and one that reuses its structure each evaluate the rate
+    of every Bohr component once: two per qubit's sigma_x."""
+    base = qubit_chain_model(3, [1.0] * 3, [2.0, 1.0, 0.5])
+    with mock.patch.object(liouvillian, "rate", wraps=liouvillian.rate) as counted:
+        previous = build_modified_local(base)
+        assert counted.call_count == 6
+        spec = qubit_chain_model(3, [1.0] * 3, [1.5, 1.0, 0.5])
+        assert build_modified_local(spec, previous).structure is previous.structure
+        assert counted.call_count == 12
+
+
 # -- reused structure -------------------------------------------------------------------
 
 
@@ -337,8 +410,8 @@ def explicit_pair(temperatures, beta_coupling, spectral):
     coupling = np.array([[0.3, 0.5 - 0.2j], [0.5 + 0.2j, -0.1]])
     return SystemSpec(
         subsystems=[
-            Subsystem("q1", 0.5 * SIGMA_X + 0.2 * SIGMA_Y, 2),
-            Subsystem("q2", 0.5 * SIGMA_X, 2),
+            Subsystem("q1", 0.5 * SIGMA_X + 0.2 * SIGMA_Y),
+            Subsystem("q2", 0.5 * SIGMA_X),
         ],
         interactions=[coupled],
         alpha=0.01,
@@ -524,7 +597,7 @@ def test_comfortable_margin_passes_quietly():
 
 
 def q(label="q1", energy=1.0):
-    return Subsystem(label, 0.5 * energy * SIGMA_Z, 2)
+    return Subsystem(label, 0.5 * energy * SIGMA_Z)
 
 
 def b(label="b1", temperature=1.0, op=SIGMA_X):
@@ -562,10 +635,10 @@ def test_spec_validation_errors():
 
 
 def test_subsystem_validation():
-    with pytest.raises(DimensionMismatchError):
-        Subsystem("q1", 0.5 * SIGMA_Z, 3)
+    with pytest.raises(DimensionMismatchError, match="Hamiltonian must be square"):
+        Subsystem("q1", np.zeros((2, 3), dtype=complex))
     with pytest.raises(NonHermitianError):
-        Subsystem("q1", np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
+        Subsystem("q1", np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_silent_bath_drops_channels():

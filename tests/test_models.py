@@ -20,8 +20,8 @@ def test_two_qubit_wiring():
     assert [s.label for s in spec.subsystems] == ["q1", "q2"]
     assert [b.label for b in spec.baths] == ["b1", "b2"]
     assert spec.dims == [2, 2]
-    assert spec.baths[0].temperature == pytest.approx(2.0)
-    assert spec.baths[1].temperature == pytest.approx(1.0)
+    assert 1.0 / spec.baths[0].beta == pytest.approx(2.0)
+    assert 1.0 / spec.baths[1].beta == pytest.approx(1.0)
     gen = build_modified_local(spec)
     assert gen.diagnostics.status == "PASS"
 

@@ -393,7 +393,7 @@ def test_laws_hold_on_random_networks(network, draw_seed):
     for k, (levels, temperature) in enumerate(network):
         d = len(levels)
         u = rand_unitary(rng, d)
-        subsystems.append(Subsystem(f"s{k}", (u * np.array(levels)) @ u.conj().T, d))
+        subsystems.append(Subsystem(f"s{k}", (u * np.array(levels)) @ u.conj().T))
         baths.append(BathSpec.from_temperature(f"b{k}", temperature, flat, rand_hermitian(rng, d)))
     full = math.prod(len(levels) for levels, _ in network)
     spec = SystemSpec(
