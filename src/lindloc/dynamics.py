@@ -7,7 +7,13 @@ generator is linear, one RK4 step is exactly the matrix
 
 applied to the column-stacked state, so strides between recorded points are
 taken as matrix powers of S. Steady states are the null vector of the
-generator, and its singular values decide whether that vector is unique.
+generator, and its singular values decide whether that vector is unique:
+those of the blocks that can decide it. A gapped block, one of the modified
+generator's Bohr blocks off the zero frequency, is the free evolution's
+-i omega on its diagonal plus a part of order alpha and beta^2 gamma, and
+Weyl's inequality bounds its smallest singular value from below without an
+SVD (_weyl_bounds); steady_states factors such a block only when its bounds
+cannot show that it changes no decision.
 
 steady_states solves the points of a sweep, generators that share one
 structure, as one stacked Generator (Generator.stack), and raises if any of
@@ -42,7 +48,7 @@ from .errors import (
     PositivityError,
 )
 from .linalg import runs
-from .liouvillian import Generator, _require_memory, _require_one_row
+from .liouvillian import Generator, _offsets, _require_memory, _require_one_row
 
 log = logging.getLogger("lindloc")
 
@@ -54,6 +60,9 @@ WEAK_COUPLING_WINDOW = 0.1
 NULL_SCALE = 1e-10
 # Smallest acceptable ratio between the two smallest singular values.
 SEPARATION_FACTOR = 1e3
+# A computed singular value may differ from the exact one by this fraction
+# of the matrix's norm, and the Weyl bounds that replace an SVD allow for it.
+ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -163,7 +172,9 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
             f"{config.dt * norm:.3e} exceeds {STABILITY_LIMIT}"
         )
     alpha = gen.spec.alpha
-    if alpha > 0.0 and config.t_max >= WEAK_COUPLING_WINDOW / alpha**2:
+    # a product, not WEAK_COUPLING_WINDOW / alpha**2, so that an alpha whose
+    # square underflows to 0 reads as a window beyond any t_max
+    if config.t_max * alpha**2 >= WEAK_COUPLING_WINDOW:
         log.warning(
             "t_max = %.3g reaches the weak-coupling validity window ~%.3g = %g/alpha^2; "
             "long-time results should be read as the generator's own dynamics",
@@ -212,33 +223,110 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     return Trajectory(times=times, states=states)
 
 
+def _pool(gen: Generator, blocks) -> np.ndarray:
+    """The singular values of these stored blocks of each row, a pair block's
+    twice, in descending order, (P, values): one svd call per block takes
+    every row."""
+    real, parts = gen.structure.blocks.real, []
+    for k in blocks:
+        s_k = np.linalg.svd(gen.block_matrices[k], compute_uv=False)
+        # a pair block's partner is its conjugate, with the same singular values
+        parts += [s_k] if real[k] else [s_k, s_k]
+    return np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]
+
+
+def _weyl_bounds(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds on each row's singular values of each gapped block
+    (Structure.gapped), (P, blocks) each: below the smallest, above the
+    largest, and below the largest. Each is moved ROUNDING * (the upper
+    bound) outward, for the rounding of an SVD the bounds stand in for.
+
+    A gapped block is B = F + A with F diagonal, -i(E_i - E_k) at entry
+    (i, k), so Weyl's inequality for singular values (Horn & Johnson, Topics
+    in Matrix Analysis, Thm 3.3.16) gives s_min(B) >= min |E_i - E_k| -
+    ||A||_2, and ||X||_2 <= sqrt(||X||_1 ||X||_inf) bounds ||A||_2 and
+    s_max(B) = ||B||_2; the largest |B_ik| is at most s_max(B). For |B| and
+    again for |A|, the row and column sums of every block of every row are
+    one reduceat and one bincount."""
+    g, count = gen.structure.gapped, len(gen)
+    n = g.omega.size
+    b = np.empty((count, g.cols.size))
+    diag = np.empty((count, n), dtype=complex)
+    for k, (entries, rows) in zip(g.blocks, g.spans):
+        m = gen.block_matrices[k]
+        np.abs(m.reshape(count, -1), out=b[:, entries])
+        diag[:, rows] = np.diagonal(m, axis1=1, axis2=2)
+    keys = g.cols if count == 1 else _offsets(g.cols, n, count)
+
+    def norm(x):  # sqrt(||X||_1 ||X||_inf) of each block of each row
+        rows = np.add.reduceat(x, g.row_at, axis=1)
+        cols = np.bincount(keys, x.ravel(), count * n).reshape(count, n)
+        inf_norm = np.maximum.reduceat(rows, g.block_rows, axis=1)
+        return np.sqrt(inf_norm * np.maximum.reduceat(cols, g.block_rows, axis=1))
+
+    peak, upper = np.maximum.reduceat(b, g.block_entries, axis=1), norm(b)
+    b[:, g.diag] = np.abs(diag + 1j * g.omega)  # |A|: B less F on the diagonal
+    slack = ROUNDING * upper
+    return g.gap - norm(b) - slack, upper + slack, peak - slack
+
+
+def _certified(gen: Generator) -> tuple[np.ndarray, ...]:
+    """The gapped blocks whose lower bound is positive in every row, and
+    their bounds (_weyl_bounds), (P, certified blocks) each."""
+    g = gen.structure.gapped
+    if not g.blocks.size:
+        return g.blocks, *(np.empty((len(gen), 0)),) * 3
+    bound, upper, peak = _weyl_bounds(gen)
+    keep = (bound > 0.0).all(axis=0)
+    return g.blocks[keep], bound[:, keep], upper[:, keep], peak[:, keep]
+
+
 def steady_states(gen: Generator) -> list[SteadyStateResult]:
     """Null-space steady states of each row of a stacked generator, solved
     as one stack, one result per row; if a row fails a check, raises.
 
-    Each generator's singular values of every stored block are pooled,
-    those of a conjugate-pair block twice, so the pool is the dense matrix's;
-    one svd call takes a block index for all generators. A generator fails
-    with NonUniqueSteadyStateError when more than one singular value is
-    numerically zero; a warning is logged when its smallest two singular
-    values are separated by less than SEPARATION_FACTOR. rho_ss then solves
-    the real block holding the trace with its first row, that of entry
-    (0, 0), replaced by the trace: a redundant row, since the trace is a
-    left null vector (the "direct" method of QuTiP, Johansson, Nation & Nori,
-    CPC 184, 1234 (2013)). The candidate must be positive and L[rho_ss] must
-    vanish to 1e-8. The checks run in that order over the whole stack, each
-    raising for the first row that fails it, so a generator of one row gets
-    the error of its first failed check.
+    The singular values of each generator's stored blocks are pooled, those
+    of a conjugate-pair block twice, so the pool is the dense matrix's; one
+    svd call takes a block index for all generators. A generator fails with
+    NonUniqueSteadyStateError when more than one singular value is
+    numerically zero, at most NULL_SCALE times the largest; a warning is
+    logged when its smallest two singular values are separated by less than
+    SEPARATION_FACTOR. A gapped block (Structure.gapped: a modified
+    generator's pair block off the zero Bohr frequency) is not factored when
+    its Weyl bounds (_weyl_bounds) show in every row that it changes none of
+    this: its smallest singular value is above the rest of the pool's
+    second-smallest and above NULL_SCALE times the largest singular value,
+    whose bounds leave no pooled value's count in doubt. Otherwise every
+    block is factored. The pool (singular_values) is that of the factored
+    blocks, with the same two smallest values as the dense matrix.
+
+    rho_ss then solves the real block holding the trace with its first row,
+    that of entry (0, 0), replaced by the trace: a redundant row, since the
+    trace is a left null vector (the "direct" method of QuTiP, Johansson,
+    Nation & Nori, CPC 184, 1234 (2013)). The candidate must be positive and
+    L[rho_ss] must vanish to 1e-8. The checks run in that order over the
+    whole stack, each raising for the first row that fails it, so a
+    generator of one row gets the error of its first failed check.
     """
     view, count = gen.structure.blocks, len(gen)
-    parts = []
-    for real, m in zip(view.real, gen.block_matrices):
-        s_k = np.linalg.svd(m, compute_uv=False)
-        # a pair block's partner is its conjugate, with the same singular values
-        parts += [s_k] if real else [s_k, s_k]
-    s = np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]
-    null_dim = np.count_nonzero(s <= NULL_SCALE * s[:, :1], axis=1)
-    failed = (s[:, 0] == 0.0) | (null_dim > 1)
+    skipped, bound, upper, peak = _certified(gen)
+    factored = np.ones(len(view.real), dtype=bool)
+    factored[skipped] = False
+    s = _pool(gen, np.flatnonzero(factored))
+    s_max = s[:, 0]
+    if skipped.size:
+        # the pool's s_max lies in [lo, hi] and a skipped value is above low;
+        # the real blocks, every population among them, give s two values
+        lo, hi = np.maximum(s_max, peak.max(axis=1)), np.maximum(s_max, upper.max(axis=1))
+        low = bound.min(axis=1)
+        doubt = (s > NULL_SCALE * lo[:, None]) & (s <= NULL_SCALE * hi[:, None])
+        if ((low > s[:, -2]) & (low > NULL_SCALE * hi) & ~doubt.any(axis=1)).all():
+            s_max = lo
+        else:
+            s = _pool(gen, range(len(view.real)))
+            s_max = s[:, 0]
+    null_dim = np.count_nonzero(s <= NULL_SCALE * s_max[:, None], axis=1)
+    failed = (s_max == 0.0) | (null_dim > 1)
     if failed.any():
         raise NonUniqueSteadyStateError(int(null_dim[np.argmax(failed)]))
     for s_p in s:

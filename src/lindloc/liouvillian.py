@@ -451,6 +451,27 @@ class BlockView:
         return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
+class _Gapped(NamedTuple):
+    """A modified generator's pair blocks off the zero Bohr frequency, each
+    B = F + A with F = -i(E_i - E_k) on its diagonal at entry (i, k): the
+    stored blocks they are, and each one's min |E_i - E_k|; for their rows,
+    one block after another, the E_i - E_k of each diagonal entry, where that
+    entry and where each row start among the entries, and where each block's
+    rows start; for their entries, row-major, each one's column among all
+    their rows, where each block's entries start, and each block's entries
+    and rows as slices."""
+
+    blocks: np.ndarray
+    gap: np.ndarray
+    omega: np.ndarray
+    diag: np.ndarray
+    row_at: np.ndarray
+    block_rows: np.ndarray
+    cols: np.ndarray
+    block_entries: np.ndarray
+    spans: tuple[tuple[slice, slice], ...]
+
+
 @dataclass(eq=False)
 class Structure:
     """What a generator's rates leave unchanged: the H_s levels, the (filtered
@@ -586,6 +607,47 @@ class Structure:
             np.concatenate((word[self_conjugate][k] + part, word[pair], word[pair] + 1)),
             np.concatenate((factor, np.ones(2 * pair.size))),
             int(words.sum()),
+        )
+
+    @cached_property
+    def gapped(self) -> _Gapped:
+        """The blocks whose smallest singular value steady_states bounds
+        instead of factoring (see _Gapped): none for the naive generator."""
+        view, d = self.blocks, self.dimension
+        freq = self.levels.frequency_labels.ravel()
+        blocks = [
+            k
+            for k, (real, idx) in enumerate(zip(view.real, view.indices))
+            if self.kind == "modified" and not real and freq[idx[0]] != freq[0]
+        ]
+        idx = [view.indices[k] for k in blocks]
+        m = np.array([i.size for i in idx], dtype=np.intp)
+        e = self.levels.eig.eigenvalues
+        where = np.concatenate(idx) if idx else np.empty(0, dtype=np.intp)
+        omega = e[where % d] - e[where // d]
+        block_rows, block_entries = np.cumsum(m) - m, np.cumsum(m * m) - m * m
+        # each row's block, and its place in the block
+        of_row = np.repeat(np.arange(m.size), m)
+        local = np.arange(where.size) - block_rows[of_row]
+        row_at = block_entries[of_row] + local * m[of_row]
+        # an entry's column: its place in its row, offset by its block's rows
+        cols = np.arange(m @ m)
+        cols -= np.repeat(row_at - block_rows[of_row], m[of_row])
+        spans = tuple(
+            (slice(a, a + n * n), slice(r, r + n))
+            for a, r, n in zip(block_entries.tolist(), block_rows.tolist(), m.tolist())
+        )
+        gap = np.minimum.reduceat(np.abs(omega), block_rows) if idx else np.empty(0)
+        return _Gapped(
+            np.array(blocks, dtype=np.intp),
+            gap,
+            omega,
+            row_at + local,
+            row_at,
+            block_rows,
+            cols,
+            block_entries,
+            spans,
         )
 
 

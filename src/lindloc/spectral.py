@@ -18,12 +18,13 @@ term of the local generator.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import AmbiguousSpectrumError, DimensionMismatchError
+from .errors import AmbiguousSpectrumError, DimensionMismatchError, LindlocError
 from .linalg import HermitianEigenSystem, max_abs, require_hermitian, require_square
 
 # Relative scale for merging eigenvalues / Bohr frequencies.
@@ -48,6 +49,20 @@ def _cluster_sorted(values: np.ndarray, tol: float) -> tuple[np.ndarray, list[np
     return label, [values[a:b] for a, b in zip(ends, ends[1:])]
 
 
+@contextmanager
+def _finite(what: str, source: str, values: np.ndarray):
+    """Refuse a numpy overflow or invalid value within, made from `values`,
+    as a LindlocError naming `what`, before numpy warns."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise LindlocError(
+            f"{what} are not finite: grouping {source} between {values.min():.6g} "
+            f"and {values.max():.6g} overflows"
+        ) from None
+
+
 @dataclass(frozen=True)
 class EnergyLevels:
     """Distinct (grouped) eigenvalues, the eigensystem they were grouped
@@ -70,12 +85,13 @@ class EnergyLevels:
     def _bohr(self) -> tuple[np.ndarray, np.ndarray]:
         """The one clustering of the level-pair differences e_n - e_m at
         grouping_tol: the sorted cluster means, and frequency_labels."""
-        diffs = (self.energies[None, :] - self.energies[:, None]).ravel()
-        order = np.argsort(diffs, kind="stable")
-        label, clusters = _cluster_sorted(diffs[order], self.grouping_tol)
+        with _finite("Bohr frequencies", "the differences of levels", self.energies):
+            diffs = (self.energies[None, :] - self.energies[:, None]).ravel()
+            order = np.argsort(diffs, kind="stable")
+            label, clusters = _cluster_sorted(diffs[order], self.grouping_tol)
+            freqs = np.array([float(np.mean(c)) for c in clusters])
         pair = np.empty(diffs.size, dtype=int)
         pair[order] = label
-        freqs = np.array([float(np.mean(c)) for c in clusters])
         labels = pair.reshape(self.count, -1)[np.ix_(self.labels, self.labels)]
         freqs.flags.writeable = labels.flags.writeable = False  # every caller shares them
         return freqs, labels
@@ -100,15 +116,16 @@ def group_levels(eig: HermitianEigenSystem, tol: float) -> EnergyLevels:
     """
     if tol <= 0.0:
         raise ValueError(f"grouping tolerance must be positive, got {tol!r}")
-    labels, clusters = _cluster_sorted(eig.eigenvalues, tol)
-    for c in clusters:
-        diameter = float(c[-1] - c[0])
-        if diameter > 10.0 * tol:
-            raise AmbiguousSpectrumError(
-                f"eigenvalue cluster around {float(np.mean(c)):.6g} spans "
-                f"{diameter:.3e}, more than 10x the grouping tolerance {tol:.3e}"
-            )
-    energies = np.array([float(np.mean(c)) for c in clusters])
+    with _finite("H_s levels", "eigenvalues", eig.eigenvalues):
+        labels, clusters = _cluster_sorted(eig.eigenvalues, tol)
+        for c in clusters:
+            diameter = float(c[-1] - c[0])
+            if diameter > 10.0 * tol:
+                raise AmbiguousSpectrumError(
+                    f"eigenvalue cluster around {float(np.mean(c)):.6g} spans "
+                    f"{diameter:.3e}, more than 10x the grouping tolerance {tol:.3e}"
+                )
+        energies = np.array([float(np.mean(c)) for c in clusters])
     return EnergyLevels(eig=eig, energies=energies, labels=labels, grouping_tol=tol)
 
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lindloc import liouvillian
+from lindloc.baths import BathSpec, SpectralModel
+from lindloc.liouvillian import Subsystem, SystemSpec
 
 
 @pytest.fixture
@@ -167,3 +170,38 @@ def resonant_pair_current(omega, alpha, beta_coupling, t1, t2, spectral):
     (g1, g2), (p1, p2), g = gammas, populations, alpha
     prefactor = omega * 4.0 * g * g * g1 * g2 / ((g1 + g2) * (4.0 * g * g + g1 * g2))
     return prefactor * (p1 - p2), prefactor, (g1, g2)
+
+
+# subsystem level grids: all Bohr frequencies are multiples of 0.5, far apart
+# against couplings of 0.01
+networks = st.lists(
+    st.integers(2, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), min_size=d, max_size=d, unique=True),
+            st.floats(0.5, 3.0),
+        )
+    ),
+    min_size=2,
+    max_size=3,
+)
+
+
+def random_network(network, rng):
+    """A network drawn from `networks`: local H = U diag(E) U† with a random
+    unitary, a random Hermitian coupling per bath at the drawn temperature,
+    one random Hermitian interaction, alpha = beta_coupling = 0.01."""
+    flat = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
+    subsystems, baths = [], []
+    for k, (levels, temperature) in enumerate(network):
+        d = len(levels)
+        u = rand_unitary(rng, d)
+        subsystems.append(Subsystem(f"s{k}", (u * np.array(levels)) @ u.conj().T))
+        baths.append(BathSpec.from_temperature(f"b{k}", temperature, flat, rand_hermitian(rng, d)))
+    full = math.prod(len(levels) for levels, _ in network)
+    return SystemSpec(
+        subsystems=subsystems,
+        interactions=[rand_hermitian(rng, full)],
+        alpha=0.01,
+        baths=baths,
+        beta_coupling=0.01,
+    )

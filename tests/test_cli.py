@@ -718,6 +718,41 @@ def test_non_finite_scaled_rate_exits_one(tmp_path, capsys, params, message):
     assert not (tmp_path / "out").exists()
 
 
+def bundled(name, **params):
+    """A bundled config's data with these model params replaced."""
+    data = yaml.safe_load((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    data["model"]["params"].update(params)
+    return data
+
+
+def test_alpha_whose_square_underflows_simulates(tmp_path, capsys):
+    """alpha = 1e-200 squares to 0: the weak-coupling window is beyond any
+    t_max, so simulate runs clean instead of dividing by zero."""
+    path = write_yaml(tmp_path, bundled("two_qubit_resonant.yaml", alpha=1e-200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_overflowing_level_energies_exit_one(tmp_path, capsys):
+    """A chain energy of 1e308 overflows the mean of H_s's top level: one
+    error line naming the levels, and no numpy RuntimeWarning."""
+    params = bundled("qubit_chain3.yaml")["model"]["params"]
+    path = write_yaml(
+        tmp_path, bundled("qubit_chain3.yaml", energies=[1e308, *params["energies"][1:]])
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["steady", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("lindloc: error: H_s levels are not finite: grouping eigenvalues ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_explicit_model_beyond_memory_exits_one(tmp_path, monkeypatch, capsys):
     """Twenty explicit qubits, 2**20 levels, are refused before the build
     allocates its first 17.6 TB operator."""

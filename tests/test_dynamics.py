@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from lindloc import dynamics, liouvillian
@@ -18,6 +18,7 @@ from lindloc.dynamics import (
 )
 from lindloc.errors import (
     ConfigError,
+    DenseSpectrumError,
     DimensionMismatchError,
     IntegrationError,
     LindlocError,
@@ -49,8 +50,10 @@ from conftest import (
     assert_blocks_are_the_matrix,
     block_entries,
     channel_rates,
+    networks,
     rand_complex,
     rand_density,
+    random_network,
     row_blocks,
 )
 
@@ -346,6 +349,145 @@ def test_a_stacked_row_fails_alone():
     assert len(dynamics.steady_states(Generator.stack([gen, gen]))) == 2
 
 
+# -- blocks certified by their Weyl bounds -------------------------------------------
+
+
+def every_svd():
+    """Within this context steady_states certifies no block: the all-SVD path."""
+    return mock.patch.object(
+        dynamics, "_certified", lambda gen: (np.empty(0, dtype=int), *(np.empty((len(gen), 0)),) * 3)
+    )
+
+
+def solved(gen):
+    """steady_states' results, or its error's type and message, and the
+    messages it logged."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("lindloc")
+    logger.addHandler(handler)
+    try:
+        out = dynamics.steady_states(gen)
+    except LindlocError as exc:
+        out = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return out, [r.getMessage() for r in records]
+
+
+def assert_decides_as_every_svd(gen):
+    """Every certified block's bounds hold in every row, and steady_states
+    gives the all-SVD path's null_dim, warnings, rho_ss (bit for bit) and
+    residual."""
+    skipped, bound, upper, peak = dynamics._certified(gen)
+    for k, low, high, top in zip(skipped, bound.T, upper.T, peak.T, strict=True):
+        s = np.linalg.svd(gen.block_matrices[k], compute_uv=False)
+        assert np.all(low <= s[:, -1]) and np.all(top <= s[:, 0]) and np.all(s[:, 0] <= high)
+    out, logged = solved(gen)
+    with every_svd():
+        want, want_logged = solved(gen)
+    assert logged == want_logged
+    if isinstance(want, tuple):
+        assert out == want
+        return
+    for a, b in zip(out, want, strict=True):
+        assert a.null_dim == b.null_dim
+        assert np.array_equal(a.rho_ss, b.rho_ss)
+        assert a.residual == b.residual
+        assert np.array_equal(a.singular_values[-2:], b.singular_values[-2:])
+
+
+qubit_chains = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n),
+        st.lists(st.floats(0.5, 2.5), min_size=n, max_size=n),
+    )
+)
+
+
+@seed(20261020)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    model=st.one_of(
+        st.tuples(st.just("network"), networks, st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("chain"), qubit_chains, st.just(0)),
+    ),
+    build=st.sampled_from([build_modified_local, build_naive_local]),
+    scales=st.lists(st.sampled_from([0.25, 1.0, 4.0, 30.0]), min_size=1, max_size=3),
+    skew=st.sampled_from([0.0, 0.5, 0.9]),
+)
+def test_certified_blocks_decide_as_every_svd(model, build, scales, skew):
+    """On random networks and qubit chains, with their channel rates scaled
+    row by row into a stack, each skipped block's Weyl bounds hold and the
+    steady states are those of the all-SVD path. With a skew, the first
+    column of the largest gapped block is pulled toward -F by skew * F / sqrt(m):
+    an unphysical block, whose ||A||_2 then far exceeds its row sums'
+    ||A||_inf, and for which the bounds must hold all the same."""
+    kind, drawn, draw_seed = model
+    if kind == "network":
+        spec = random_network(drawn, np.random.default_rng(draw_seed))
+    else:
+        spec = qubit_chain_model(len(drawn[0]), *drawn)
+    try:
+        gen = build(spec)
+    except DenseSpectrumError:
+        assume(False)
+    rows = [Generator(gen.structure, spec, gen.rates * x, gen.betas) for x in scales]
+    gen = Generator.stack(rows)
+    g = gen.structure.gapped
+    if skew and g.blocks.size:
+        j = int(np.argmax([gen.block_matrices[k].shape[-1] for k in g.blocks]))
+        m = gen.block_matrices[g.blocks[j]]
+        m[:, :, 0] += 1j * skew * g.omega[g.spans[j][1]][0] / math.sqrt(m.shape[-1])
+    assert_decides_as_every_svd(gen)
+
+
+def test_weak_bounds_fall_back_to_every_svd():
+    """Bounds that are positive but below the pool's second-smallest value
+    decide nothing: every block is factored."""
+    gen = build_modified_local(qubit_chain_model(3, [1.0, 1.0, 1.0], [2.0, 1.0, 0.5]))
+    skipped, bound, upper, peak = dynamics._certified(gen)
+    assert skipped.size
+    weak = (skipped, np.full_like(bound, 1e-300), upper, peak)
+    with mock.patch.object(dynamics, "_certified", return_value=weak):
+        a = steady_state(gen)
+    b = steady_state(gen)
+    with every_svd():
+        c = steady_state(gen)
+    assert a.singular_values.size == c.singular_values.size > b.singular_values.size
+    assert np.array_equal(a.singular_values, c.singular_values)
+    assert np.array_equal(a.rho_ss, b.rho_ss)
+
+
+def factored(gen):
+    """The (rows, rows) of each block steady_state passes to the SVD, in order."""
+    with mock.patch.object(dynamics.np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        steady_state(gen)
+    return [call.args[0].shape[1:] for call in svd.call_args_list]
+
+
+def test_only_undecided_blocks_reach_lapack():
+    """A resonant 4-chain factors only its zero block; a mixed 3-chain also
+    its degenerate omega = 0 pair block; the naive generator every block."""
+    def sizes(gen, blocks):
+        return [(gen.structure.blocks.indices[k].size,) * 2 for k in blocks]
+
+    gen = build_modified_local(qubit_chain_model(4, [1.0] * 4, [2.0, 1.5, 1.0, 0.5]))
+    assert factored(gen) == sizes(gen, [gen.structure.blocks.zero])
+    assert len(gen.block_matrices) == 5
+
+    gen = build_modified_local(qubit_chain_model(3, [1.0, 1.5, 1.0], [2.0, 1.0, 0.5]))
+    view = gen.structure.blocks
+    (degenerate,) = set(range(len(view.real))) - set(gen.structure.gapped.blocks) - {view.zero}
+    assert not view.real[degenerate]
+    assert factored(gen) == sizes(gen, sorted([view.zero, degenerate]))
+
+    gen = build_naive_local(qubit_chain_model(4, [1.0, 1.5, 1.0, 1.0], [2.0, 1.5, 1.0, 0.5]))
+    assert gen.structure.gapped.blocks.size == 0
+    assert factored(gen) == sizes(gen, range(len(gen.block_matrices)))
+
+
 # -- blocks against the dense path ---------------------------------------------------
 
 
@@ -419,9 +561,12 @@ def test_block_path_matches_dense_path(chain, build, state_seed):
 
     assert_blocks_are_the_matrix(gen, dense_in_basis(gen))
     assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
+    # the factored blocks' pool is part of the dense set, with its two smallest
     s_dense = np.linalg.svd(gen.superop, compute_uv=False)
-    assert a.singular_values.shape == s_dense.shape
-    assert np.abs(a.singular_values - s_dense).max() <= 1e-12 * s_dense[0]
+    s = a.singular_values
+    assert s.size <= s_dense.size and np.all(s[:-1] >= s[1:])
+    assert np.abs(s[:, None] - s_dense[None, :]).min(axis=1).max() <= 1e-12 * s_dense[0]
+    assert np.abs(s[-2:] - s_dense[-2:]).max() <= 1e-12 * s_dense[0]
     for x, y in zip(traj.states, dense_states(gen, rho0, cfg), strict=True):
         assert np.abs(x - y).max() <= 1e-12
 

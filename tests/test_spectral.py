@@ -1,9 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from lindloc.errors import AmbiguousSpectrumError, DimensionMismatchError
+from lindloc.errors import AmbiguousSpectrumError, DimensionMismatchError, LindlocError
 from lindloc.linalg import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, hermitian_eig, kron
 from lindloc.spectral import (
     decompose_operator,
@@ -51,6 +54,29 @@ def test_grouping_rejects_smeared_cluster():
     assert vals[-1] > 10 * tol
     with pytest.raises(AmbiguousSpectrumError, match="grouping tolerance"):
         levels_of(np.diag(vals).astype(complex), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # a cluster's mean, and the gap between -1e308 and 1e308, overflow
+        ([1e308, 1e308, 0.0], "H_s levels are not finite: grouping eigenvalues between 0 and 1e+308"),
+        ([-1e308, 1e308], "H_s levels are not finite: grouping eigenvalues between -1e+308 and 1e+308"),
+        # finite levels whose difference 2e308 overflows
+        (
+            [-1e308, 0.0, 1e308],
+            "Bohr frequencies are not finite: grouping the differences of levels "
+            "between -1e+308 and 1e+308",
+        ),
+    ],
+)
+def test_overflowing_levels_are_refused(values, message):
+    """Levels or Bohr frequencies that overflow stop with one LindlocError
+    naming them, before numpy warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LindlocError, match=f"^{re.escape(message)} overflows$"):
+            levels_of(np.diag(values).astype(complex), tol=1.0).bohr_frequencies()
 
 
 def test_grouping_tol_must_be_positive():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from lindloc.baths import BathSpec, SpectralModel
+from lindloc.baths import SpectralModel
 from lindloc.dynamics import SolverConfig, Trajectory, evolve, rk4_step_matrix, steady_state
 from lindloc.errors import (
     DenseSpectrumError,
@@ -17,8 +17,6 @@ from lindloc.errors import (
 from lindloc import liouvillian
 from lindloc.linalg import von_neumann_entropy
 from lindloc.liouvillian import (
-    Subsystem,
-    SystemSpec,
     build_modified_local,
     build_naive_local,
     product_gibbs,
@@ -44,7 +42,8 @@ from conftest import (
     channel_rates,
     rand_density,
     rand_hermitian,
-    rand_unitary,
+    networks,
+    random_network,
     resonant_pair_current,
     transpose_map,
 )
@@ -364,20 +363,6 @@ def assert_rate_operators_are_the_adjoints(gen, states, scale):
             assert abs(got - np.trace(dense)) <= 1e-12 * scale
 
 
-# subsystem level grids: all Bohr frequencies are multiples of 0.5, far apart
-# against couplings of 0.01
-networks = st.lists(
-    st.integers(2, 3).flatmap(
-        lambda d: st.tuples(
-            st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), min_size=d, max_size=d, unique=True),
-            st.floats(0.5, 3.0),
-        )
-    ),
-    min_size=2,
-    max_size=3,
-)
-
-
 @seed(20261018)
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(network=networks, draw_seed=st.integers(0, 2**32 - 1))
@@ -388,21 +373,8 @@ def test_laws_hold_on_random_networks(network, draw_seed):
     positive, it keeps both laws on random full-rank states, and the stacked
     audit and each rate operator agree with the per-state formulas."""
     rng = np.random.default_rng(draw_seed)
-    flat = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
-    subsystems, baths = [], []
-    for k, (levels, temperature) in enumerate(network):
-        d = len(levels)
-        u = rand_unitary(rng, d)
-        subsystems.append(Subsystem(f"s{k}", (u * np.array(levels)) @ u.conj().T))
-        baths.append(BathSpec.from_temperature(f"b{k}", temperature, flat, rand_hermitian(rng, d)))
-    full = math.prod(len(levels) for levels, _ in network)
-    spec = SystemSpec(
-        subsystems=subsystems,
-        interactions=[rand_hermitian(rng, full)],
-        alpha=0.01,
-        baths=baths,
-        beta_coupling=0.01,
-    )
+    spec = random_network(network, rng)
+    full = spec.dimension
     try:
         gen = build_modified_local(spec)
     except DenseSpectrumError:
