@@ -351,10 +351,23 @@ def _read_config(data) -> RunConfig:
     )
 
 
+def _parse_yaml(fh):
+    """The YAML document of an open file, parsed by libyaml where PyYAML has
+    it. A file libyaml refuses is parsed again by the pure-Python parser,
+    whose result or error stands, so that every error reads as that parser
+    words it (libyaml words many otherwise)."""
+    if yaml.__with_libyaml__ and fh.seekable():
+        try:
+            return yaml.load(fh, Loader=yaml.CSafeLoader)
+        except (yaml.YAMLError, ValueError):
+            fh.seek(0)
+    return yaml.load(fh, Loader=yaml.SafeLoader)
+
+
 def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = _parse_yaml(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return _read_config(data)
@@ -517,7 +530,9 @@ def cmd_steady(config: RunConfig, out_dir: Path) -> int:
 
 def _walk(data: dict, dotted: str) -> tuple[dict | list, int | str]:
     """The container and the key of the entry a dotted path names, each step
-    of which must exist."""
+    of which must exist. Each container below `data` on the path is swapped,
+    in its parent, for a shallow copy, so that setting the entry changes no
+    container that `data` shares: every node off the path stays shared."""
     where = f"sweep.parameter: {dotted!r}"
     node = data
     for token in dotted.split("."):
@@ -534,6 +549,8 @@ def _walk(data: dict, dotted: str) -> tuple[dict | list, int | str]:
         elif token not in node:
             raise ConfigError(f"{where}: no key {token!r}")
         parent, node = node, node[key]
+        if isinstance(node, (dict, list)):
+            node = parent[key] = node.copy()
     return parent, key
 
 
@@ -563,9 +580,11 @@ def _sweep_point(config: RunConfig, k: int, value: float, previous: Generator | 
     """The generator with sweep.values[k] set in the model, which alone is
     read again, built from the previous point's where only rates changed,
     and the log records of its build, held back until the point is solved
-    (a point that fails to build logs them at once)."""
-    model = copy.deepcopy(config.model)
-    _set_by_path({"model": model}, config.sweep.parameter, value)
+    (a point that fails to build logs them at once). The point's model is
+    config.model with the containers on the swept path copied (_walk)."""
+    data = {"model": config.model}
+    _set_by_path(data, config.sweep.parameter, value)
+    model = data["model"]
     with _held() as records:
         try:
             _, spec, _ = _read_model(model)

@@ -48,7 +48,7 @@ from .errors import (
     PositivityError,
 )
 from .linalg import runs
-from .liouvillian import Generator, _offsets, _require_memory, _require_one_row
+from .liouvillian import Generator, _require_memory, _require_one_row
 
 log = logging.getLogger("lindloc")
 
@@ -245,29 +245,32 @@ def _weyl_bounds(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (i, k), so Weyl's inequality for singular values (Horn & Johnson, Topics
     in Matrix Analysis, Thm 3.3.16) gives s_min(B) >= min |E_i - E_k| -
     ||A||_2, and ||X||_2 <= sqrt(||X||_1 ||X||_inf) bounds ||A||_2 and
-    s_max(B) = ||B||_2; the largest |B_ik| is at most s_max(B). For |B| and
-    again for |A|, the row and column sums of every block of every row are
-    one reduceat and one bincount."""
+    s_max(B) = ||B||_2; the largest |B_ik| is at most s_max(B). The row
+    sums of every block of every row are one reduceat, for |B| and again for
+    |A|. The column sums of |B| are taken block by block, from each block's
+    own slice, and those of |A| from them: A differs from B on the diagonal
+    alone, and a block's diagonal entry i lies in its column i."""
     g, count = gen.structure.gapped, len(gen)
     n = g.omega.size
-    b = np.empty((count, g.cols.size))
-    diag = np.empty((count, n), dtype=complex)
+    b = np.empty((count, g.spans[-1][0].stop))
+    diag, cols = np.empty((count, n), dtype=complex), np.empty((count, n))
     for k, (entries, rows) in zip(g.blocks, g.spans):
         m = gen.block_matrices[k]
         np.abs(m.reshape(count, -1), out=b[:, entries])
+        cols[:, rows] = b[:, entries].reshape(m.shape).sum(axis=1)
         diag[:, rows] = np.diagonal(m, axis1=1, axis2=2)
-    keys = g.cols if count == 1 else _offsets(g.cols, n, count)
 
-    def norm(x):  # sqrt(||X||_1 ||X||_inf) of each block of each row
-        rows = np.add.reduceat(x, g.row_at, axis=1)
-        cols = np.bincount(keys, x.ravel(), count * n).reshape(count, n)
-        inf_norm = np.maximum.reduceat(rows, g.block_rows, axis=1)
-        return np.sqrt(inf_norm * np.maximum.reduceat(cols, g.block_rows, axis=1))
+    def norm(x, col_sums):  # sqrt(||X||_1 ||X||_inf) of each block of each row
+        inf_norm = np.maximum.reduceat(np.add.reduceat(x, g.row_at, axis=1), g.block_rows, axis=1)
+        # a root of each factor: their product overflows for entries beyond ~1e154
+        return np.sqrt(inf_norm) * np.sqrt(np.maximum.reduceat(col_sums, g.block_rows, axis=1))
 
-    peak, upper = np.maximum.reduceat(b, g.block_entries, axis=1), norm(b)
-    b[:, g.diag] = np.abs(diag + 1j * g.omega)  # |A|: B less F on the diagonal
+    peak, upper = np.maximum.reduceat(b, g.block_entries, axis=1), norm(b, cols)
+    a = np.abs(diag + 1j * g.omega)  # |A|: B less F on the diagonal
+    b[:, g.diag] = a
+    cols += a - np.abs(diag)  # |A|'s column sums
     slack = ROUNDING * upper
-    return g.gap - norm(b) - slack, upper + slack, peak - slack
+    return g.gap - norm(b, cols) - slack, upper + slack, peak - slack
 
 
 def _certified(gen: Generator) -> tuple[np.ndarray, ...]:

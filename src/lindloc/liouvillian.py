@@ -457,9 +457,8 @@ class _Gapped(NamedTuple):
     stored blocks they are, and each one's min |E_i - E_k|; for their rows,
     one block after another, the E_i - E_k of each diagonal entry, where that
     entry and where each row start among the entries, and where each block's
-    rows start; for their entries, row-major, each one's column among all
-    their rows, where each block's entries start, and each block's entries
-    and rows as slices."""
+    rows start; for their entries, row-major, where each block's entries
+    start, and each block's entries and rows as slices."""
 
     blocks: np.ndarray
     gap: np.ndarray
@@ -467,7 +466,6 @@ class _Gapped(NamedTuple):
     diag: np.ndarray
     row_at: np.ndarray
     block_rows: np.ndarray
-    cols: np.ndarray
     block_entries: np.ndarray
     spans: tuple[tuple[slice, slice], ...]
 
@@ -630,9 +628,6 @@ class Structure:
         of_row = np.repeat(np.arange(m.size), m)
         local = np.arange(where.size) - block_rows[of_row]
         row_at = block_entries[of_row] + local * m[of_row]
-        # an entry's column: its place in its row, offset by its block's rows
-        cols = np.arange(m @ m)
-        cols -= np.repeat(row_at - block_rows[of_row], m[of_row])
         spans = tuple(
             (slice(a, a + n * n), slice(r, r + n))
             for a, r, n in zip(block_entries.tolist(), block_rows.tolist(), m.tolist())
@@ -645,7 +640,6 @@ class Structure:
             row_at + local,
             row_at,
             block_rows,
-            cols,
             block_entries,
             spans,
         )
@@ -923,7 +917,9 @@ def _reusable(previous: Generator | None, spec: SystemSpec, kind: str) -> list[f
         return (len(ops), len(s.interactions), s.alpha, s.grouping_tol), ops + s.interactions
 
     (numbers, ops), (new_numbers, new_ops) = inputs(previous.spec), inputs(spec)
-    if numbers != new_numbers or not all(map(np.array_equal, ops, new_ops)):
+    # a chain builder hands every spec the same operator objects (models._chain)
+    same = all(a is b or np.array_equal(a, b) for a, b in zip(ops, new_ops))
+    if numbers != new_numbers or not same:
         return None
     s, rates = previous.structure, []
     for jumps, silent, bath in zip(s.jumps, s.silent, spec.baths):

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .baths import BathSpec, SpectralModel
 from .errors import DimensionMismatchError
@@ -102,16 +105,9 @@ def _chain(
     for k, energy in enumerate(energies):
         if energy <= 0.0:
             raise ValueError(f"energy of q{k + 1} must be strictly positive, got {energy!r}")
-    dims = [2] * len(energies)
-    interactions = [
-        embed(SIGMA_X, k, dims) @ embed(SIGMA_X, k + 1, dims) for k in range(len(dims) - 1)
-    ]
     return SystemSpec(
-        subsystems=[
-            Subsystem(label=f"q{k + 1}", hamiltonian=0.5 * e * SIGMA_Z)
-            for k, e in enumerate(energies)
-        ],
-        interactions=interactions,
+        subsystems=[_qubit(k, float(e)) for k, e in enumerate(energies)],
+        interactions=list(_couplings(len(energies))),
         alpha=alpha,
         baths=[
             BathSpec.from_temperature(f"b{k + 1}", t, spectral, SIGMA_X)
@@ -120,3 +116,26 @@ def _chain(
         beta_coupling=beta_coupling,
         grouping_tol=grouping_tol,
     )
+
+
+# The operators of a chain depend on its energies and length alone, so specs
+# that differ in rates (the points of a temperature sweep) share them: built
+# once, read-only, and held for the last few chains only.
+
+
+@lru_cache(maxsize=4 * MAX_CHAIN_LENGTH)
+def _qubit(k: int, energy: float) -> Subsystem:
+    """Qubit k + 1 of a chain, with its Hamiltonian read-only."""
+    h = 0.5 * energy * SIGMA_Z
+    h.flags.writeable = False
+    return Subsystem(label=f"q{k + 1}", hamiltonian=h)
+
+
+@lru_cache(maxsize=4)
+def _couplings(n: int) -> tuple[np.ndarray, ...]:
+    """The sigma_x sigma_x terms of an n-qubit chain's neighbours, read-only."""
+    dims = [2] * n
+    terms = tuple(embed(SIGMA_X, k, dims) @ embed(SIGMA_X, k + 1, dims) for k in range(n - 1))
+    for term in terms:
+        term.flags.writeable = False
+    return terms

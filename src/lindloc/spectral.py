@@ -100,6 +100,17 @@ class EnergyLevels:
         """Sorted distinct energy differences e_n - e_m, merged at grouping_tol."""
         return self._bohr[0]
 
+    @cached_property
+    def _gaps(self) -> tuple[float, float]:
+        """The smallest nonzero |Bohr frequency| and the smallest spacing of
+        two Bohr frequencies, each inf where there is none."""
+        freqs = self.bohr_frequencies()
+        nonzero = np.abs(freqs[np.abs(freqs) > self.grouping_tol])
+        min_freq = float(nonzero.min()) if nonzero.size else float("inf")
+        # the frequencies are sorted
+        min_spacing = float(np.diff(freqs).min()) if freqs.size >= 2 else float("inf")
+        return min_freq, min_spacing
+
     @property
     def frequency_labels(self) -> np.ndarray:
         """Entry (i, k) is the index in bohr_frequencies() of e(k) - e(i), the
@@ -196,11 +207,7 @@ def sparse_spectrum_diagnostics(levels: EnergyLevels, coupling: float) -> Spectr
     """
     if coupling <= 0.0:
         raise ValueError(f"coupling strength must be positive, got {coupling!r}")
-    freqs = levels.bohr_frequencies()
-    nonzero = np.abs(freqs[np.abs(freqs) > levels.grouping_tol])
-    min_freq = float(nonzero.min()) if nonzero.size else float("inf")
-    # the frequencies are sorted
-    min_spacing = float(np.diff(freqs).min()) if freqs.size >= 2 else float("inf")
+    min_freq, min_spacing = levels._gaps
     fr = min_freq / coupling
     sr = min_spacing / coupling
     worst = min(fr, sr)

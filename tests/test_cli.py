@@ -86,6 +86,46 @@ def test_bundled_configs_load_and_round_trip():
         assert again == cfg, path.name
 
 
+LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+# inputs that libyaml refuses, three of them in other words than PyYAML's
+MALFORMED_YAML = {
+    "unclosed flow sequence": "model: [1, 2\n",
+    "mapping in a plain scalar": "a: b: c\n",
+    "leading tab": "\tmodel: 1\n",
+    "python tag": "model: !!python/object:os.system {}\n",
+}
+
+
+@LIBYAML
+@pytest.mark.parametrize("text", MALFORMED_YAML.values(), ids=list(MALFORMED_YAML))
+def test_malformed_yaml_is_worded_as_pyyaml_words_it(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(yaml.YAMLError):
+        yaml.load(text, Loader=yaml.CSafeLoader)
+    with open(path, encoding="utf-8") as fh, pytest.raises(yaml.YAMLError) as pure:
+        yaml.load(fh, Loader=yaml.SafeLoader)
+    assert cli.main(["steady", str(path)]) == 1
+    assert capsys.readouterr().err == f"lindloc: error: {path}: invalid YAML: {pure.value}\n"
+
+
+@LIBYAML
+def test_bundled_configs_read_alike_under_either_parser(monkeypatch):
+    """libyaml parses every bundled config, to the dict PyYAML makes of it;
+    without libyaml the pure-Python parser reads them to the same configs."""
+    paths = sorted(CONFIG_DIR.glob("*.yaml"))
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text), path.name
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as parse:
+        configs = [load_config(path) for path in paths]
+    assert [call.kwargs["Loader"] for call in parse.call_args_list] == [yaml.CSafeLoader] * 6
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert [load_config(path) for path in paths] == configs
+
+
 def test_unknown_keys_are_rejected():
     with pytest.raises(ConfigError, match="config.*'extra'"):
         RunConfig.from_dict(base_dict(extra=1))
@@ -1025,11 +1065,52 @@ print([name for name in sys.modules if name.split(".")[0] == "scipy"])
     [("model.params.energies.0", [1.0, 1.2, 0.9]), ("model.params.alpha", [0.01, 0.02, 0.005])],
 )
 def test_sweep_beyond_rates_builds_every_point(tmp_path, caplog, parameter, values):
+    """A point that changes an energy or alpha gets a structure of its own,
+    and a qubit's Hamiltonian is that of the point's energy."""
     cfg = RunConfig.from_dict(chain_sweep(parameter, values))
     with counting_structures() as built, caplog.at_level("INFO", logger="lindloc"):
-        assert cli.cmd_sweep(cfg, tmp_path / "o") == 0
+        specs = sweep_specs(cfg, tmp_path / "o")
     assert built.call_count == len(values)
     assert "sweep: generator structure built at 3 of 3 points" in caplog.messages
+    energies = values if parameter.endswith("energies.0") else [1.0] * len(values)
+    for spec, energy in zip(specs, energies, strict=True):
+        assert np.array_equal(spec.subsystems[0].hamiltonian, 0.5 * energy * linalg.SIGMA_Z)
+
+
+def sweep_specs(cfg, out_dir):
+    """The spec of each point of cfg's sweep, which cmd_sweep runs."""
+    specs, read = [], cli._read_model
+
+    def read_point(node):
+        checked, spec, rho0 = read(node)
+        specs.append(spec)
+        return checked, spec, rho0
+
+    with mock.patch.object(cli, "_read_model", side_effect=read_point):
+        assert cli.cmd_sweep(cfg, out_dir) == 0
+    return specs
+
+
+def test_rate_sweep_shares_operators_and_leaves_the_config(tmp_path):
+    """The points of a temperature sweep copy only the swept path of the
+    model: the config is as it was, and every point's spec holds point 0's
+    read-only Hamiltonian and interaction arrays."""
+    values = np.linspace(0.5, 2.5, 20).tolist()
+    cfg = RunConfig.from_dict(chain_sweep("model.params.temperatures.0", values))
+    model, dumped = copy.deepcopy(cfg.model), dump_config(cfg)
+    specs = sweep_specs(cfg, tmp_path / "o")
+    assert cfg.model == model and dump_config(cfg) == dumped
+    assert [1.0 / spec.baths[0].beta for spec in specs] == pytest.approx(values, rel=1e-15)
+
+    def operators(spec):
+        return [*spec.interactions, *(sub.hamiltonian for sub in spec.subsystems)]
+
+    first = operators(specs[0])
+    for spec in specs[1:]:
+        assert all(a is b for a, b in zip(operators(spec), first, strict=True))
+    for op in first:
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 2.0
 
 
 def test_temperature_sweep_logs_one_structure(tmp_path):

@@ -443,6 +443,16 @@ def test_certified_blocks_decide_as_every_svd(model, build, scales, skew):
     assert_decides_as_every_svd(gen)
 
 
+def test_bounds_of_huge_blocks_do_not_overflow():
+    """A qubit at E = 1e300 has block entries near 1e300, whose norm bound is
+    the product of two roots: the root of their product would overflow."""
+    gen = build_modified_local(single_qubit_model(energy=1e300))
+    assert gen.structure.gapped.blocks.size
+    with np.errstate(all="raise"):
+        bounds = dynamics._weyl_bounds(gen)
+    assert all(np.isfinite(b).all() for b in bounds)
+
+
 def test_weak_bounds_fall_back_to_every_svd():
     """Bounds that are positive but below the pool's second-smallest value
     decide nothing: every block is factored."""

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from lindloc import baths, liouvillian
 from lindloc.baths import SpectralModel
 from lindloc.dynamics import steady_state
-from lindloc.errors import DimensionMismatchError
+from lindloc.errors import DimensionMismatchError, NonHermitianError
+from lindloc.linalg import SIGMA_X, SIGMA_Z
 from lindloc.liouvillian import build_modified_local
 from lindloc.models import (
     MAX_CHAIN_LENGTH,
@@ -106,3 +110,56 @@ def test_custom_spectral_model_propagates():
     assert all(b.spectral is ohmic for b in spec.baths)
     chain = qubit_chain_model(3, [1.0] * 3, [1.0] * 3, spectral=ohmic)
     assert all(b.spectral is ohmic for b in chain.baths)
+
+
+def reference_chain(energies):
+    """A chain's Hamiltonians and sigma_x sigma_x terms from Kronecker
+    products of identities, built afresh."""
+    n = len(energies)
+
+    def site(op, k):
+        return np.kron(np.kron(np.eye(2**k), op), np.eye(2 ** (n - k - 1)))
+
+    hamiltonians = [0.5 * e * SIGMA_Z for e in energies]
+    return hamiltonians, [site(SIGMA_X, k) @ site(SIGMA_X, k + 1) for k in range(n - 1)]
+
+
+def test_chain_operators_match_a_fresh_reference():
+    """Specs built in turn with other lengths and energies each get their own
+    chain's operators, though the builders hand out shared ones."""
+    cases = [[1.0, 1.5, 1.0], [2.0], [1.0, 1.0], [1.0, 1.5, 1.0, 0.5, 3.0], [1.5, 1.0, 1.0]]
+    for energies in cases + cases[::-1]:
+        spec = qubit_chain_model(len(energies), energies, [1.0] * len(energies))
+        hamiltonians, interactions = reference_chain(energies)
+        assert len(spec.interactions) == len(interactions)
+        for sub, h in zip(spec.subsystems, hamiltonians):
+            assert np.array_equal(sub.hamiltonian, h)
+        for term, ref in zip(spec.interactions, interactions):
+            assert np.array_equal(term, ref)
+
+
+def test_chain_specs_share_read_only_operators():
+    """Two specs of one chain hold the same operator objects in fresh lists,
+    none of which can be written, and each spec runs every SystemSpec and
+    BathSpec check: one Hermiticity check per interaction and per bath."""
+    with (
+        mock.patch.object(liouvillian, "require_hermitian") as terms,
+        mock.patch.object(baths, "require_hermitian") as couplings,
+    ):
+        a = qubit_chain_model(3, [1.0, 1.5, 1.0], [2.0, 1.0, 0.5])
+        b = qubit_chain_model(3, [1.0, 1.5, 1.0], [0.5, 1.0, 2.0])
+    assert couplings.call_count == 6
+    names = [call.kwargs["name"] for call in terms.call_args_list]
+    assert names == ["interaction term 0", "interaction term 1"] * 2
+    assert a.interactions is not b.interactions and a.subsystems is not b.subsystems
+
+    def operators(spec):
+        return [*spec.interactions, *(sub.hamiltonian for sub in spec.subsystems)]
+
+    assert all(x is y for x, y in zip(operators(a), operators(b), strict=True))
+    for op in operators(a):
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 5.0
+    # an energy not seen before is a new subsystem, checked as it is made
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        qubit_chain_model(3, [1.0, float("nan"), 1.0], [1.0] * 3)
