@@ -39,7 +39,6 @@ from .liouvillian import (
     build_modified_local,
     build_naive_local,
     product_gibbs,
-    unvectorize,
     vectorize,
 )
 from .models import (

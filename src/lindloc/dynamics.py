@@ -77,6 +77,10 @@ class SolverConfig:
             raise ConfigError(f"dt must be finite and positive, got {self.dt!r}")
         if not 0.0 < self.t_max < inf:
             raise ConfigError(f"t_max must be finite and positive, got {self.t_max!r}")
+        if not self.t_max / self.dt < inf:  # the step count evolve rounds to an integer
+            raise ConfigError(
+                f"t_max / dt is not finite: t_max = {self.t_max!r}, dt = {self.dt!r}"
+            )
         if self.record_stride < 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride!r}")
         if not 0.0 <= self.positivity_tol < inf:

@@ -14,8 +14,8 @@ rate beta^2 gamma(omega), which _scaled_rates alone evaluates and refuses if
 it is not finite; a component whose rate is exactly zero is no channel.
 
 L is written down once, as (row, col, value) triplets (_triplets): its
-action, adjoint, dense form and norm are read from them, and the blocks are
-the connected components of their pattern. Where the triplets go is a
+action, adjoint and norm are read from them, and the blocks are the
+connected components of their pattern. Where the triplets go is a
 Structure, which generators that differ only in rates share; a Generator
 fills it with its values, one row per generator, so the points of a sweep
 that share a structure are filled as one stack. The modified generator is
@@ -155,17 +155,6 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix: [[a, b], [c, d]] -> (a, c, b, d)."""
     require_square(rho, "state")
     return np.asarray(rho, dtype=complex).flatten(order="F")
-
-
-def unvectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of vectorize."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a vector, got shape {v.shape}")
-    d = isqrt(v.size)
-    if d * d != v.size:
-        raise DimensionMismatchError(f"vector length {v.size} is not a perfect square")
-    return v.reshape((d, d), order="F")
 
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -691,11 +680,11 @@ class Generator:
     over every row is one numpy call: each gather and bincount takes every
     row's values at once, with its keys shifted per row. L's parts are
     -i H_s, -i V and bath i's -K_i/2; the block matrices read L with their
-    sum, G = -i H_eff, in the Bohr blocks of `levels` (H_s's eigensystem and
-    frequencies); and one product-basis pass, whose triplets carry their
-    part, serves every other use. L_p, the partial generator fixing the
-    product of local Gibbs states, leaves out V. A build gives one row; the
-    dense matrices and `stability_norm` read row 0.
+    sum, G = -i H_eff, in the Bohr blocks of structure.levels (H_s's
+    eigensystem and frequencies); and one product-basis pass, whose triplets
+    carry their part, serves `terms`, `rate_operators` and `stability_norm`
+    (which reads row 0; a build gives one row). L_p, the partial generator
+    fixing the product of local Gibbs states, leaves out V.
     """
 
     def __init__(
@@ -725,22 +714,9 @@ class Generator:
         return self.structure.kind
 
     @property
-    def levels(self) -> EnergyLevels:
-        return self.structure.levels
-
-    @property
     def eig(self) -> HermitianEigenSystem:
         """The H_s eigensystem the levels were grouped from."""
         return self.structure.levels.eig
-
-    @property
-    def h_free(self) -> np.ndarray:
-        return self.structure.h_free
-
-    @property
-    def h_interaction(self) -> np.ndarray:
-        """The (filtered or full) interaction, already scaled by alpha."""
-        return self.structure.h_interaction
 
     @property
     def dimension(self) -> int:
@@ -786,14 +762,6 @@ class Generator:
         partial, commutator = _act(rho, self._terms_plan)
         return partial, partial + commutator
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Full generator action on a matrix (need not be a state)."""
-        return self.terms(rho)[1]
-
-    def apply_partial(self, rho: np.ndarray) -> np.ndarray:
-        """Generator action without the interaction commutator."""
-        return self.terms(rho)[0]
-
     @cached_property
     def log_product_gibbs(self) -> np.ndarray:
         """ln of each row's product of local Gibbs states, (P, d, d), from
@@ -829,24 +797,6 @@ class Generator:
         spohn = np.delete(g, INTERACTION, axis=1).sum(axis=1)
         return np.concatenate((h[:, BATH:], h.sum(axis=1)[:, None], spohn[:, None]), axis=1)
 
-    def _dense(self, partial: bool) -> np.ndarray:
-        """Column-stacked matrix of L, or of L_p if partial, in the product
-        basis, scattered from row 0's triplets on each call."""
-        n = self.dimension**2
-        # the matrix and one real bincount buffer
-        _require_memory(24 * n * n, f"the dense {n} x {n} superoperator")
-        p, vals = self.structure.product, self.product_values[0]
-        keep = p.parts != INTERACTION if partial else slice(None)
-        return _scatter((p.rows * n + p.cols)[keep], vals[keep], n * n).reshape(n, n)
-
-    @property
-    def superop(self) -> np.ndarray:
-        return self._dense(partial=False)
-
-    @property
-    def partial_superop(self) -> np.ndarray:
-        return self._dense(partial=True)
-
     def stability_norm(self) -> float:
         """||L||_inf in the product basis, from row 0's triplets with repeats
         added first, without the dense matrix."""
@@ -856,10 +806,10 @@ class Generator:
         return float(np.bincount(keys // n, np.abs(entries), n).max())
 
     def _block_g(self, basis: np.ndarray | None) -> np.ndarray:
-        """The blocks' G = -i H_eff, H_eff = H - i sum_i K_i/2, of each row
-        in `basis` (the product basis if None), (P, 1, d, d)."""
-        s, parts = self.structure, self._terms[:, BATH:].swapaxes(0, 1)
-        g = (-1j * (s.h_free + s.h_interaction) + sum(parts))[:, None]
+        """The blocks' G = -i H_eff, H_eff = H - i sum_i K_i/2, the sum of
+        the parts' G's, of each row in `basis` (the product basis if None),
+        (P, 1, d, d)."""
+        g = self._terms.sum(axis=1, keepdims=True)
         return g if basis is None else basis.conj().T @ g @ basis
 
     @cached_property

@@ -64,6 +64,35 @@ def channel_rates(gen):
     return dict(zip(keys, gen.rates[0].tolist(), strict=True))
 
 
+def gkls(gen, partial=False):
+    """Row 0's L, or L_p if partial, as a column-stacked d^2 x d^2 matrix in
+    the product basis, from the GKLS formula over the channels c of
+    structure.jumps,
+
+        L[rho] = -i[H, rho] + sum_c gamma_c (A_c rho A_c† - {A_c† A_c, rho}/2)
+               = G rho + rho G† + sum_c gamma_c A_c rho A_c†,
+
+    with H = H_s + V (H_s for L_p), G = -i H - sum_c gamma_c A_c† A_c / 2 and
+    vec(A X B) = (B^T kron A) vec(X). It reads H_s, V, the jump operators
+    and their rates, never the triplets."""
+    s = gen.structure
+    eye = np.eye(s.dimension)
+    ops = [a for jumps in s.jumps for _, a in jumps]
+    channels = list(zip(gen.rates[0], ops, strict=True))
+    g = -1j * (s.h_free if partial else s.h_free + s.h_interaction)
+    for rate, a in channels:
+        g = g - 0.5 * rate * (a.conj().T @ a)
+    out = np.kron(eye, g) + np.kron(g.conj(), eye)
+    for rate, a in channels:
+        out += rate * np.kron(a.conj(), a)
+    return out
+
+
+def unvec(v):
+    """The d x d matrix of a column-stacked vector of length d^2."""
+    return v.reshape(2 * (math.isqrt(v.size),), order="F")
+
+
 def dissipator(gen, bath, rho):
     """D_i[rho] of bath i alone, summed from the product-basis triplets of its
     part, BATH + i, of row 0 (column-stacked: entry (i, j) at i + d j)."""

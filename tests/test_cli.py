@@ -31,7 +31,7 @@ from lindloc.liouvillian import build_modified_local, product_gibbs
 from lindloc.models import DEFAULT_SPECTRAL, TwoQubitParams, two_qubit_model
 from lindloc.thermo import ThermoReport, audit_trajectory
 
-from conftest import rand_density, resonant_pair_current
+from conftest import gkls, rand_density, resonant_pair_current
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -277,7 +277,7 @@ def test_explicit_model_matches_builder():
     assert np.array_equal(spec.interaction_sum(), builder.interaction_sum())
     gen_a = make_generator(explicit)
     gen_b = build_modified_local(builder)
-    assert np.array_equal(gen_a.superop, gen_b.superop)
+    assert np.array_equal(gkls(gen_a), gkls(gen_b))
 
 
 def test_explicit_model_validation_paths():
@@ -790,6 +790,27 @@ def test_overflowing_level_energies_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("lindloc: error: H_s levels are not finite: grouping eigenvalues ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dt, t_max", [(1e-300, 1e10), (5e-324, 200000.0)])
+@pytest.mark.parametrize("command", ["simulate", "compare", "--dump-config"])
+def test_step_count_beyond_the_float_range_exits_one(tmp_path, capsys, dt, t_max, command):
+    """A t_max / dt that is not finite is refused at load, naming both
+    values: simulate and compare rounded it to a step count and raised
+    OverflowError, and --dump-config printed the config."""
+    data = bundled("two_qubit_resonant.yaml")
+    data["solver"].update(dt=dt, t_max=t_max)
+    path = write_yaml(tmp_path, data)
+    if command == "--dump-config":
+        args = ["steady", str(path), command]
+    else:
+        args = [command, str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"lindloc: error: solver: t_max / dt is not finite: t_max = {t_max!r}, dt = {dt!r}\n",
+    )
     assert not (tmp_path / "out").exists()
 
 

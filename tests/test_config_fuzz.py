@@ -2,9 +2,10 @@
 
 Each case replaces one or two leaves of a bundled config with a value from
 an adversarial pool, or deletes a mapping key, then runs `main` with
---dump-config and with steady (and sweep, on the sweep config), with
-warnings turned into errors. simulate is left out: a mutated step count can
-ask for an honest run of minutes.
+--dump-config, steady, simulate and compare (and sweep, on the sweep
+config), with warnings turned into errors. Each bundled config's t_max is
+cut to 200 steps first, so that simulate and compare on an unmutated
+solver take milliseconds, not an honest run of minutes.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import warnings
 from pathlib import Path
 
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lindloc.cli as cli
@@ -25,6 +26,8 @@ CONFIGS = {
     path.name: yaml.safe_load(path.read_text(encoding="utf-8"))
     for path in sorted(CONFIG_DIR.glob("*.yaml"))
 }
+for data in CONFIGS.values():
+    data["solver"]["t_max"] = 200 * data["solver"]["dt"]
 ADVERSARIAL = [0, -1, 1e300, 1e-300, 1e308, 5e-324, 10**400, True, "1e999", ".nan", [], {}, None]
 DELETE = object()
 # text that only numpy's own errors carry
@@ -76,14 +79,25 @@ def run_main(args: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def with_solver(name, **solver):
+    """A bundled config with these solver fields."""
+    data = copy.deepcopy(CONFIGS[name])
+    data["solver"].update(solver)
+    return name, data
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(case=mutated_configs())
+# step counts beyond the float range
+@example(case=with_solver("two_qubit_resonant.yaml", dt=1e-300, t_max=1e10))
+@example(case=with_solver("two_qubit_resonant.yaml", dt=5e-324))
 def test_mutated_configs_end_in_an_exit_code(tmp_path_factory, case):
     name, data = case
     work = tmp_path_factory.mktemp("fuzz", numbered=True)
     path = work / "run.yaml"
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
-    runs = [["steady", str(path), "--dump-config"], ["steady", str(path), "--out", str(work)]]
+    runs = [["steady", str(path), "--dump-config"]]
+    runs += [[command, str(path), "--out", str(work)] for command in ("steady", "simulate", "compare")]
     if name == "sweep_t1.yaml":
         runs.append(["sweep", str(path), "--out", str(work)])
     for args in runs:

@@ -35,7 +35,6 @@ from lindloc.liouvillian import (
     build_modified_local,
     build_naive_local,
     product_gibbs,
-    unvectorize,
     vectorize,
 )
 from lindloc.models import (
@@ -50,11 +49,13 @@ from conftest import (
     assert_blocks_are_the_matrix,
     block_entries,
     channel_rates,
+    gkls,
     networks,
     rand_complex,
     rand_density,
     random_network,
     row_blocks,
+    unvec,
 )
 
 
@@ -211,7 +212,8 @@ def test_unphysical_generator_detected_mid_run():
     spec = single_qubit_model()
     base = build_modified_local(spec)
     # one channel, lowering, with a negative rate
-    bad = Structure("modified", base.h_free, base.h_interaction, base.levels, [[(1.0, SIGMA_MINUS)]])
+    s = base.structure
+    bad = Structure("modified", s.h_free, s.h_interaction, s.levels, [[(1.0, SIGMA_MINUS)]])
     gen = Generator(bad, spec, rates=np.array([[-0.05]]), betas=base.betas)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(IntegrationError, match="t = "):
@@ -277,7 +279,7 @@ def test_decoupled_second_qubit_has_no_unique_steady_state():
     )
     gen = build_modified_local(spec)
     # decided from the pooled Bohr-block singular values
-    with no_dense(), pytest.raises(NonUniqueSteadyStateError, match="dimension 2") as exc:
+    with pytest.raises(NonUniqueSteadyStateError, match="dimension 2") as exc:
         steady_state(gen)
     assert exc.value.null_dim == 2
 
@@ -501,44 +503,39 @@ def test_only_undecided_blocks_reach_lapack():
 # -- blocks against the dense path ---------------------------------------------------
 
 
-def no_dense():
-    """Within this context, building a dense superoperator fails the test."""
-    refuse = AssertionError("the dense superoperator was built")
-    return mock.patch.object(Generator, "_dense", side_effect=refuse)
-
-
 def dense_in_basis(gen):
-    """The dense superoperator in the basis of gen's blocks."""
+    """The GKLS formula's L in the basis of gen's blocks."""
     u = gen.structure.blocks.basis
     if u is None:
-        return gen.superop
+        return gkls(gen)
     w = np.kron(u.T, u.conj().T)  # vec(U† X U) = (U^T kron U†) vec(X)
-    return w @ gen.superop @ w.conj().T
+    return w @ gkls(gen) @ w.conj().T
 
 
 def dense_steady_state(gen):
-    """rho_ss from the dense superoperator with its (0, 0) row replaced by the
+    """rho_ss from the GKLS formula's L with its (0, 0) row replaced by the
     trace: a redundant row, since the trace is a left null vector. The solve
     is better conditioned than the dense SVD null vector, whose error scales
     with the smallest nonzero singular value of all blocks together."""
-    a = gen.superop.copy()
+    a = gkls(gen)
     a[0] = vectorize(np.eye(gen.dimension, dtype=complex))
     rhs = np.zeros(a.shape[0], dtype=complex)
     rhs[0] = 1.0
-    rho = unvectorize(np.linalg.solve(a, rhs))
+    rho = unvec(np.linalg.solve(a, rhs))
     return 0.5 * (rho + rho.conj().T)
 
 
 def dense_states(gen, rho0, config):
-    """Recorded states from powers of the dense RK4 step matrix."""
+    """Recorded states from powers of the dense RK4 step matrix of the GKLS
+    formula's L."""
     n_steps = max(1, int(round(config.t_max / config.dt)))
-    step = rk4_step_matrix(gen.superop, config.dt)
+    step = rk4_step_matrix(gkls(gen), config.dt)
     v, states, done = vectorize(rho0), [rho0], 0
     while done < n_steps:
         jump = min(config.record_stride, n_steps - done)
         v = np.linalg.matrix_power(step, jump) @ v
         done += jump
-        states.append(unvectorize(v))
+        states.append(unvec(v))
     return states
 
 
@@ -564,15 +561,14 @@ def test_block_path_matches_dense_path(chain, build, state_seed):
     cfg = SolverConfig(dt=0.01, t_max=5.0, record_stride=100)
     # a full-rank state has entries in every block
     rho0 = rand_density(np.random.default_rng(state_seed), spec.dimension)
-    with no_dense():
-        a = steady_state(gen)
-        traj = evolve(gen, rho0, cfg)
+    a = steady_state(gen)
+    traj = evolve(gen, rho0, cfg)
     assert len(gen.block_matrices) > 1
 
     assert_blocks_are_the_matrix(gen, dense_in_basis(gen))
     assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
     # the factored blocks' pool is part of the dense set, with its two smallest
-    s_dense = np.linalg.svd(gen.superop, compute_uv=False)
+    s_dense = np.linalg.svd(gkls(gen), compute_uv=False)
     s = a.singular_values
     assert s.size <= s_dense.size and np.all(s[:-1] >= s[1:])
     assert np.abs(s[:, None] - s_dense[None, :]).min(axis=1).max() <= 1e-12 * s_dense[0]
@@ -688,14 +684,13 @@ def test_block_path_in_a_dense_eigenbasis(rng):
     )
     gen = build_modified_local(spec)
     assert np.count_nonzero(gen.eig.eigenvectors) > spec.dimension
-    assert np.abs(gen.h_interaction).max() > 1e-3  # the exchange part survives the filter
+    assert np.abs(gen.structure.h_interaction).max() > 1e-3  # the exchange part survives the filter
     rho0 = rand_density(rng, 4)
     cfg = SolverConfig(dt=0.02, t_max=10.0, record_stride=50)
-    with no_dense():  # the guard's norm comes from the triplets
-        a = steady_state(gen)
-        traj = evolve(gen, rho0, cfg)
+    a = steady_state(gen)
+    traj = evolve(gen, rho0, cfg)
     assert np.abs(a.rho_ss - dense_steady_state(gen)).max() <= 1e-12
     for x, y in zip(traj.states, dense_states(gen, rho0, cfg), strict=True):
         assert np.abs(x - y).max() <= 1e-12
     # row sums add in another order than the dense matrix's
-    assert gen.stability_norm() == pytest.approx(np.abs(gen.superop).sum(axis=1).max(), rel=1e-15)
+    assert gen.stability_norm() == pytest.approx(np.abs(gkls(gen)).sum(axis=1).max(), rel=1e-15)

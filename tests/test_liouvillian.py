@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from lindloc.baths import BathSpec, SpectralModel
@@ -30,7 +30,6 @@ from lindloc.liouvillian import (
     build_modified_local,
     build_naive_local,
     product_gibbs,
-    unvectorize,
     vectorize,
 )
 from lindloc.models import (
@@ -46,10 +45,14 @@ from conftest import (
     assert_block_matches,
     channel_rates,
     dissipator,
+    gkls,
+    networks,
     rand_complex,
     rand_density,
     rand_hermitian,
+    random_network,
     row_blocks,
+    unvec,
 )
 
 FLAT_UNIT = SpectralModel(kind="flat", coupling_scale=1.0 / (2.0 * math.pi))
@@ -65,18 +68,13 @@ def default_two_qubit():
 def test_vectorize_column_stacking_order():
     m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     assert np.array_equal(vectorize(m), [1.0, 3.0, 2.0, 4.0])
-    assert np.array_equal(unvectorize(vectorize(m)), m)
 
 
-def test_unvectorize_validation():
-    with pytest.raises(DimensionMismatchError):
-        unvectorize(np.zeros(5))
-    with pytest.raises(DimensionMismatchError):
-        unvectorize(np.zeros((2, 2)))
+def test_terms_refuses_a_state_of_another_dimension():
     with pytest.raises(
         DimensionMismatchError, match=r"state shape \(3, 3\) does not match generator dimension 4"
     ):
-        default_two_qubit().apply(np.eye(3, dtype=complex))
+        default_two_qubit().terms(np.eye(3, dtype=complex))
 
 
 # -- generator structure -----------------------------------------------------------
@@ -113,61 +111,106 @@ def test_two_qubit_channel_table():
 def test_resonant_interaction_is_exchange_term():
     gen = default_two_qubit()
     expected = 0.01 * (kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS))
-    assert np.abs(gen.h_interaction - expected).max() <= 1e-15
+    assert np.abs(gen.structure.h_interaction - expected).max() <= 1e-15
 
 
 def test_detuned_interaction_filters_to_zero():
     gen = build_modified_local(two_qubit_model(TwoQubitParams(e2=1.5)))
-    assert np.abs(gen.h_interaction).max() == 0.0
+    assert np.abs(gen.structure.h_interaction).max() == 0.0
     decoupled = build_modified_local(two_qubit_model(TwoQubitParams(e2=1.5, alpha=0.0)))
-    assert np.array_equal(gen.superop, decoupled.superop)
+    assert np.array_equal(gkls(gen), gkls(decoupled))
 
 
 def test_naive_keeps_full_interaction():
     gen = build_naive_local(two_qubit_model(TwoQubitParams(e2=1.5)))
-    assert np.array_equal(gen.h_interaction, 0.01 * kron(SIGMA_X, SIGMA_X))
+    h = gen.structure.h_interaction
+    assert np.array_equal(h, 0.01 * kron(SIGMA_X, SIGMA_X))
     # dissipative parts agree between the two constructions
     mod = build_modified_local(two_qubit_model(TwoQubitParams(e2=1.5)))
     x = rand_density(np.random.default_rng(3), 4)
-    diff = gen.apply(x) - mod.apply(x)
-    h = gen.h_interaction
+    diff = gen.terms(x)[1] - mod.terms(x)[1]
     assert np.allclose(diff, -1j * (h @ x - x @ h), atol=1e-15)
 
 
 # -- generator action ----------------------------------------------------------------
 
 
-def test_superop_matches_direct_application(rng):
+def test_terms_match_the_gkls_formula(rng):
+    """L[x] and L_p[x] from the triplets against the GKLS formula."""
     complex_jumps = build_modified_local(y_coupled_pair())
     for gen in (default_two_qubit(), build_naive_local(two_qubit_model(TwoQubitParams())), complex_jumps):
         for _ in range(5):
             x = rand_complex(rng, 4)
-            via_matrix = unvectorize(gen.superop @ vectorize(x))
-            assert np.allclose(via_matrix, gen.apply(x), atol=1e-14)
+            via_matrix = unvec(gkls(gen) @ vectorize(x))
+            assert np.allclose(via_matrix, gen.terms(x)[1], atol=1e-14)
         x = rand_complex(rng, 4)
-        via_matrix = unvectorize(gen.partial_superop @ vectorize(x))
-        assert np.allclose(via_matrix, gen.apply_partial(x), atol=1e-14)
+        via_matrix = unvec(gkls(gen, partial=True) @ vectorize(x))
+        assert np.allclose(via_matrix, gen.terms(x)[0], atol=1e-14)
+
+
+# a 2-4 qubit chain with energies 1.0 or 1.5 and its temperatures, or a
+# random network (conftest.networks), whose jump operators are complex
+chains_or_networks = st.one_of(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.sampled_from([1.0, 1.5]), min_size=n, max_size=n),
+            st.lists(st.floats(0.5, 2.5), min_size=n, max_size=n),
+        )
+    ),
+    networks,
+)
+
+
+@pytest.mark.parametrize("build", [build_modified_local, build_naive_local])
+@seed(20261021)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(model=chains_or_networks, draw_seed=st.integers(0, 2**32 - 1))
+def test_triplets_are_the_gkls_generator(build, model, draw_seed):
+    """On a random non-Hermitian x, the triplets' L_p[x] and L[x] are the
+    GKLS formula's, L[x†] = L[x]†, and tr L[x] = tr L_p[x] = 0, each
+    relative to ||L||_inf max|x_ij|, which bounds every entry of L[x]."""
+    rng = np.random.default_rng(draw_seed)
+    if isinstance(model, tuple):
+        energies, temperatures = model
+        spec = qubit_chain_model(len(energies), energies, temperatures)
+    else:
+        spec = random_network(model, rng)
+    try:
+        gen = build(spec)
+    except DenseSpectrumError:
+        assume(False)
+    x = rand_complex(rng, spec.dimension)
+    full, partial = gkls(gen), gkls(gen, partial=True)
+    scale = inf_norm(full) * np.abs(x).max()
+    got_partial, got = gen.terms(x)
+    assert np.abs(got - unvec(full @ vectorize(x))).max() <= 1e-13 * scale
+    assert np.abs(got_partial - unvec(partial @ vectorize(x))).max() <= 1e-13 * scale
+    assert np.abs(gen.terms(x.conj().T)[1] - got.conj().T).max() <= 1e-14 * scale
+    assert abs(np.trace(got)) <= 1e-14 * scale
+    assert abs(np.trace(got_partial)) <= 1e-14 * scale
 
 
 def test_generator_annihilates_trace():
     gen = default_two_qubit()
-    # the trace functional is a left null vector of the superoperator
-    tr_row = vectorize(np.eye(4, dtype=complex)).conj()
-    assert np.abs(tr_row @ gen.superop).max() <= 1e-14
-    assert np.abs(tr_row @ gen.partial_superop).max() <= 1e-14
+    # the trace functional is a left null vector of L and L_p: the image of
+    # every matrix unit E_ij has trace zero
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    for image in gen.terms(units):
+        assert np.abs(np.trace(image, axis1=1, axis2=2)).max() <= 1e-14
 
 
 def test_generator_preserves_hermiticity(rng):
     gen = default_two_qubit()
     x = rand_complex(rng, 4)
-    assert np.allclose(gen.apply(x.conj().T), gen.apply(x).conj().T, atol=1e-14)
+    assert np.allclose(gen.terms(x.conj().T)[1], gen.terms(x)[1].conj().T, atol=1e-14)
 
 
 def test_full_minus_partial_is_interaction_commutator(rng):
     gen = default_two_qubit()
     x = rand_complex(rng, 4)
-    h = gen.h_interaction
-    diff = gen.apply(x) - gen.apply_partial(x)
+    h = gen.structure.h_interaction
+    partial, full = gen.terms(x)
+    diff = full - partial
     assert np.allclose(diff, -1j * (h @ x - x @ h), atol=1e-15)
 
 
@@ -200,14 +243,15 @@ def test_partial_generator_fixes_product_gibbs():
         gen = build_modified_local(spec)
         tau = product_gibbs(spec)
         assert abs(np.trace(tau) - 1.0) < 1e-12
-        assert np.abs(gen.apply_partial(tau)).max() <= 1e-9
+        assert np.abs(gen.terms(tau)[0]).max() <= 1e-9
 
 
 def test_alpha_zero_makes_full_equal_partial(rng):
     spec = two_qubit_model(TwoQubitParams(alpha=0.0))
     gen = build_modified_local(spec)
     x = rand_density(rng, 4)
-    assert np.array_equal(gen.apply(x), gen.apply_partial(x))
+    partial, full = gen.terms(x)
+    assert np.array_equal(full, partial)
 
 
 def test_product_gibbs_single_qubit_population():
@@ -245,23 +289,23 @@ CHAINS = [
 ]
 
 
-def eigenbasis_superop(gen):
-    """The dense superoperator conjugated into the H_s eigenbasis."""
+def in_eigenbasis(gen):
+    """The GKLS formula's L conjugated into the H_s eigenbasis."""
     u = gen.eig.eigenvectors
     w = np.kron(u.T, u.conj().T)  # vec(U† X U) = (U^T kron U†) vec(X)
-    return w @ gen.superop @ w.conj().T
+    return w @ gkls(gen) @ w.conj().T
 
 
 def test_modified_generator_is_block_diagonal_in_the_eigenbasis():
     for spec in CHAINS:
         mod, naive = build_modified_local(spec), build_naive_local(spec)
         # the Bohr frequency of E_i - E_j at i + d j
-        freq = mod.levels.frequency_labels.ravel()
+        freq = mod.structure.levels.frequency_labels.ravel()
         between = freq[:, None] != freq[None, :]
 
-        l_mod = eigenbasis_superop(mod)
+        l_mod = in_eigenbasis(mod)
         assert np.abs(l_mod[between]).max() == 0.0
-        assert np.abs(eigenbasis_superop(naive)[between]).max() >= 0.5 * spec.alpha
+        assert np.abs(in_eigenbasis(naive)[between]).max() >= 0.5 * spec.alpha
 
         # each assembled block lies inside one Bohr block and is the matching
         # piece of the dense matrix
@@ -280,7 +324,7 @@ def inf_norm(m):
 def test_stability_norm_is_dense_inf_norm():
     for spec in CHAINS:
         for gen in (build_modified_local(spec), build_naive_local(spec)):
-            assert gen.stability_norm() == pytest.approx(inf_norm(gen.superop), rel=1e-15)
+            assert gen.stability_norm() == pytest.approx(inf_norm(gkls(gen)), rel=1e-15)
 
 
 def test_stability_norm_is_the_row_sum_not_the_column_sum():
@@ -300,7 +344,7 @@ def test_stability_norm_is_the_row_sum_not_the_column_sum():
         beta_coupling=0.3,
     )
     for gen in (build_modified_local(spec), build_naive_local(spec)):
-        dense = np.abs(gen.superop)
+        dense = np.abs(gkls(gen))
         rows, cols = dense.sum(axis=1).max(), dense.sum(axis=0).max()
         assert abs(rows - cols) > 0.005 * rows
         assert gen.stability_norm() == pytest.approx(rows, rel=1e-15, abs=0.0)
@@ -310,7 +354,7 @@ def test_min_rate_and_norm():
     gen = default_two_qubit()
     n2 = 1.0 / math.expm1(1.0)
     assert min(channel_rates(gen).values()) == pytest.approx(1e-4 * n2, rel=1e-14)
-    assert inf_norm(gen.superop) > 0.0
+    assert gen.stability_norm() > 0.0
 
 
 def test_memory_guard_refuses_an_eight_site_naive_chain(monkeypatch):
@@ -324,8 +368,6 @@ def test_memory_guard_refuses_an_eight_site_naive_chain(monkeypatch):
         # two real parity halves of 32768 rows, with their RK4 step and stride copies
         with pytest.raises(LindlocError, match=r"2 generator blocks .* would need 51.5 GB"):
             gen.structure.blocks
-        with pytest.raises(LindlocError, match=r"65536 x 65536 superoperator would need 103 GB"):
-            gen.superop
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

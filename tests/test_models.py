@@ -80,7 +80,7 @@ def test_detuned_middle_qubit_blocks_transport():
     spec = qubit_chain_model(3, [1.0, 1.7, 1.0], [2.0, 1.0, 0.5])
     gen = build_modified_local(spec)
     # every neighbour pair is off resonance, so the filtered interaction dies
-    assert np.abs(gen.h_interaction).max() == 0.0
+    assert np.abs(gen.structure.h_interaction).max() == 0.0
     rep = audit(gen, steady_state(gen).rho_ss)
     for q in rep.q_dot:
         assert abs(q) <= 1e-10

@@ -20,7 +20,6 @@ from lindloc.liouvillian import (
     build_modified_local,
     build_naive_local,
     product_gibbs,
-    unvectorize,
     vectorize,
 )
 from lindloc.models import (
@@ -40,12 +39,14 @@ from conftest import (
     assert_blocks_are_the_matrix,
     block_entries,
     channel_rates,
+    gkls,
     rand_density,
     rand_hermitian,
     networks,
     random_network,
     resonant_pair_current,
     transpose_map,
+    unvec,
 )
 
 BUNDLED = [
@@ -62,10 +63,10 @@ BUNDLED = [
 def test_entropy_rate_matches_finite_difference():
     gen = build_modified_local(single_qubit_model())
     h = 1.0
-    step = rk4_step_matrix(gen.superop, h)
+    step = rk4_step_matrix(gkls(gen), h)
     rho0 = np.diag([0.9, 0.1]).astype(complex)
-    rho1 = unvectorize(step @ vectorize(rho0))
-    rho2 = unvectorize(step @ step @ vectorize(rho0))
+    rho1 = unvec(step @ vectorize(rho0))
+    rho2 = unvec(step @ step @ vectorize(rho0))
     centered = (von_neumann_entropy(rho2) - von_neumann_entropy(rho0)) / (2.0 * h)
     assert audit(gen, rho1).s_dot == pytest.approx(centered, abs=1e-9)
 
@@ -73,12 +74,12 @@ def test_entropy_rate_matches_finite_difference():
 def test_energy_rate_matches_finite_difference():
     gen = build_modified_local(two_qubit_model(TwoQubitParams()))
     h = 1.0
-    step = rk4_step_matrix(gen.superop, h)
+    step = rk4_step_matrix(gkls(gen), h)
     rho0 = product_gibbs(single_qubit_model(temperature=3.0))
     rho0 = np.kron(rho0, np.diag([0.4, 0.6])).astype(complex)
-    rho1 = unvectorize(step @ vectorize(rho0))
-    rho2 = unvectorize(step @ step @ vectorize(rho0))
-    e = lambda r: float(np.trace(gen.h_free @ r).real)
+    rho1 = unvec(step @ vectorize(rho0))
+    rho2 = unvec(step @ step @ vectorize(rho0))
+    e = lambda r: float(np.trace(gen.structure.h_free @ r).real)
     centered = (e(rho2) - e(rho0)) / (2.0 * h)
     # h^2 truncation of the centered difference dominates at this step size
     assert audit(gen, rho1).e_dot == pytest.approx(centered, abs=1e-9)
@@ -317,7 +318,7 @@ def reference_report(gen, rho):
     """One state through the per-state formulas: traces against each bath's
     D_i[rho] in the Schrödinger picture, L_p = -i[H_s, .] + sum D_i, and its own
     eigendecomposition for ln rho and S."""
-    d, h, v = gen.dimension, gen.h_free, gen.h_interaction
+    d, h, v = gen.dimension, gen.structure.h_free, gen.structure.h_interaction
     diss = dense_dissipators(gen, rho)
     l_partial = -1j * (h @ rho - rho @ h) + sum(diss)
     l_full = l_partial - 1j * (v @ rho - rho @ v)
@@ -344,23 +345,19 @@ def reference_report(gen, rho):
 def assert_rate_operators_are_the_adjoints(gen, states, scale):
     """tr(op rho) for each of gen.rate_operators[0] and each state of a stack,
     against the dense reference (D_i, L and L_p built from the jump operators)
-    and against tr(X L[rho]) through the dense superoperators."""
-    h, g, v = gen.h_free, gen.log_product_gibbs[0], gen.h_interaction
-    superop, partial_superop = gen.superop, gen.partial_superop
+    and against tr(X L[rho]) through the generator's own action, `terms`."""
+    h, g, v = gen.structure.h_free, gen.log_product_gibbs[0], gen.structure.h_interaction
     for rho in states:
         diss = dense_dissipators(gen, rho)
         l_partial = -1j * (h @ rho - rho @ h) + sum(diss)
         l_full = l_partial - 1j * (v @ rho - rho @ v)
         want = [*(h @ d_i for d_i in diss), h @ l_full, g @ l_partial]
-        via_superop = [
-            *(h @ d_i for d_i in diss),
-            h @ unvectorize(superop @ vectorize(rho)),
-            g @ unvectorize(partial_superop @ vectorize(rho)),
-        ]
-        for op, ref, dense in zip(gen.rate_operators[0], want, via_superop, strict=True):
+        partial, full = gen.terms(rho)
+        via_terms = [*(h @ d_i for d_i in diss), h @ full, g @ partial]
+        for op, ref, acted in zip(gen.rate_operators[0], want, via_terms, strict=True):
             got = np.trace(op @ rho)
             assert abs(got - np.trace(ref)) <= 1e-12 * scale
-            assert abs(got - np.trace(dense)) <= 1e-12 * scale
+            assert abs(got - np.trace(acted)) <= 1e-12 * scale
 
 
 @seed(20261018)
@@ -395,7 +392,7 @@ def test_laws_hold_on_random_networks(network, draw_seed):
 
     states = np.array([rand_density(rng, full) for _ in range(3)])
     traj = Trajectory(times=np.arange(3.0), states=states)
-    energy_scale = float(np.abs(np.linalg.eigvalsh(gen.h_free)).max())
+    energy_scale = float(np.abs(np.linalg.eigvalsh(gen.structure.h_free)).max())
     scale = max(1.0, energy_scale)
     # the naive generator's interaction does not commute with H_s, so its
     # commutator reaches L†[H_s]
