@@ -47,7 +47,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     PositivityError,
 )
-from .linalg import runs
+from .linalg import run_length, runs
 from .liouvillian import Generator, _require_memory, _require_one_row
 
 log = logging.getLogger("lindloc")
@@ -159,6 +159,8 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     Hermitian. Each stored block of L is stepped with its own RK4
     step and stride matrices, real for a self-conjugate block; blocks where
     rho0 is exactly zero are never stepped (a diagonal rho0 steps one block).
+    The blocks of one kind and size step as stacks of at most
+    linalg.STACK_BYTES of matrices, so a record costs one matmul per stack.
     """
     _require_one_row(gen, "evolve")
     d = gen.dimension
@@ -195,33 +197,48 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
 
     view = gen.structure.blocks
     x, z = view.to_vector(rho0)
-    # a block that starts at exactly zero stays exactly zero
-    live = [
-        (v, block, m[0])
-        for v, block, m in zip((x if r else z for r in view.real), view.slices, gen.block_matrices)
-        if v[block].any()
-    ]
-    step_matrices = [rk4_step_matrix(m, config.dt) for _, _, m in live]
-    stride_matrices = [np.linalg.matrix_power(s, stride) for s in step_matrices]
-
     # every stride-th step is recorded, and the last step
     steps = np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
-    xs = np.empty((steps.size - 1, x.size))
-    zs = np.empty((steps.size - 1, z.size), dtype=complex)
-    for k, jump in enumerate(np.diff(steps)):
-        if jump == stride:
-            matrices = stride_matrices
-        else:
-            matrices = [np.linalg.matrix_power(s, jump) for s in step_matrices]
-        for (v, block, _), m in zip(live, matrices):
-            v[block] = m @ v[block]
-        xs[k], zs[k] = x, z
+    jumps = np.diff(steps).tolist()
+    # the blocks where rho0 is nonzero, each with its RK4 step matrix, made
+    # in block order; a block that starts at exactly zero stays exactly zero
+    live = {}  # (real, size): each block's start in x or z and step matrix
+    for real, block, m in zip(view.real, view.slices, gen.block_matrices):
+        if (x if real else z)[block].any():
+            live.setdefault((real, block.stop - block.start), []).append(
+                (block.start, rk4_step_matrix(m[0], config.dt))
+            )
+    # the blocks of one kind and size step in stacks of at most STACK_BYTES
+    # of matrices (a lone block's is a view, not a copy), each stack with
+    # its matrices for each jump between records, the stride and a shorter
+    # last one, so a record costs one matmul per stack
+    groups = []
+    for (real, size), blocks in live.items():
+        per = run_length(blocks[0][1].nbytes)
+        for i in range(0, len(blocks), per):
+            starts, step = zip(*blocks[i : i + per])
+            power = {}
+            for jump in set(jumps):
+                powered = [np.linalg.matrix_power(s, jump) for s in step]
+                power[jump] = np.stack(powered) if len(powered) > 1 else powered[0][None]
+            where = np.array(starts)[:, None] + np.arange(size)  # the stack's entries in x or z
+            # row k: the entries after k records, as the (G, m, 1) columns
+            # that one matmul of the stack's matrices steps
+            values = np.empty((len(jumps) + 1, *where.shape, 1), dtype=step[0].dtype)
+            values[0, ..., 0] = (x if real else z)[where]
+            groups.append((real, where, power, values))
+    for k, jump in enumerate(jumps):
+        for _, _, power, values in groups:
+            np.matmul(power[jump], values[k], out=values[k + 1])
     times = steps * config.dt
     states = np.empty((len(steps), d, d), dtype=complex)
     states[0] = 0.5 * (rho0 + rho0.conj().T)
     recorded, at = states[1:], times[1:]
-    for run in runs(len(xs), d):
-        rho = view.to_state(xs[run], zs[run])
+    for run in runs(len(jumps), d):
+        xs, zs = view.zeros(len(at[run]))
+        for real, where, _, values in groups:
+            (xs if real else zs)[:, where] = values[1:][run][..., 0]
+        rho = view.to_state(xs, zs)
         _check_density_matrices(rho, config.positivity_tol, at[run])
         recorded[run] = rho
     return Trajectory(times=times, states=states)
@@ -251,9 +268,10 @@ def _weyl_bounds(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ||A||_2, and ||X||_2 <= sqrt(||X||_1 ||X||_inf) bounds ||A||_2 and
     s_max(B) = ||B||_2; the largest |B_ik| is at most s_max(B). The row
     sums of every block of every row are one reduceat, for |B| and again for
-    |A|. The column sums of |B| are taken block by block, from each block's
-    own slice, and those of |A| from them: A differs from B on the diagonal
-    alone, and a block's diagonal entry i lies in its column i."""
+    |A|. The column sums of |B| are one sum per block size, over the
+    consecutive blocks of that size (_Gapped.sizes), and those of |A| come
+    from them: A differs from B on the diagonal alone, and a block's
+    diagonal entry i lies in its column i."""
     g, count = gen.structure.gapped, len(gen)
     n = g.omega.size
     b = np.empty((count, g.spans[-1][0].stop))
@@ -261,8 +279,9 @@ def _weyl_bounds(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for k, (entries, rows) in zip(g.blocks, g.spans):
         m = gen.block_matrices[k]
         np.abs(m.reshape(count, -1), out=b[:, entries])
-        cols[:, rows] = b[:, entries].reshape(m.shape).sum(axis=1)
         diag[:, rows] = np.diagonal(m, axis1=1, axis2=2)
+    for size, entries, rows in g.sizes:  # (P, blocks, m, m): sum each column's rows
+        cols[:, rows] = b[:, entries].reshape(count, -1, size, size).sum(axis=2).reshape(count, -1)
 
     def norm(x, col_sums):  # sqrt(||X||_1 ||X||_inf) of each block of each row
         inf_norm = np.maximum.reduceat(np.add.reduceat(x, g.row_at, axis=1), g.block_rows, axis=1)

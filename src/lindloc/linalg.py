@@ -8,7 +8,7 @@ sorted by ascending eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -24,8 +24,13 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 # Bytes of one stacked temporary when a stack of matrices is worked through
 # in runs: a run holds a few such temporaries, so however long the stack, the
-# work needs the memory of a few matrices on top of the stack itself.
-STACK_BYTES = 1 << 16
+# work needs the memory of a few matrices on top of the stack itself. Each
+# run pays numpy's fixed cost once: a resonant 3-chain's sweep stack
+# (Generator.stack, steady_states and audit_states) costs about 650 us a
+# stack plus 125 us a point (2 vCPU, numpy 2.4.6), so a point costs 260 us
+# in the 5-point stacks of 64 KiB and 140 us in the 22-point stacks of
+# 256 KiB, whose temporaries still come to about a megabyte.
+STACK_BYTES = 1 << 18
 
 
 def run_length(nbytes: int) -> int:
@@ -62,9 +67,13 @@ def require_square(m: np.ndarray, name: str = "matrix") -> int:
 
 def require_hermitian(m: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> None:
     require_square(m, name)
-    if not np.isfinite(m).all():
+    # one pass finds both the scale of the defect and, as a scale that is
+    # not finite, a NaN or an infinity; an entry whose magnitude overflows
+    # is finite all the same
+    scale = max_abs(m)
+    if not scale < inf and not np.isfinite(m).all():
         raise NonHermitianError(f"{name} has non-finite entries")
-    defect = hermiticity_defect(m)
+    defect = max_abs(m - m.conj().T) / scale if scale else 0.0
     if defect > tol:
         raise NonHermitianError(
             f"{name} is not Hermitian: relative asymmetry {defect:.3e} exceeds {tol:.1e}"

@@ -443,11 +443,12 @@ class BlockView:
 class _Gapped(NamedTuple):
     """A modified generator's pair blocks off the zero Bohr frequency, each
     B = F + A with F = -i(E_i - E_k) on its diagonal at entry (i, k): the
-    stored blocks they are, and each one's min |E_i - E_k|; for their rows,
-    one block after another, the E_i - E_k of each diagonal entry, where that
-    entry and where each row start among the entries, and where each block's
-    rows start; for their entries, row-major, where each block's entries
-    start, and each block's entries and rows as slices."""
+    stored blocks they are, ordered by size, and each one's min |E_i - E_k|;
+    for their rows, one block after another, the E_i - E_k of each diagonal
+    entry, where that entry and where each row start among the entries, and
+    where each block's rows start; for their entries, row-major, where each
+    block's entries start; each block's entries and rows as slices, and for
+    each size m, the entries and rows of the blocks of that size."""
 
     blocks: np.ndarray
     gap: np.ndarray
@@ -457,6 +458,7 @@ class _Gapped(NamedTuple):
     block_rows: np.ndarray
     block_entries: np.ndarray
     spans: tuple[tuple[slice, slice], ...]
+    sizes: tuple[tuple[int, slice, slice], ...]
 
 
 @dataclass(eq=False)
@@ -607,6 +609,7 @@ class Structure:
             for k, (real, idx) in enumerate(zip(view.real, view.indices))
             if self.kind == "modified" and not real and freq[idx[0]] != freq[0]
         ]
+        blocks.sort(key=lambda k: view.indices[k].size)  # the blocks of one size consecutive
         idx = [view.indices[k] for k in blocks]
         m = np.array([i.size for i in idx], dtype=np.intp)
         e = self.levels.eig.eigenvalues
@@ -621,6 +624,13 @@ class Structure:
             (slice(a, a + n * n), slice(r, r + n))
             for a, r, n in zip(block_entries.tolist(), block_rows.tolist(), m.tolist())
         )
+        # m is sorted: each size, its first block and how many blocks have it
+        size, first, count = np.unique(m, return_index=True, return_counts=True)
+        starts = zip(block_entries[first].tolist(), block_rows[first].tolist())
+        sizes = tuple(
+            (n, slice(a, a + c * n * n), slice(r, r + c * n))
+            for n, c, (a, r) in zip(size.tolist(), count.tolist(), starts)
+        )
         gap = np.minimum.reduceat(np.abs(omega), block_rows) if idx else np.empty(0)
         return _Gapped(
             np.array(blocks, dtype=np.intp),
@@ -631,6 +641,7 @@ class Structure:
             block_rows,
             block_entries,
             spans,
+            sizes,
         )
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from lindloc import dynamics, liouvillian
+from lindloc import dynamics, linalg, liouvillian
 from lindloc.dynamics import (
     SolverConfig,
     SteadyStateResult,
@@ -43,7 +43,7 @@ from lindloc.models import (
     single_qubit_model,
     two_qubit_model,
 )
-from lindloc.thermo import audit
+from lindloc.thermo import audit, audit_trajectory
 
 from conftest import (
     assert_blocks_are_the_matrix,
@@ -633,6 +633,106 @@ def test_one_step_matrix_per_stored_block(monkeypatch):
         rows = sum(m.shape[0] * (1 if real else 2) for m, real in zip(matrices, view.real))
         assert rows == spec.dimension**2
     assert not all(build_modified_local(spec).structure.blocks.real)
+
+
+def per_block_states(gen, rho0, config):
+    """The recorded states of a loop that steps each live block on its own:
+    a slice, a product with the block's stride matrix and a copy per block
+    and record, the loop evolve's stacks of equal blocks stand in for."""
+    n_steps = max(1, int(round(config.t_max / config.dt)))
+    stride = min(config.record_stride, n_steps)
+    view = gen.structure.blocks
+    x, z = view.to_vector(rho0)
+    live = [
+        (v, block, m[0])
+        for v, block, m in zip((x if r else z for r in view.real), view.slices, gen.block_matrices)
+        if v[block].any()
+    ]
+    step_matrices = [rk4_step_matrix(m, config.dt) for _, _, m in live]
+    stride_matrices = [np.linalg.matrix_power(s, stride) for s in step_matrices]
+    steps = np.minimum(np.arange(0, n_steps + stride, stride), n_steps)
+    xs = np.empty((steps.size - 1, x.size))
+    zs = np.empty((steps.size - 1, z.size), dtype=complex)
+    for k, jump in enumerate(np.diff(steps)):
+        if jump == stride:
+            matrices = stride_matrices
+        else:
+            matrices = [np.linalg.matrix_power(s, jump) for s in step_matrices]
+        for (v, block, _), m in zip(live, matrices):
+            v[block] = m @ v[block]
+        xs[k], zs[k] = x, z
+    return np.concatenate(([0.5 * (rho0 + rho0.conj().T)], view.to_state(xs, zs)))
+
+
+@seed(20261021)
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    model=st.one_of(
+        st.tuples(st.just("network"), networks, st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("chain"), qubit_chains, st.integers(0, 2**32 - 1)),
+    ),
+    build=st.sampled_from([build_modified_local, build_naive_local]),
+    run=st.tuples(st.integers(1, 30), st.integers(1, 9)),
+)
+def test_stacked_blocks_step_as_each_block_alone(model, build, run):
+    """evolve's stacks of equal blocks record, bit for bit, the states of a
+    loop over the blocks one by one: from a full-rank state, which touches
+    every block, and from one diagonal in the blocks' basis, which touches
+    only the blocks holding populations; over 23 steps recorded every 5th,
+    which leaves a partial last stride, and over a drawn (steps, stride)."""
+    kind, drawn, state_seed = model
+    rng = np.random.default_rng(state_seed)
+    if kind == "network":
+        spec = random_network(drawn, rng)
+    else:
+        spec = qubit_chain_model(len(drawn[0]), *drawn)
+    try:
+        gen = build(spec)
+    except DenseSpectrumError:
+        assume(False)
+    view = gen.structure.blocks
+    u = np.eye(spec.dimension) if view.basis is None else view.basis
+    p = rng.uniform(0.1, 1.0, spec.dimension)
+    diagonal = u @ np.diag(p / p.sum()) @ u.conj().T
+    dt = 0.05 / gen.stability_norm()
+    for steps, stride in ((23, 5), run):
+        cfg = SolverConfig(dt=dt, t_max=steps * dt, record_stride=stride)
+        for rho0 in (rand_density(rng, spec.dimension), diagonal):
+            states = evolve(gen, rho0, cfg).states
+            assert np.array_equal(states, per_block_states(gen, rho0, cfg))
+
+
+def test_run_length_changes_no_record_and_only_the_rounding_of_rates():
+    """evolve's stacks of blocks and record checks, and audit_trajectory,
+    take their matrices and states in runs of linalg.STACK_BYTES. Runs of
+    one state, which also split evolve's stacks, give the same states, bit
+    for bit, as the several default runs, and the same reports from each
+    state's eigh and L[rho]. The rates linear in rho are einsum and matmul
+    sums, whose order depends on how many states a run holds, so those agree
+    to 16 ulps of the report's largest rate."""
+    spec = qubit_chain_model(4, [1.0, 1.5, 1.0, 1.0], [2.0, 1.0, 0.7, 1.3])
+    rho0 = rand_density(np.random.default_rng(8), spec.dimension)
+    cfg = SolverConfig(dt=0.01, t_max=1.5, record_stride=1)
+    d = spec.dimension
+    for build in (build_modified_local, build_naive_local):
+        gen = build(spec)
+        traj = evolve(gen, rho0, cfg)
+        reports = audit_trajectory(gen, traj)
+        assert len(linalg.runs(len(traj), d)) > 1
+        with mock.patch.object(linalg, "STACK_BYTES", 16 * d * d):
+            assert len(linalg.runs(len(traj), d)) == len(traj)
+            one = evolve(gen, rho0, cfg)
+            one_reports = audit_trajectory(gen, one)
+        assert np.array_equal(one.states, traj.states)
+        for a, b in zip(one_reports, reports, strict=True):
+            exact = ("s_dot", "spohn_lhs", "entropy", "second_law_ok")
+            assert [getattr(a, f) for f in exact] == [getattr(b, f) for f in exact]
+            linear = ("e_dot", "first_law_residual", "entropy_production", "spohn_rhs",
+                      "spohn_residual")
+            x = np.array([*a.q_dot, *(getattr(a, f) for f in linear)])
+            y = np.array([*b.q_dot, *(getattr(b, f) for f in linear)])
+            scale = np.abs([*b.q_dot, b.e_dot, b.s_dot, b.spohn_rhs]).max()
+            assert np.abs(x - y).max() <= 16 * np.finfo(float).eps * scale
 
 
 def test_anti_hermitian_part_of_rho0_is_not_carried():

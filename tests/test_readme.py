@@ -7,9 +7,11 @@ from pathlib import Path
 import yaml
 
 import lindloc
-from lindloc.cli import RunConfig
+from lindloc import linalg
+from lindloc.cli import RunConfig, load_config, make_generator
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CONFIGS = README.parent / "configs"
 
 
 def section(title: str) -> str:
@@ -101,3 +103,18 @@ def test_dotted_names_resolve():
         if not any(resolves(obj, name.split(".")[1:]) for obj in roots[name.split(".")[0]])
     ]
     assert unresolved == []
+
+
+def test_stated_stack_budget_is_the_constant():
+    """Every size in KiB that the README states is linalg.STACK_BYTES, and
+    the points of the resonant 3-chain that it says a sweep solves at a time
+    are those run_length gives that chain (configs/qubit_chain3.yaml)."""
+    text = README.read_text(encoding="utf-8")
+    kib = re.findall(r"(\d+) KiB", text)
+    assert len(kib) >= 2 and {int(k) for k in kib} == {linalg.STACK_BYTES // 1024}
+    ((triplets, points),) = re.findall(
+        r"resonant\s+3-chain \((\d+) triplets\) is solved (\d+) points\s+at a time", text
+    )
+    gen = make_generator(load_config(CONFIGS / "qubit_chain3.yaml"))
+    assert int(triplets) == gen.structure.product.rows.size
+    assert int(points) == linalg.run_length(gen.structure.point_bytes)
