@@ -30,7 +30,6 @@ from .linalg import (
     embed,
     hermitian_eig,
     kron,
-    von_neumann_entropy,
 )
 from .liouvillian import (
     Generator,

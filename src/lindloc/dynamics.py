@@ -81,6 +81,8 @@ class SolverConfig:
             raise ConfigError(
                 f"t_max / dt is not finite: t_max = {self.t_max!r}, dt = {self.dt!r}"
             )
+        if isinstance(self.record_stride, bool) or not isinstance(self.record_stride, int):
+            raise ConfigError(f"record_stride: expected an integer, got {self.record_stride!r}")
         if self.record_stride < 1:
             raise ConfigError(f"record_stride must be >= 1, got {self.record_stride!r}")
         if not 0.0 <= self.positivity_tol < inf:

@@ -12,7 +12,7 @@ from math import inf, prod
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError, PositivityError
+from .errors import DimensionMismatchError, NonHermitianError
 
 # -- constant single-qubit operators ----------------------------------------
 
@@ -125,23 +125,3 @@ def hermitian_eig(h: np.ndarray, tol: float = 1e-10) -> HermitianEigenSystem:
     require_hermitian(h, tol=tol, name="eigensolver input")
     w, v = np.linalg.eigh(h)
     return HermitianEigenSystem(eigenvalues=w, eigenvectors=v)
-
-
-def von_neumann_entropy(rho: np.ndarray, positivity_tol: float = 1e-9) -> float:
-    """-tr(rho ln rho) in nats, with 0 ln 0 taken as 0.
-
-    Eigenvalues in [-positivity_tol, 0) are clipped to zero; anything more
-    negative raises PositivityError.
-    """
-    require_hermitian(rho, tol=1e-8, name="density matrix")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-8:
-        raise DimensionMismatchError(f"density matrix trace {tr!r} is not 1 within 1e-8")
-    p = np.linalg.eigvalsh(rho)
-    if p.min() < -positivity_tol:
-        raise PositivityError(
-            f"density matrix has eigenvalue {p.min():.3e} below -{positivity_tol:.1e}"
-        )
-    p = np.clip(p, 0.0, None)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())

@@ -712,7 +712,16 @@ class Generator:
 
     @classmethod
     def stack(cls, gens: list[Generator]) -> Generator:
-        """The rows of generators that share one structure, joined."""
+        """The rows of generators that share one structure, joined; refuses
+        an empty list and any generator whose structure is not the first's."""
+        if not gens:
+            raise DimensionMismatchError("Generator.stack takes at least one generator")
+        for i, g in enumerate(gens):
+            if g.structure is not gens[0].structure:
+                raise DimensionMismatchError(
+                    f"Generator.stack: row {i} ({g.kind}) does not share the structure "
+                    f"of row 0 ({gens[0].kind})"
+                )
         rates = np.concatenate([g.rates for g in gens])
         betas = np.concatenate([g.betas for g in gens])
         return cls(gens[0].structure, gens[0].spec, rates, betas, gens[0].diagnostics)

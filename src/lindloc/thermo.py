@@ -14,14 +14,15 @@ Gibbs states. The audit reports violations; it never raises on them.
 The audit is one pass over a (T, d, d) stack of states, under a generator of
 one row for all of them (audit() is the T = 1 case, audit_trajectory takes
 runs of records) or under row t of a stacked Generator for state t
-(audit_states, the points of a sweep, exactly one state per row; a state
-it refuses fails the whole stack). It reads L from the generator's
-triplets, as the solver's blocks do. Rates linear in rho are traces in the
-Heisenberg picture, tr(X L[rho]) = tr(L†[X] rho), against
-Generator.rate_operators: D_i†[H_s], L†[H_s] and L_p†[ln rho_G], built once
-per row. dS/dt and the Spohn left-hand side take L[rho] and L_p[rho] from
-Generator.terms, a gather and bincount of the triplets. One stacked eigh per
-state serves positivity, ln rho and S.
+(audit_states, the points of a sweep; a state it refuses fails the whole
+stack). A state must be finite and, as evolve's rho0, Hermitian within 1e-9.
+Rates linear in rho are traces in the Heisenberg picture, tr(X L[rho]) =
+tr(L†[X] rho), one matrix-vector product per state against its row's
+Generator.rate_operators: D_i†[H_s], L†[H_s] and L_p†[ln rho_G]. dS/dt and
+the Spohn left-hand side take L[rho] and L_p[rho] from Generator.terms, the
+triplets the solver's blocks read. One stacked eigh per state serves
+positivity, ln rho and S. No sum runs across states, so a report is a
+function of its state and its row alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, PositivityError
-from .linalg import runs
+from .errors import DimensionMismatchError, NonFiniteError, NonHermitianError, PositivityError
+from .linalg import max_abs, runs
 from .liouvillian import Generator, _require_one_row
 
 # Mixing weight for the log of nearly singular states: ln is taken at
@@ -58,11 +59,6 @@ class ThermoReport:
     entropy: float
 
 
-def _trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real part of tr(a_t b_t) for each t of two stacks."""
-    return np.einsum("tij,tji->t", a, b).real
-
-
 def _log_and_entropy(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ln rho and S = -tr(rho ln rho) of each state of a stack, from one eigh.
 
@@ -87,7 +83,7 @@ def _log_and_entropy(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_stack(gen: Generator, states: np.ndarray) -> np.ndarray:
-    """states as a (T, d, d) array of finite entries, or raise."""
+    """states as a (T, d, d) array of finite, Hermitian entries, or raise."""
     d = gen.dimension
     states = np.asarray(states)
     if states.ndim != 3 or states.shape[1:] != (d, d):
@@ -96,6 +92,14 @@ def _checked_stack(gen: Generator, states: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(states).all():
         raise NonFiniteError("cannot audit a state with non-finite entries")
+    # evolve's tolerance for rho0, run by run as the audit goes
+    parts = (states[r] for r in runs(len(states), d))
+    asym = max((max_abs(s - s.conj().swapaxes(1, 2)) for s in parts), default=0.0)
+    if asym > 1e-9:
+        raise NonHermitianError(
+            f"cannot audit a state that is not Hermitian within 1e-9: "
+            f"max |rho - rho†| = {asym:.3e}"
+        )
     return states
 
 
@@ -105,25 +109,20 @@ def _audit_stack(gen: Generator, states: np.ndarray) -> list[ThermoReport]:
     n = len(gen.spec.baths)
 
     ln_rho, entropy = _log_and_entropy(states)
-    # einsum and matmul sum in an order that depends on how many states they
-    # take at once, so the rates take each generator's states together, as
-    # an audit of one generator always has
-    groups = len(gen)
-    # columns: Qdot_i per bath, Edot, the Spohn right-hand side
-    linear = np.concatenate(
-        [
-            np.einsum("kij,tji->tk", ops, rho)
-            for ops, rho in zip(gen.rate_operators, np.split(states, groups))
-        ]
-    ).real
+    # per state, (k, d^2) @ (d^2, 1): its row's operators against it, each
+    # column-stacked; columns Qdot_i per bath, Edot, the Spohn right-hand side
+    ops = gen.rate_operators
+    rows, k, d = ops.shape[:3]
+    cols = states.swapaxes(1, 2).reshape(rows, -1, d * d, 1)
+    linear = (ops.reshape(rows, 1, k, d * d) @ cols).real.reshape(len(states), k)
     q = linear[:, :n]
     e_dot = linear[:, -2]
     spohn_rhs = -linear[:, -1]
     l_partial, l_full = gen.terms(states)
-    s_dot = -_trace(l_full, ln_rho)
-    spohn_lhs = -_trace(l_partial, ln_rho)
+    s_dot = -np.einsum("tij,tji->t", l_full, ln_rho).real
+    spohn_lhs = -np.einsum("tij,tji->t", l_partial, ln_rho).real
 
-    sum_beta_q = np.concatenate([q_g @ b for q_g, b in zip(np.split(q, groups), gen.betas)])
+    sum_beta_q = (q * gen.betas).sum(axis=1)
     entropy_production = s_dot - sum_beta_q
     columns = zip(
         q.tolist(),
@@ -155,9 +154,7 @@ def audit_states(gen: Generator, states: list[np.ndarray]) -> list[ThermoReport]
             f"audit_states takes one state per generator row, got {len(states)} states "
             f"for {len(gen)} rows"
         )
-    # the rates sum a state's entries in its memory order, which np.stack
-    # keeps (np.array would make every state row-major)
-    return _audit_stack(gen, _checked_stack(gen, np.stack(states)))
+    return _audit_stack(gen, _checked_stack(gen, states))
 
 
 def audit_trajectory(gen: Generator, trajectory) -> list[ThermoReport]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from lindloc import liouvillian
 from lindloc.baths import BathSpec, SpectralModel
+from lindloc.errors import DimensionMismatchError, PositivityError
+from lindloc.linalg import require_hermitian
 from lindloc.liouvillian import Subsystem, SystemSpec
 
 
@@ -38,6 +41,34 @@ def rand_pure(rng, d):
 def rand_unitary(rng, d):
     q, r = np.linalg.qr(rand_complex(rng, d))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def von_neumann_entropy(rho, positivity_tol=1e-9):
+    """-tr(rho ln rho) in nats, with 0 ln 0 taken as 0, from rho's own
+    eigvalsh: the reference that the audit's entropy is checked against.
+
+    Eigenvalues in [-positivity_tol, 0) are clipped to zero; anything more
+    negative raises PositivityError.
+    """
+    require_hermitian(rho, tol=1e-8, name="density matrix")
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > 1e-8:
+        raise DimensionMismatchError(f"density matrix trace {tr!r} is not 1 within 1e-8")
+    p = np.linalg.eigvalsh(rho)
+    if p.min() < -positivity_tol:
+        raise PositivityError(
+            f"density matrix has eigenvalue {p.min():.3e} below -{positivity_tol:.1e}"
+        )
+    p = np.clip(p, 0.0, None)
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def report_bits(rep):
+    """Every field of a ThermoReport, each float as its exact hex, so that
+    two reports compare equal only bit for bit (0.0 and -0.0 differ)."""
+    q_dot, *rest = dataclasses.astuple(rep)
+    return tuple(x.hex() if isinstance(x, float) else x for x in (*q_dot, *rest))
 
 
 def component(terms, omega, tol, like):

@@ -26,12 +26,11 @@ from lindloc.cli import (
 )
 from lindloc.dynamics import evolve
 from lindloc.errors import ConfigError, LindlocError
-from lindloc.linalg import von_neumann_entropy
 from lindloc.liouvillian import build_modified_local, product_gibbs
 from lindloc.models import DEFAULT_SPECTRAL, TwoQubitParams, two_qubit_model
 from lindloc.thermo import ThermoReport, audit_trajectory
 
-from conftest import gkls, rand_density, resonant_pair_current
+from conftest import gkls, rand_density, resonant_pair_current, von_neumann_entropy
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -567,6 +566,18 @@ def test_trajectory_rows_match_per_record_formulas():
         assert row[header.index("S")] == pytest.approx(von_neumann_entropy(rho), abs=1e-14)
 
 
+def test_simulate_writes_the_same_bytes_in_runs_of_one_state(tmp_path):
+    """The naive pair's 501 records are evolved and audited in one default run
+    or in runs of one state (linalg.STACK_BYTES); each record and each report
+    is a function of its state alone, so both files are byte for byte equal."""
+    config = str(CONFIG_DIR / "two_qubit_naive.yaml")
+    assert cli.main(["simulate", config, "--out", str(tmp_path / "default")]) == 0
+    with mock.patch.object(linalg, "STACK_BYTES", 16 * 4 * 4):
+        assert cli.main(["simulate", config, "--out", str(tmp_path / "one")]) == 0
+    for name in ("trajectory.csv", "report.txt"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
 def test_steady_end_to_end(tmp_path):
     path = write_yaml(tmp_path, base_dict())
     proc = run_cli("steady", path, "--out", tmp_path / "out")
@@ -926,12 +937,12 @@ def counting_structures():
 # point built afresh writes it
 LOW_TEMPERATURE_SWEEP = [
     "parameter,value,q_dot_b1,q_dot_b2,q_dot_b3,entropy_production,residual",
-    "model.params.temperatures.0,0.5,-7.163625555509903e-06,1.4327251111019802e-05,"
-    "-7.163625555509906e-06,1.432725111101981e-05,7.340069883550546e-20",
+    "model.params.temperatures.0,0.5,-7.163625555509901e-06,1.4327251111019804e-05,"
+    "-7.163625555509906e-06,1.4327251111019806e-05,7.340069883550546e-20",
     "model.params.temperatures.0,0.001,-1.4534335602787598e-05,1.796778447785083e-05,"
     "-3.433448875063244e-06,0.014523234716059874,2.1186411593198187e-19",
-    "model.params.temperatures.0,1.0,8.370308047064791e-06,6.209128949110102e-06,"
-    "-1.457943699617486e-05,1.4579436996174861e-05,2.6467132623736716e-19",
+    "model.params.temperatures.0,1.0,8.370308047064788e-06,6.209128949110098e-06,"
+    "-1.457943699617486e-05,1.4579436996174868e-05,2.6467132623736716e-19",
 ]
 
 

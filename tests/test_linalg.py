@@ -11,10 +11,9 @@ from lindloc.linalg import (
     hermitian_eig,
     hermiticity_defect,
     kron,
-    von_neumann_entropy,
 )
 
-from conftest import rand_density, rand_hermitian, rand_unitary
+from conftest import rand_density, rand_hermitian, rand_unitary, von_neumann_entropy
 
 
 # -- kron ---------------------------------------------------------------------

@@ -697,6 +697,25 @@ def test_silent_bath_drops_channels():
     assert channel_rates(gen) == {}
 
 
+def test_stack_refuses_rows_of_another_structure():
+    """Generator.stack joins rows that share one structure. An empty list, and
+    a row whose structure is not row 0's (by identity, as lindloc sweep
+    tests it), are refused rather than solved and audited under row 0's."""
+    spec = two_qubit_model(TwoQubitParams())
+    modified, naive = build_modified_local(spec), build_naive_local(spec)
+    with pytest.raises(DimensionMismatchError, match="^Generator.stack takes at least one"):
+        Generator.stack([])
+    for rows, message in (
+        ([modified, naive], r"row 1 \(naive\) does not share the structure of row 0 \(modified\)"),
+        ([naive, naive, modified], r"row 2 \(modified\) does not share the structure of row 0"),
+        ([modified, build_modified_local(spec)], r"row 1 \(modified\) does not share"),
+        ([modified, build_modified_local(single_qubit_model())], r"row 1 \(modified\)"),
+    ):
+        with pytest.raises(DimensionMismatchError, match=message):
+            Generator.stack(rows)
+    assert len(Generator.stack([modified, Generator.stack([modified, modified])])) == 3
+
+
 def test_audit_states_takes_one_state_per_row():
     """audit_states audits state t under row t; more or fewer states than
     rows are refused, not split unevenly or audited under the leading rows."""

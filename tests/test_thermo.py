@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from lindloc.errors import (
     DimensionMismatchError,
     LindlocError,
     NonFiniteError,
+    NonHermitianError,
     PositivityError,
 )
-from lindloc import liouvillian
-from lindloc.linalg import von_neumann_entropy
+from lindloc import linalg, liouvillian
 from lindloc.liouvillian import (
+    Generator,
     build_modified_local,
     build_naive_local,
     product_gibbs,
@@ -32,6 +35,7 @@ from lindloc.thermo import (
     LOG_EPSILON,
     LOG_FLOOR,
     audit,
+    audit_states,
     audit_trajectory,
 )
 
@@ -44,9 +48,11 @@ from conftest import (
     rand_hermitian,
     networks,
     random_network,
+    report_bits,
     resonant_pair_current,
     transpose_map,
     unvec,
+    von_neumann_entropy,
 )
 
 BUNDLED = [
@@ -297,6 +303,27 @@ def test_audit_rejects_misshaped_states():
             audit_trajectory(gen, Trajectory(times=np.arange(len(states), dtype=float), states=states))
 
 
+def test_audit_refuses_a_state_that_is_not_hermitian():
+    """audit, audit_trajectory and audit_states apply evolve's rule to a
+    state: max |rho - rho†| may reach 1e-9 and no further."""
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    rho = np.eye(4, dtype=complex) / 4
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1], skew[1, 0] = 0.05, -0.05
+    audits = (
+        lambda bad: audit(gen, bad),
+        lambda bad: audit_trajectory(
+            gen, Trajectory(times=np.arange(2.0), states=np.array([rho, bad]))
+        ),
+        lambda bad: audit_states(Generator.stack([gen, gen]), [rho, bad]),
+    )
+    for call in audits:
+        call(rho + 5e-9 * skew)  # an asymmetry of 5e-10 is audited
+        message = r"not Hermitian within 1e-9: max \|rho - rho†\| = 1\.000e-01$"
+        with pytest.raises(NonHermitianError, match=message):
+            call(rho + skew)
+
+
 # -- the laws over random networks ------------------------------------------------------
 
 
@@ -408,3 +435,51 @@ def test_laws_hold_on_random_networks(network, draw_seed):
             assert np.abs(np.subtract(rep.q_dot, q_ref)).max() <= 1e-12 * scale
             for name, value in ref.items():
                 assert abs(getattr(rep, name) - value) <= 1e-12 * scale, name
+
+
+# -- a report is a function of its state and its row -----------------------------------
+
+
+def other_temperatures(spec, factor):
+    """spec with every bath's beta scaled by factor: a build given spec's
+    generator as `previous` shares its structure."""
+    baths = [dataclasses.replace(b, beta=b.beta * factor) for b in spec.baths]
+    return dataclasses.replace(spec, baths=baths)
+
+
+@pytest.mark.parametrize("build", [build_modified_local, build_naive_local])
+@seed(20261021)
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(
+    model=st.one_of(networks, st.sampled_from([2, 3, 4, 5])),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_a_report_is_a_function_of_its_state_and_row(model, build, draw_seed):
+    """A state audited alone gets, bit for bit in every field, the report it
+    gets inside any stack: in audit_trajectory's runs of 1, 2 and 5 states
+    and of the default length, and in audit_states at any row of a stack of
+    generators that differ in their temperatures."""
+    rng = np.random.default_rng(draw_seed)
+    if isinstance(model, int):
+        energies = rng.choice([1.0, 1.5], model).tolist()
+        spec = qubit_chain_model(model, energies, rng.uniform(0.5, 3.0, model).tolist())
+    else:
+        spec = random_network(model, rng)
+    try:
+        gen = build(spec)
+    except DenseSpectrumError:
+        assume(False)
+    d = spec.dimension
+    states = np.array([rand_density(rng, d) for _ in range(7)])
+    alone = [report_bits(audit(gen, rho)) for rho in states]
+    traj = Trajectory(times=np.arange(7.0), states=states)
+    for size in (1, 2, 5, linalg.STACK_BYTES // (16 * d * d)):
+        with mock.patch.object(linalg, "STACK_BYTES", size * 16 * d * d):
+            assert list(map(report_bits, audit_trajectory(gen, traj))) == alone
+
+    rows = [gen, *(build(other_temperatures(spec, f), gen) for f in (0.8, 1.25))]
+    stack = Generator.stack(rows)
+    for shift in range(len(rows)):
+        placed = [states[(r + shift) % len(rows)] for r in range(len(rows))]
+        for row, rho, report in zip(rows, placed, audit_states(stack, placed), strict=True):
+            assert report_bits(report) == report_bits(audit(row, rho))
