@@ -19,6 +19,7 @@ from .errors import (
     NonHermitianError,
     NonUniqueSteadyStateError,
     PositivityError,
+    SpecError,
 )
 from .linalg import (
     SIGMA_MINUS,
@@ -55,6 +56,6 @@ from .spectral import (
     secular_filter,
     sparse_spectrum_diagnostics,
 )
-from .thermo import ThermoReport, audit, audit_trajectory
+from .thermo import ThermoReport, audit, audit_columns, audit_trajectory
 
 __version__ = "0.1.0"

@@ -18,10 +18,12 @@ scaled rate that is not finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SpecError
 from .linalg import require_hermitian
 
 TWO_PI = 2.0 * math.pi
@@ -44,16 +46,16 @@ class SpectralModel:
 
     def __post_init__(self):
         if self.kind not in ("flat", "ohmic"):
-            raise ValueError(f"unknown spectral model kind {self.kind!r}")
+            raise SpecError(f"unknown spectral model kind {self.kind!r}")
         if not 0.0 <= self.coupling_scale < math.inf:
-            raise ValueError(
+            raise SpecError(
                 f"coupling_scale must be finite and >= 0, got {self.coupling_scale!r}"
             )
         if self.kind == "ohmic":
             if self.cutoff is None or not 0.0 < self.cutoff < math.inf:
-                raise ValueError("ohmic spectral model needs a finite positive cutoff")
+                raise SpecError("ohmic spectral model needs a finite positive cutoff")
         elif self.cutoff is not None:
-            raise ValueError("flat spectral model takes no cutoff")
+            raise SpecError("flat spectral model takes no cutoff")
 
     def coupling_sq(self, omega: float) -> float:
         if omega <= 0.0:
@@ -77,8 +79,8 @@ class BathSpec:
     coupling_op: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError(
+        if not (isinstance(self.beta, (float, numbers.Real)) and 0.0 < self.beta < math.inf):
+            raise SpecError(
                 f"bath {self.label!r}: beta must be finite and positive, got {self.beta!r}"
             )
         require_hermitian(self.coupling_op, tol=1e-10, name=f"bath {self.label!r} coupling op")
@@ -87,8 +89,8 @@ class BathSpec:
     def from_temperature(
         cls, label: str, temperature: float, spectral: SpectralModel, coupling_op: np.ndarray
     ) -> "BathSpec":
-        if not 0.0 < temperature < math.inf:
-            raise ValueError(
+        if not (isinstance(temperature, (float, numbers.Real)) and 0.0 < temperature < math.inf):
+            raise SpecError(
                 f"bath {label!r}: temperature must be finite and positive, got {temperature!r}"
             )
         return cls(label=label, beta=1.0 / temperature, spectral=spectral, coupling_op=coupling_op)

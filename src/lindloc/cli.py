@@ -35,7 +35,7 @@ from .liouvillian import (
     product_gibbs,
 )
 from .models import TwoQubitParams, qubit_chain_model, single_qubit_model, two_qubit_model
-from .thermo import audit, audit_states, audit_trajectory
+from .thermo import audit, audit_columns, audit_states
 
 log = logging.getLogger("lindloc")
 
@@ -408,32 +408,37 @@ def _write_outputs(config: RunConfig, out_dir: Path, **formats) -> None:
                 log.info("wrote %s", out_dir / name)
 
 
-def _csv(fh, columns: list[tuple[str, list]]) -> None:
-    """A table of (name, values) columns: the names, then one row per value."""
+def _csv(fh, columns: list[tuple[str, np.ndarray | list]]) -> None:
+    """A table of (name, values) columns: the names, then one row per value.
+    Rows of numeric arrays are joined by hand, each float and int written by
+    repr and each row ended by "\r\n", as csv.writer writes them."""
     names, values = zip(*columns)
     writer = csv.writer(fh)
     writer.writerow(names)
-    writer.writerows(zip(*values, strict=True))
+    if all(isinstance(v, np.ndarray) and v.dtype.kind in "biuf" for v in values):
+        rows = zip(*(v.tolist() for v in values), strict=True)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+    else:
+        writer.writerows(zip(*values, strict=True))
 
 
 def _lines(fh, lines: list[str]) -> None:
     fh.write("\n".join(lines) + "\n")
 
 
-def _trajectory_columns(gen: Generator, traj: Trajectory, reports: list) -> list[tuple]:
+def _trajectory_columns(gen: Generator, traj: Trajectory, audited: dict) -> list[tuple]:
     basis = gen.eig.eigenvectors
     # the diagonal of U† rho U for every record
     pops = np.einsum("ik,tij,jk->tk", basis.conj(), traj.states, basis).real
-    q_dot = zip(*(rep.q_dot for rep in reports))
     return [
-        ("t", traj.times.tolist()),
-        *((f"pop_{k}", p) for k, p in enumerate(pops.T.tolist())),
-        ("S", [rep.entropy for rep in reports]),
-        ("e_dot", [rep.e_dot for rep in reports]),
-        *((f"q_dot_{b.label}", q) for b, q in zip(gen.spec.baths, q_dot)),
-        ("first_law_residual", [rep.first_law_residual for rep in reports]),
-        ("entropy_production", [rep.entropy_production for rep in reports]),
-        ("second_law_ok", [int(rep.second_law_ok) for rep in reports]),
+        ("t", traj.times),
+        *((f"pop_{k}", p) for k, p in enumerate(pops.T)),
+        ("S", audited["entropy"]),
+        ("e_dot", audited["e_dot"]),
+        *((f"q_dot_{b.label}", q) for b, q in zip(gen.spec.baths, audited["q_dot"].T)),
+        ("first_law_residual", audited["first_law_residual"]),
+        ("entropy_production", audited["entropy_production"]),
+        ("second_law_ok", audited["second_law_ok"].astype(int)),
     ]
 
 
@@ -456,21 +461,22 @@ def _report_head(command: str, gen: Generator, *lines: str) -> list[str]:
 
 
 def _evolve_audited(gen: Generator, rho0: np.ndarray, solver: SolverConfig):
-    """The trajectory from rho0, the audit report of each record, their min
-    entropy production, max |first-law residual| and first second-law
-    violation time (None if there is none)."""
+    """The trajectory from rho0, the audit columns of its records
+    (audit_columns), their min entropy production, max |first-law residual|
+    and first second-law violation time (None if there is none)."""
     traj = evolve(gen, rho0, solver)
-    reports = audit_trajectory(gen, traj)
-    min_ep = min(r.entropy_production for r in reports)
-    max_res = max(abs(r.first_law_residual) for r in reports)
-    violations = (float(t) for t, r in zip(traj.times, reports) if not r.second_law_ok)
-    return traj, reports, min_ep, max_res, next(violations, None)
+    audited = audit_columns(gen, traj)
+    min_ep = min(audited["entropy_production"].tolist())
+    max_res = max(map(abs, audited["first_law_residual"].tolist()))
+    ok = audited["second_law_ok"].tolist()
+    violations = (t for t, fine in zip(traj.times.tolist(), ok) if not fine)
+    return traj, audited, min_ep, max_res, next(violations, None)
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     gen = make_generator(config)
     rho0 = initial_state(config, gen)
-    traj, reports, min_ep, max_res, violation = _evolve_audited(gen, rho0, config.solver)
+    traj, audited, min_ep, max_res, violation = _evolve_audited(gen, rho0, config.solver)
 
     def write_report(fh) -> None:
         records = f"records: {len(traj)} over t in [0, {float(traj.times[-1])!r}]"
@@ -481,7 +487,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
             "second law: " + ("ok" if violation is None else f"violated at t = {violation!r}"),
         ])
 
-    tables = {"trajectory.csv": lambda fh: _csv(fh, _trajectory_columns(gen, traj, reports))}
+    tables = {"trajectory.csv": lambda fh: _csv(fh, _trajectory_columns(gen, traj, audited))}
     _write_outputs(config, out_dir, csv=tables, report={"report.txt": write_report})
     if config.generator == "modified" and violation is not None:
         log.error("second law violated by the modified generator at t = %r", violation)
@@ -692,11 +698,11 @@ def cmd_compare(config: RunConfig, out_dir: Path) -> int:
 
     def write_table(fh) -> None:
         _csv(fh, [
-            ("t", traj_mod.times.tolist()),
-            ("entropy_production_modified", [r.entropy_production for r in mod]),
-            ("entropy_production_naive", [r.entropy_production for r in naive]),
-            ("first_law_residual_modified", [r.first_law_residual for r in mod]),
-            ("first_law_residual_naive", [r.first_law_residual for r in naive]),
+            ("t", traj_mod.times),
+            ("entropy_production_modified", mod["entropy_production"]),
+            ("entropy_production_naive", naive["entropy_production"]),
+            ("first_law_residual_modified", mod["first_law_residual"]),
+            ("first_law_residual_naive", naive["first_law_residual"]),
         ])
 
     def write_report(fh) -> None:

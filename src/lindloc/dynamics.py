@@ -47,7 +47,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     PositivityError,
 )
-from .linalg import run_length, runs
+from .linalg import max_abs, run_length, runs
 from .liouvillian import Generator, _require_memory, _require_one_row
 
 log = logging.getLogger("lindloc")
@@ -116,10 +116,37 @@ def rk4_step_matrix(superop: np.ndarray, dt: float) -> np.ndarray:
     exp(dt L), real for a real L."""
     a = dt * superop
     eye = np.eye(a.shape[0], dtype=a.dtype)
-    s = eye + 0.25 * a
-    s = eye + (a @ s) / 3.0
-    s = eye + 0.5 * (a @ s)
-    return eye + a @ s
+    # in place; adding the whole eye keeps the off-diagonal signed zeros
+    s = 0.25 * a
+    s += eye
+    s = a @ s
+    s /= 3.0
+    s += eye
+    s = a @ s
+    s *= 0.5
+    s += eye
+    s = a @ s
+    s += eye
+    return s
+
+
+def _certified_positive(h: np.ndarray, tol: float) -> bool:
+    """Whether a Cholesky factorisation of h + (tol - delta) I certifies that
+    eigvalsh finds no eigenvalue below -tol in the (T, d, d) Hermitian stack
+    h (both read its lower triangle); False leaves the question to eigvalsh.
+    delta = 4 (d + 1)^2 d u (max|h| + tol) exceeds the Cholesky's backward
+    error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 10.5) plus eigvalsh's error. A delta not below tol certifies nothing.
+    """
+    d = h.shape[-1]
+    delta = 4 * (d + 1) ** 2 * d * 2.0**-53 * (max_abs(h) + tol)
+    if not delta < tol:
+        return False
+    try:
+        np.linalg.cholesky(h + (tol - delta) * np.eye(d))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _check_density_matrices(
@@ -128,14 +155,19 @@ def _check_density_matrices(
     """Finiteness, trace, Hermiticity and positivity of a (T, d, d) stack, in
     one pass. Raises IntegrationError for the first failing state, naming its
     time (or "initial state" without times) and its first failed check.
+    Positivity is eigvalsh's, computed where _certified_positive cannot tell.
     """
     finite = np.isfinite(states).all(axis=(1, 2))
     if not finite.all():
         states = np.where(finite[:, None, None], states, 0.0)
     tr = np.trace(states, axis1=1, axis2=2)
     asym = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    lo = np.linalg.eigvalsh(0.5 * (states + states.conj().swapaxes(1, 2)))[:, 0]
-    failed = ~finite | (np.abs(tr - 1.0) > 1e-8) | (asym > 1e-9) | (lo < -positivity_tol)
+    h = 0.5 * (states + states.conj().swapaxes(1, 2))
+    failed = ~finite | (np.abs(tr - 1.0) > 1e-8) | (asym > 1e-9)
+    if not failed.any() and _certified_positive(h, positivity_tol):
+        return
+    lo = np.linalg.eigvalsh(h)[:, 0]
+    failed |= lo < -positivity_tol
     if not failed.any():
         return
     k = int(np.argmax(failed))
@@ -166,7 +198,10 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
     """
     _require_one_row(gen, "evolve")
     d = gen.dimension
-    rho0 = np.array(rho0, dtype=complex)
+    try:
+        rho0 = np.array(rho0, dtype=complex)
+    except (TypeError, ValueError):
+        raise LindlocError(f"initial state: expected a complex matrix, got {rho0!r}") from None
     if rho0.shape != (d, d):
         raise DimensionMismatchError(
             f"initial state: state shape {rho0.shape} does not match generator dimension {d}"
@@ -229,9 +264,9 @@ def evolve(gen: Generator, rho0: np.ndarray, config: SolverConfig) -> Trajectory
             values = np.empty((len(jumps) + 1, *where.shape, 1), dtype=step[0].dtype)
             values[0, ..., 0] = (x if real else z)[where]
             groups.append((real, where, power, values))
-    for k, jump in enumerate(jumps):
-        for _, _, power, values in groups:
-            np.matmul(power[jump], values[k], out=values[k + 1])
+    for _, _, power, values in groups:  # a group steps alone, its matrices kept in cache
+        for m, before, after in zip(map(power.get, jumps), values, values[1:]):
+            np.matmul(m, before, out=after)
     times = steps * config.dt
     states = np.empty((len(steps), d, d), dtype=complex)
     states[0] = 0.5 * (rho0 + rho0.conj().T)
@@ -381,10 +416,11 @@ def steady_states(gen: Generator) -> list[SteadyStateResult]:
         ) from None
     rho = view.to_state(x, z)
 
-    lo = np.linalg.eigvalsh(rho).min(axis=1)
-    p = np.argmax(lo < -1e-9)  # the first row that fails, if one does
-    if lo[p] < -1e-9:
-        raise PositivityError(f"steady-state candidate has eigenvalue {lo[p]:.3e} below -1e-9")
+    if not _certified_positive(rho, 1e-9):
+        lo = np.linalg.eigvalsh(rho).min(axis=1)
+        p = np.argmax(lo < -1e-9)  # the first row that fails, if one does
+        if lo[p] < -1e-9:
+            raise PositivityError(f"steady-state candidate has eigenvalue {lo[p]:.3e} below -1e-9")
     residual = np.abs(gen.terms(rho)[1]).max(axis=(1, 2))
     p = np.argmax(residual > 1e-8)
     if residual[p] > 1e-8:

@@ -45,3 +45,7 @@ class IntegrationError(LindlocError):
 
 class ConfigError(LindlocError):
     """A run configuration is malformed or inconsistent."""
+
+
+class SpecError(LindlocError, ValueError):
+    """A model parameter is out of its range: a spec constructor's check."""

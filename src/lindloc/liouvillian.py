@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baths import BathSpec, rate
-from .errors import DenseSpectrumError, DimensionMismatchError, LindlocError
+from .errors import DenseSpectrumError, DimensionMismatchError, LindlocError, SpecError
 from .linalg import (
     HermitianEigenSystem,
     embed,
@@ -90,9 +90,9 @@ class SystemSpec:
         if not self.subsystems:
             raise DimensionMismatchError("a system needs at least one subsystem")
         if not 0.0 <= self.alpha < inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+            raise SpecError(f"alpha must be finite and >= 0, got {self.alpha!r}")
         if not 0.0 <= self.beta_coupling < inf:
-            raise ValueError(
+            raise SpecError(
                 f"beta_coupling must be finite and >= 0, got {self.beta_coupling!r}"
             )
         if len(self.baths) != len(self.subsystems):
@@ -116,7 +116,7 @@ class SystemSpec:
                     f"subsystem {sub.label!r} has {sub.dim}"
                 )
         if self.grouping_tol is not None and not 0.0 < self.grouping_tol < inf:
-            raise ValueError(
+            raise SpecError(
                 f"grouping_tol must be finite and positive, got {self.grouping_tol!r}"
             )
 

@@ -8,13 +8,14 @@ are entered as T and stored as beta = 1/T.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .baths import BathSpec, SpectralModel
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SpecError
 from .linalg import SIGMA_X, SIGMA_Z, embed
 from .liouvillian import Subsystem, SystemSpec
 
@@ -35,9 +36,9 @@ class TwoQubitParams:
     def __post_init__(self):
         for name in ("e1", "e2", "t1", "t2", "beta_coupling"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise SpecError(f"{name} must be strictly positive")
         if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+            raise SpecError("alpha must be >= 0")
 
 
 def two_qubit_model(params: TwoQubitParams) -> SystemSpec:
@@ -79,7 +80,7 @@ def qubit_chain_model(
 ) -> SystemSpec:
     """Open chain of n qubits with nearest-neighbour sigma_x sigma_x couplings."""
     if n < 1:
-        raise ValueError(f"chain length must be >= 1, got {n}")
+        raise SpecError(f"chain length must be >= 1, got {n}")
     if n > MAX_CHAIN_LENGTH:
         raise DimensionMismatchError(
             f"chain length {n} exceeds the supported maximum {MAX_CHAIN_LENGTH}"
@@ -103,8 +104,10 @@ def _chain(
     public builders call this, not each other, so a wrapper on them (such as
     perfbench's tracer) sees one call per spec."""
     for k, energy in enumerate(energies):
+        if not isinstance(energy, (float, numbers.Real)):  # float first: the ABC is slow
+            raise SpecError(f"energy of q{k + 1} must be a real number, got {energy!r}")
         if energy <= 0.0:
-            raise ValueError(f"energy of q{k + 1} must be strictly positive, got {energy!r}")
+            raise SpecError(f"energy of q{k + 1} must be strictly positive, got {energy!r}")
     return SystemSpec(
         subsystems=[_qubit(k, float(e)) for k, e in enumerate(energies)],
         interactions=list(_couplings(len(energies))),

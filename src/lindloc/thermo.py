@@ -12,10 +12,12 @@ applied to the partial generator, whose fixed point is the product of local
 Gibbs states. The audit reports violations; it never raises on them.
 
 The audit is one pass over a (T, d, d) stack of states, under a generator of
-one row for all of them (audit() is the T = 1 case, audit_trajectory takes
-runs of records) or under row t of a stacked Generator for state t
-(audit_states, the points of a sweep; a state it refuses fails the whole
-stack). A state must be finite and, as evolve's rho0, Hermitian within 1e-9.
+one row for all of them (audit() is the T = 1 case, audit_columns takes
+runs of records and returns their columns, audit_trajectory their reports)
+or under row t of a stacked Generator for state t (audit_states, the points
+of a sweep; a state it refuses fails the whole stack). A state must be
+finite and, as evolve's rho0, Hermitian within 1e-9, and like rho0 it is
+taken in complex double precision.
 Rates linear in rho are traces in the Heisenberg picture, tr(X L[rho]) =
 tr(L†[X] rho), one matrix-vector product per state against its row's
 Generator.rate_operators: D_i†[H_s], L†[H_s] and L_p†[ln rho_G]. dS/dt and
@@ -83,13 +85,14 @@ def _log_and_entropy(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_stack(gen: Generator, states: np.ndarray) -> np.ndarray:
-    """states as a (T, d, d) array of finite, Hermitian entries, or raise."""
+    """states as a complex (T, d, d) array of finite, Hermitian entries, or raise."""
     d = gen.dimension
     states = np.asarray(states)
     if states.ndim != 3 or states.shape[1:] != (d, d):
         raise DimensionMismatchError(
             f"states of shape {states.shape} do not match generator dimension {d}"
         )
+    states = states.astype(complex, copy=False)
     if not np.isfinite(states).all():
         raise NonFiniteError("cannot audit a state with non-finite entries")
     # evolve's tolerance for rho0, run by run as the audit goes
@@ -103,9 +106,10 @@ def _checked_stack(gen: Generator, states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _audit_stack(gen: Generator, states: np.ndarray) -> list[ThermoReport]:
+def _audit_stack(gen: Generator, states: np.ndarray) -> dict[str, np.ndarray]:
     """Both laws at every state of a checked (T, d, d) stack, under gen's
-    row of each state, or its one row for all; one eigh per state."""
+    row of each state, or its one row for all; one eigh per state. The
+    columns are ThermoReport's fields, in order."""
     n = len(gen.spec.baths)
 
     ln_rho, entropy = _log_and_entropy(states)
@@ -124,26 +128,31 @@ def _audit_stack(gen: Generator, states: np.ndarray) -> list[ThermoReport]:
 
     sum_beta_q = (q * gen.betas).sum(axis=1)
     entropy_production = s_dot - sum_beta_q
-    columns = zip(
-        q.tolist(),
-        e_dot.tolist(),
-        s_dot.tolist(),
-        (e_dot - q.sum(axis=1)).tolist(),
-        entropy_production.tolist(),
-        spohn_lhs.tolist(),
-        spohn_rhs.tolist(),
-        np.abs(spohn_rhs - sum_beta_q).tolist(),
-        (entropy_production >= -SECOND_LAW_TOL).tolist(),
-        entropy.tolist(),
-    )
-    return [ThermoReport(tuple(c[0]), *c[1:]) for c in columns]
+    return {
+        "q_dot": q,
+        "e_dot": e_dot,
+        "s_dot": s_dot,
+        "first_law_residual": e_dot - q.sum(axis=1),
+        "entropy_production": entropy_production,
+        "spohn_lhs": spohn_lhs,
+        "spohn_rhs": spohn_rhs,
+        "spohn_residual": np.abs(spohn_rhs - sum_beta_q),
+        "second_law_ok": entropy_production >= -SECOND_LAW_TOL,
+        "entropy": entropy,
+    }
+
+
+def _reports(columns: dict[str, np.ndarray]) -> list[ThermoReport]:
+    """One ThermoReport per row of an audit's columns."""
+    q_dot, *rest = (c.tolist() for c in columns.values())
+    return [ThermoReport(tuple(q), *row) for q, *row in zip(q_dot, *rest)]
 
 
 def audit(gen: Generator, rho: np.ndarray) -> ThermoReport:
     """Evaluate both laws at one state under a generator of one row;
     violations are reported, not raised."""
     _require_one_row(gen, "audit")
-    return _audit_stack(gen, _checked_stack(gen, np.asarray(rho)[None]))[0]
+    return _reports(_audit_stack(gen, _checked_stack(gen, np.asarray(rho)[None])))[0]
 
 
 def audit_states(gen: Generator, states: list[np.ndarray]) -> list[ThermoReport]:
@@ -154,25 +163,35 @@ def audit_states(gen: Generator, states: list[np.ndarray]) -> list[ThermoReport]
             f"audit_states takes one state per generator row, got {len(states)} states "
             f"for {len(gen)} rows"
         )
-    return _audit_stack(gen, _checked_stack(gen, states))
+    shapes = sorted({np.shape(rho) for rho in states})
+    if len(shapes) > 1:
+        raise DimensionMismatchError(f"audit_states takes states of one shape, got {shapes}")
+    return _reports(_audit_stack(gen, _checked_stack(gen, states)))
+
+
+def audit_columns(gen: Generator, trajectory) -> dict[str, np.ndarray]:
+    """audit_trajectory's numbers as columns: each ThermoReport field's name
+    maps to its values for every record, q_dot (T, baths), the others (T,).
+    The pass takes the states in runs (linalg.runs), which bounds its
+    temporaries whatever the trajectory's length."""
+    _require_one_row(gen, "audit_columns")
+    states = _checked_stack(gen, trajectory.states)
+    at = runs(len(states), gen.dimension) or [slice(0)]  # no records: one empty run
+    parts = [_audit_stack(gen, states[run]) for run in at]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
 def audit_trajectory(gen: Generator, trajectory) -> list[ThermoReport]:
-    """The report of every recorded state under a generator of one row.
-
-    The stacked pass takes the states in runs (linalg.runs), which bounds
-    its temporaries whatever the trajectory's length.
-    """
+    """The report of every recorded state under a generator of one row
+    (audit_columns)."""
     _require_one_row(gen, "audit_trajectory")
-    states = _checked_stack(gen, trajectory.states)
-    return [
-        rep for run in runs(len(states), gen.dimension) for rep in _audit_stack(gen, states[run])
-    ]
+    return _reports(audit_columns(gen, trajectory))
 
 
 __all__ = [
     "ThermoReport",
     "audit",
+    "audit_columns",
     "audit_states",
     "audit_trajectory",
 ]

@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import math
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +30,7 @@ from lindloc.dynamics import evolve
 from lindloc.errors import ConfigError, LindlocError
 from lindloc.liouvillian import build_modified_local, product_gibbs
 from lindloc.models import DEFAULT_SPECTRAL, TwoQubitParams, two_qubit_model
-from lindloc.thermo import ThermoReport, audit_trajectory
+from lindloc.thermo import ThermoReport, audit_columns
 
 from conftest import gkls, rand_density, resonant_pair_current, von_neumann_entropy
 
@@ -407,7 +409,7 @@ def test_sweep_outside_the_model_is_refused_at_load(tmp_path):
 # -- command functions ---------------------------------------------------------------
 
 
-def fake_reports(n, ok):
+def fake_columns(n, ok):
     rep = ThermoReport(
         q_dot=(0.0, 0.0),
         e_dot=0.0,
@@ -420,18 +422,19 @@ def fake_reports(n, ok):
         second_law_ok=ok,
         entropy=0.0,
     )
-    return [rep] * n
+    # audit_columns' shape: each field's values for all n records
+    return {name: np.array([value] * n) for name, value in asdict(rep).items()}
 
 
 def patched_audit(ok):
     def _fake(gen, traj):
-        return fake_reports(len(traj), ok)
+        return fake_columns(len(traj), ok)
 
     return _fake
 
 
 def test_simulate_exit_two_on_asserted_violation(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "audit_trajectory", patched_audit(ok=False))
+    monkeypatch.setattr(cli, "audit_columns", patched_audit(ok=False))
     cfg = RunConfig.from_dict(base_dict())
     assert cli.cmd_simulate(cfg, tmp_path / "o") == 2
     # the naive generator only reports; it does not assert
@@ -442,7 +445,7 @@ def test_simulate_exit_two_on_asserted_violation(tmp_path, monkeypatch):
 def test_violation_time_is_printed_as_a_float(tmp_path, monkeypatch, caplog):
     """The first violating record is t = 0; the report and the error log
     print its time as a plain number, not as a numpy scalar's repr."""
-    monkeypatch.setattr(cli, "audit_trajectory", patched_audit(ok=False))
+    monkeypatch.setattr(cli, "audit_columns", patched_audit(ok=False))
     cfg = RunConfig.from_dict(base_dict())
     with caplog.at_level("ERROR", logger="lindloc"):
         assert cli.cmd_simulate(cfg, tmp_path / "o") == 2
@@ -452,7 +455,7 @@ def test_violation_time_is_printed_as_a_float(tmp_path, monkeypatch, caplog):
 
 
 def test_compare_exit_two_on_asserted_violation(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "audit_trajectory", patched_audit(ok=False))
+    monkeypatch.setattr(cli, "audit_columns", patched_audit(ok=False))
     cfg = RunConfig.from_dict(base_dict())
     assert cli.cmd_compare(cfg, tmp_path / "o") == 2
     report = (tmp_path / "o" / "compare_report.txt").read_text()
@@ -460,7 +463,7 @@ def test_compare_exit_two_on_asserted_violation(tmp_path, monkeypatch):
 
 
 def test_simulate_exit_zero_when_clean(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "audit_trajectory", patched_audit(ok=True))
+    monkeypatch.setattr(cli, "audit_columns", patched_audit(ok=True))
     cfg = RunConfig.from_dict(base_dict())
     assert cli.cmd_simulate(cfg, tmp_path / "o") == 0
 
@@ -518,6 +521,22 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def test_csv_rows_of_numeric_arrays_are_csv_writers_bytes():
+    """_csv joins rows of numeric array columns by hand: the bytes are those
+    csv.writer writes for the same values, special floats and ints too."""
+    floats = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2])
+    ints = np.array([0, -1, 2**62, 7, 10**15, -(2**63), 3, 1])
+    columns = [("t", floats), ('a "quoted", label', ints), ("x", floats[::-1])]
+    got = io.StringIO(newline="")
+    cli._csv(got, columns)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow([name for name, _ in columns])
+    writer.writerows(zip(*(values.tolist() for _, values in columns)))
+    assert got.getvalue() == expected.getvalue()
+    assert got.getvalue().splitlines()[:2] == ['t,"a ""quoted"", label",x', "nan,0,0.30000000000000004"]
+
+
 def test_simulate_end_to_end(tmp_path):
     path = write_yaml(tmp_path, base_dict())
     proc = run_cli("simulate", path, "--out", tmp_path / "out")
@@ -557,7 +576,7 @@ def test_trajectory_rows_match_per_record_formulas():
     cfg = RunConfig.from_dict(base_dict())
     gen = make_generator(cfg)
     traj = evolve(gen, rand_density(np.random.default_rng(7), 4), cfg.solver)
-    header, columns = zip(*cli._trajectory_columns(gen, traj, audit_trajectory(gen, traj)))
+    header, columns = zip(*cli._trajectory_columns(gen, traj, audit_columns(gen, traj)))
     rows = list(zip(*columns))
     u = gen.eig.eigenvectors
     pops = slice(header.index("pop_0"), header.index("pop_3") + 1)

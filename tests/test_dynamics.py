@@ -77,6 +77,23 @@ def test_rk4_step_matrix_zero_generator():
     assert np.array_equal(rk4_step_matrix(np.zeros((4, 4)), 0.1), np.eye(4))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rk4_step_matrix_is_the_out_of_place_formula_bit_for_bit(rng, dtype):
+    """The in-place build takes the steps of eye + 0.25 a, eye + (a @ s) / 3,
+    eye + 0.5 (a @ s) and eye + a @ s in their order, signed zeros included."""
+    l = rand_complex(rng, 6) if dtype is complex else rng.normal(size=(6, 6))
+    l[rng.random((6, 6)) < 0.4] = 0.0
+    l[0, 1] = l[2, 3] = -0.0  # signed zeros, and a block of zeros off the diagonal
+    l[4:, :2] = -0.0
+    a = 0.07 * l
+    eye = np.eye(6, dtype=dtype)
+    s = eye + 0.25 * a
+    s = eye + (a @ s) / 3.0
+    s = eye + 0.5 * (a @ s)
+    expected = eye + a @ s
+    assert rk4_step_matrix(l, 0.07).tobytes() == expected.tobytes()
+
+
 # -- config -----------------------------------------------------------------------
 
 
@@ -218,6 +235,10 @@ def test_initial_state_validation():
         rho0[0, 1] = bad
         with pytest.raises(IntegrationError, match="initial state"):
             evolve(gen, rho0, cfg)
+    # what numpy cannot read as a complex matrix is refused as a LindlocError
+    for bad in ("x", [[0.5, 0.0], [0.0]]):
+        with pytest.raises(LindlocError, match=r"^initial state: expected a complex matrix, got "):
+            evolve(gen, bad, cfg)
 
 
 def test_unphysical_generator_detected_mid_run():
@@ -240,6 +261,90 @@ def test_unphysical_generator_detected_mid_run():
     first = next(t for t, rho in zip(loose.times, loose.states) if np.linalg.eigvalsh(rho).min() < -1e-9)
     assert first > loose.times[1000]
     assert str(caught.value).startswith(f"t = {first:.6g}: positivity violated")
+
+
+# -- positivity certificate ------------------------------------------------------------
+
+
+def parent_check_density_matrices(states, positivity_tol, times=None):
+    """The record check as it was before the Cholesky certificate: eigvalsh
+    of every state, the reference whose decisions and messages the
+    certificate must keep."""
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        states = np.where(finite[:, None, None], states, 0.0)
+    tr = np.trace(states, axis1=1, axis2=2)
+    asym = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    lo = np.linalg.eigvalsh(0.5 * (states + states.conj().swapaxes(1, 2)))[:, 0]
+    failed = ~finite | (np.abs(tr - 1.0) > 1e-8) | (asym > 1e-9) | (lo < -positivity_tol)
+    if not failed.any():
+        return
+    k = int(np.argmax(failed))
+    where = "initial state" if times is None else f"t = {times[k]:.6g}"
+    if not finite[k]:
+        raise IntegrationError(f"{where}: state has non-finite entries")
+    if abs(tr[k] - 1.0) > 1e-8:
+        raise IntegrationError(f"{where}: trace {complex(tr[k])!r} deviates from 1 beyond 1e-8")
+    if asym[k] > 1e-9:
+        raise IntegrationError(f"{where}: state is not Hermitian within 1e-9")
+    raise IntegrationError(
+        f"{where}: positivity violated, min eigenvalue {lo[k]:.3e} < -{positivity_tol:.1e}"
+    )
+
+
+def state_with_lowest_eigenvalue(rng, d, lowest):
+    """A Hermitian state of unit trace whose smallest eigenvalue is `lowest`,
+    in a random eigenbasis; the others lie above 1e-3."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rest = rng.uniform(0.2, 1.0, d - 1)
+    w = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    rho = (q * w) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except IntegrationError as exc:
+        return str(exc)
+    return None
+
+
+@seed(20261022)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    d=st.sampled_from([2, 3, 4, 8]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+    k=st.sampled_from([None, *range(3, 13)]),
+    sign=st.sampled_from([-1.0, 1.0]),
+    defect=st.sampled_from([None, "nan", "trace"]),
+    count=st.integers(1, 5),
+    timed=st.booleans(),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_positivity_certificate_decides_as_eigvalsh(d, tol, k, sign, defect, count, timed, draw_seed):
+    """A stack whose state at a random place has its smallest eigenvalue at
+    -tol (1 +- 10^-k), or at 0 (k None), among full-rank states, perhaps with
+    a NaN entry or a trace defect at another place: the record check passes,
+    or raises the same message, as the eigvalsh check it replaces; and
+    whatever the Cholesky certifies, eigvalsh confirms."""
+    rng = np.random.default_rng(draw_seed)
+    lowest = 0.0 if k is None else -tol * (1.0 + sign * 10.0**-k)
+    states = np.array([state_with_lowest_eigenvalue(rng, d, 1e-2) for _ in range(count)])
+    states[rng.integers(count)] = state_with_lowest_eigenvalue(rng, d, lowest)
+    if defect is not None:
+        at = rng.integers(count)
+        if defect == "nan":
+            states[at, rng.integers(d), rng.integers(d)] = np.nan
+        else:
+            states[at] *= 1.0 + 1e-7
+    times = np.arange(count) * 0.25 if timed else None
+    assert outcome(dynamics._check_density_matrices, states, tol, times) == outcome(
+        parent_check_density_matrices, states, tol, times
+    )
+    h = 0.5 * (states + states.conj().swapaxes(1, 2))
+    if dynamics._certified_positive(h, tol):
+        assert (np.linalg.eigvalsh(h)[:, 0] >= -tol).all()
 
 
 # -- steady state -------------------------------------------------------------------

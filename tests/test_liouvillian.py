@@ -39,7 +39,7 @@ from lindloc.models import (
     two_qubit_model,
 )
 
-from lindloc.thermo import audit, audit_states, audit_trajectory
+from lindloc.thermo import audit, audit_columns, audit_states, audit_trajectory
 
 from conftest import (
     assert_block_matches,
@@ -555,8 +555,9 @@ def test_stacked_points_match_point_by_point(build, points, size):
 
 
 def test_single_generator_entry_points_refuse_a_stack():
-    """evolve, steady_state, audit and audit_trajectory take a generator of
-    one row; a stack of two is refused, not solved or audited as its row 0."""
+    """evolve, steady_state, audit, audit_trajectory and audit_columns take
+    a generator of one row; a stack of two is refused, not solved or audited
+    as its row 0."""
     gen = default_two_qubit()
     stack = Generator.stack([gen, gen])
     assert len(stack) == 2
@@ -568,6 +569,7 @@ def test_single_generator_entry_points_refuse_a_stack():
         "steady_state": lambda: steady_state(stack),
         "audit": lambda: audit(stack, rho),
         "audit_trajectory": lambda: audit_trajectory(stack, traj),
+        "audit_columns": lambda: audit_columns(stack, traj),
     }
     for name, call in calls.items():
         with pytest.raises(DimensionMismatchError, match=f"^{name} takes one generator"):

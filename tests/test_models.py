@@ -1,15 +1,17 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from lindloc import baths, liouvillian
-from lindloc.baths import SpectralModel
+from lindloc.baths import BathSpec, SpectralModel
 from lindloc.dynamics import steady_state
-from lindloc.errors import DimensionMismatchError, NonHermitianError
+from lindloc.errors import DimensionMismatchError, LindlocError, NonHermitianError, SpecError
 from lindloc.linalg import SIGMA_X, SIGMA_Z
 from lindloc.liouvillian import build_modified_local
 from lindloc.models import (
+    DEFAULT_SPECTRAL,
     MAX_CHAIN_LENGTH,
     TwoQubitParams,
     qubit_chain_model,
@@ -41,6 +43,47 @@ def test_two_qubit_param_validation():
     ):
         with pytest.raises(ValueError):
             TwoQubitParams(**bad)
+
+
+def test_spec_checks_raise_one_lindloc_error_type():
+    """Every spec constructor refuses a parameter with a SpecError, which is a
+    LindlocError and, as before, a ValueError with the same message; a value
+    that is not a number at all is refused the same way."""
+    assert issubclass(SpecError, LindlocError) and issubclass(SpecError, ValueError)
+    cases = [
+        (lambda: TwoQubitParams(t1=0.0), "t1 must be strictly positive"),
+        (lambda: TwoQubitParams(alpha=-0.01), "alpha must be >= 0"),
+        (
+            lambda: BathSpec.from_temperature("b", -1.0, DEFAULT_SPECTRAL, SIGMA_X),
+            "bath 'b': temperature must be finite and positive, got -1.0",
+        ),
+        (
+            lambda: BathSpec("b", math.nan, DEFAULT_SPECTRAL, SIGMA_X),
+            "bath 'b': beta must be finite and positive, got nan",
+        ),
+        (lambda: SpectralModel("flat", 1.0, 2.0), "flat spectral model takes no cutoff"),
+        (lambda: qubit_chain_model(0, [], []), "chain length must be >= 1, got 0"),
+        (
+            lambda: qubit_chain_model(2, [1.0, -1.0], [1.0, 1.0]),
+            "energy of q2 must be strictly positive, got -1.0",
+        ),
+        (
+            lambda: qubit_chain_model(2, ["a", 1.0], [1.0, 1.0]),
+            "energy of q1 must be a real number, got 'a'",
+        ),
+        (
+            lambda: qubit_chain_model(2, [1.0, 1.0], [1.0, "a"]),
+            "bath 'b2': temperature must be finite and positive, got 'a'",
+        ),
+        (
+            lambda: two_qubit_model(TwoQubitParams(alpha=math.inf)),
+            "alpha must be finite and >= 0, got inf",
+        ),
+    ]
+    for build, message in cases:
+        with pytest.raises(SpecError) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 def test_chain_of_two_equals_pair_model():

@@ -35,6 +35,7 @@ from lindloc.thermo import (
     LOG_EPSILON,
     LOG_FLOOR,
     audit,
+    audit_columns,
     audit_states,
     audit_trajectory,
 )
@@ -301,6 +302,36 @@ def test_audit_rejects_misshaped_states():
     for states in (np.eye(4, dtype=complex) / 4, np.array([np.eye(3, dtype=complex) / 3] * 2)):
         with pytest.raises(DimensionMismatchError):
             audit_trajectory(gen, Trajectory(times=np.arange(len(states), dtype=float), states=states))
+
+
+def test_an_empty_trajectory_has_no_reports():
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    empty = Trajectory(times=np.empty(0), states=np.empty((0, 4, 4), dtype=complex))
+    assert audit_trajectory(gen, empty) == []
+    columns = audit_columns(gen, empty)
+    assert columns["q_dot"].shape == (0, 2)
+    assert all(values.shape == (0,) for name, values in columns.items() if name != "q_dot")
+
+
+def test_audit_states_refuses_states_of_unequal_shapes():
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    stack = Generator.stack([gen, gen])
+    message = r"^audit_states takes states of one shape, got \[\(3, 3\), \(4, 4\)\]$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        audit_states(stack, [np.eye(4) / 4, np.eye(3) / 3])
+
+
+def test_single_precision_states_are_audited_in_double():
+    """A complex64 or float32 state gets, bit for bit, the report of the same
+    state upcast to complex128: the eigh behind ln rho and S runs in double."""
+    gen = build_modified_local(two_qubit_model(TwoQubitParams()))
+    rho = rand_density(np.random.default_rng(3), 4).astype(np.complex64)
+    assert report_bits(audit(gen, rho)) == report_bits(audit(gen, rho.astype(complex)))
+    mixed = (np.eye(4) / 4).astype(np.float32)
+    assert report_bits(audit(gen, mixed)) == report_bits(audit(gen, mixed.astype(complex)))
+    assert audit(gen, mixed).entropy == pytest.approx(math.log(4), abs=1e-15)
+    traj = Trajectory(times=np.arange(2.0), states=np.array([rho, rho]))
+    assert report_bits(audit_trajectory(gen, traj)[1]) == report_bits(audit(gen, rho))
 
 
 def test_audit_refuses_a_state_that_is_not_hermitian():
